@@ -36,7 +36,7 @@ from .harness import (
     tightness_grid,
     verify_tightness,
 )
-from .lp import max_fractional_matching, min_fractional_cover
+from .lp import solve_fractional
 from .matching import NibbleConfig, exact_nu, nibble_matching_report
 from .pipeline import PipelineConfig, build_augmented, fractional_pm_pipeline
 
@@ -101,9 +101,8 @@ def _cmd_nu(args) -> int:
 
 def _cmd_frac(args) -> int:
     H = _read_graph(args)
-    nu_f, phi = max_fractional_matching(H)
-    tau_f, w = min_fractional_cover(H)
-    lines = [f"nu' {nu_f}", f"tau' {tau_f}"]
+    _, phi, w = solve_fractional(H)
+    lines = [f"nu' {phi.value()}", f"tau' {w.total()}"]
     if args.witness:
         for e in phi.support():
             lines.append("phi " + " ".join(str(v) for v in e) + f" {phi.phi[e]}")
@@ -164,18 +163,17 @@ def _cmd_nibble(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     H = _read_graph(args)
-    cfg = PipelineConfig(eta=args.eta, rho=args.rho, eps=args.eps, seed=args.seed)
+    cfg = PipelineConfig(eta=args.eta, rho=args.rho, eps=args.eps)
     _, r = build_augmented(H, args.m, cfg.eta)
     if args.r is not None:
         r = args.r
+    code = 0
     try:
         _, trace = fractional_pm_pipeline(H, args.m, r, cfg, route=args.route)
-    except StepFailureError as ex:
-        records = ex.trace.records() if ex.trace else [{"step": "error", "message": str(ex)}]
-        _write(args, "\n".join(json.dumps(rec, sort_keys=True) for rec in records) + "\n")
-        return 1
+    except StepFailureError as ex:  # the pipeline attaches its partial trace
+        trace, code = ex.trace, 1
     _write(args, "\n".join(json.dumps(rec, sort_keys=True) for rec in trace.records()) + "\n")
-    return 0
+    return code
 
 
 def _cmd_verify(args) -> int:
@@ -274,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_frac, default=Fraction(1, 10))
     p.add_argument("--rho", type=_frac, default=Fraction(1, 10000))
     p.add_argument("--eps", type=_frac, default=Fraction(1, 10))
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--route", choices=["auto", "exact", "greedy"], default="auto")
     p.add_argument("--r", type=int, default=None, help="override the padded clique size")
     common(p)

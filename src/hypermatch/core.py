@@ -380,19 +380,21 @@ def parse_graph(text: str) -> KGraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
+        try:
+            nums = tuple(int(p) for p in line.split())
+        except ValueError:
+            raise InvalidQueryError(f"line {lineno}: expected integers, got {line!r}") from None
         if header is None:
-            if len(parts) != 2:
+            if len(nums) != 2:
                 raise InvalidQueryError(f"line {lineno}: header must be 'k n'")
-            header = (int(parts[0]), int(parts[1]))
+            header = nums
             continue
         k = header[0]
-        if len(parts) != k:
-            raise InvalidQueryError(f"line {lineno}: expected {k} vertices, got {len(parts)}")
-        e = tuple(int(p) for p in parts)
-        if any(e[i] >= e[i + 1] for i in range(k - 1)):
+        if len(nums) != k:
+            raise InvalidQueryError(f"line {lineno}: expected {k} vertices, got {len(nums)}")
+        if any(nums[i] >= nums[i + 1] for i in range(k - 1)):
             raise InvalidQueryError(f"line {lineno}: edge not in ascending order")
-        edges.append(e)
+        edges.append(nums)
     if header is None:
         raise InvalidQueryError("empty graph file (missing 'k n' header)")
     k, n = header

@@ -35,7 +35,13 @@ from .errors import (
     StepFailureError,
 )
 from .matching import exact_nu
-from .pipeline import PipelineConfig, PipelineTrace, build_augmented, fractional_pm_pipeline
+from .pipeline import (
+    PipelineConfig,
+    PipelineTrace,
+    _plain,
+    build_augmented,
+    fractional_pm_pipeline,
+)
 
 NODE_BUDGET_ENV = "HYPERMATCH_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10**8
@@ -76,16 +82,6 @@ class ExperimentReport:
 
 
 _TIMING_KEYS = ("runtime_s", "runtime")
-
-
-def _plain(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, dict):
-        return {k: _plain(x) for k, x in sorted(v.items())}
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    return v
 
 
 def _clean(record: dict, include_timings: bool) -> dict:

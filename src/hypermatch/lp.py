@@ -1,11 +1,11 @@
 """Exact rational linear programming for fractional matchings and covers.
 
-One simplex solve (dense tableau, Fraction arithmetic, Bland's anti-cycling
-rule) yields both optima: the fractional matching from the primal basis and
-the fractional vertex cover from the reduced costs of the slack columns.
-Both witnesses are re-verified feasible by direct exact arithmetic before
-being returned, so equal values certify optimality of both via weak duality
-independently of the pivoting path.
+One simplex solve (revised simplex with an explicit basis inverse, Fraction
+arithmetic, Bland's anti-cycling rule) yields both optima: the fractional
+matching from the primal basis and the fractional vertex cover from the
+duals of the final basis. solve_fractional returns both witnesses after
+re-verifying them by direct exact arithmetic, so their equal values certify
+optimality of both via weak duality independently of the pivoting path.
 
 Also: the cyclic-window perfect fractional matching of complete graphs, the
 weight-closure hypergraph of a vertex weighting, and weight-sorted vertex
@@ -188,46 +188,46 @@ def _solve_incidence_lp(H: KGraph) -> tuple[Fraction, dict[EdgeT, Fraction], tup
 
     value = sum((xb[i] for i in range(m) if edge_basic[i]), ZERO)
     phi = {H.edges[basis[i]]: xb[i] for i in range(m) if edge_basic[i]}
-    # optimal duals: y = cB^T Binv with the final basis
-    y = [ZERO] * m
-    for i in range(m):
-        if edge_basic[i]:
-            row = binv[i]
-            for t in range(m):
-                if row[t]:
-                    y[t] += row[t]
+    # y was priced from the final basis, so it is the optimal dual vector
     return value, phi, tuple(y)
 
 
-def max_fractional_matching(H: KGraph) -> tuple[Fraction, FractionalAssignment]:
-    """Exact optimum fractional matching with a verified witness."""
-    value, phi, _ = _solve_incidence_lp(H)
+def solve_fractional(H: KGraph) -> tuple[Fraction, FractionalAssignment, VertexWeights]:
+    """Exact optimum fractional matching and cover from one solve, both verified.
+
+    The matching is validated as a FractionalAssignment (loads at most 1),
+    the cover as a fractional cover of H with weights in [0,1], and both
+    totals must equal the simplex objective, which certifies optimality of
+    both by weak duality.
+    """
+    value, phi, duals = _solve_incidence_lp(H)
     assignment = FractionalAssignment(H, phi)  # validates loads <= 1 exactly
     if assignment.value() != value:
         raise InternalContradictionError(
             "primal witness value disagrees with simplex objective", check="lp-primal-value"
         )
+    cover = VertexWeights(duals, host=H)
+    if not cover.is_cover_of(H):
+        raise InternalContradictionError(
+            "extracted dual vector is not a fractional cover", check="lp-dual-feasible"
+        )
+    if cover.total() != value:
+        raise InternalContradictionError(
+            "cover value disagrees with simplex objective", check="lp-dual-value"
+        )
+    return value, assignment, cover
+
+
+def max_fractional_matching(H: KGraph) -> tuple[Fraction, FractionalAssignment]:
+    """Exact optimum fractional matching with a verified witness."""
+    value, assignment, _ = solve_fractional(H)
     return value, assignment
 
 
 def min_fractional_cover(H: KGraph) -> tuple[Fraction, VertexWeights]:
-    """Exact optimum fractional vertex cover with a verified witness.
-
-    The witness comes from the dual side of the matching LP; its feasibility
-    (every edge weighted to at least 1, weights in [0,1]) and its value are
-    re-verified exactly, which certifies optimality by weak duality.
-    """
-    value, _, duals = _solve_incidence_lp(H)
-    w = VertexWeights(duals, host=H)
-    if not w.is_cover_of(H):
-        raise InternalContradictionError(
-            "extracted dual vector is not a fractional cover", check="lp-dual-feasible"
-        )
-    if w.total() != value:
-        raise InternalContradictionError(
-            "cover value disagrees with simplex objective", check="lp-dual-value"
-        )
-    return w.total(), w
+    """Exact optimum fractional vertex cover with a verified witness (the LP dual)."""
+    value, _, cover = solve_fractional(H)
+    return value, cover
 
 
 def check_duality(H: KGraph) -> bool:
@@ -237,9 +237,8 @@ def check_duality(H: KGraph) -> bool:
     from witness verification) indicates an implementation bug, never a
     property of the graph.
     """
-    nu_frac, _ = max_fractional_matching(H)
-    tau_frac, _ = min_fractional_cover(H)
-    return nu_frac == tau_frac
+    _, assignment, cover = solve_fractional(H)
+    return assignment.value() == cover.total()
 
 
 def clique_window_matching(n: int, k: int) -> FractionalAssignment:

@@ -8,7 +8,8 @@ block, downward neighborhood transfer), extracts an integral matching of
 size m, completes it to a perfect matching through the clique, and splices a
 cyclic-window fractional matching over the residue class. The result is
 verified feasible and perfect, and its value is cross-checked against the
-exact fractional optimum of the augmented graph.
+exact fractional optimum of the augmented graph, certified by the cover
+step's own primal and dual witnesses.
 
 Also: the eta-padded augmentation rule, the first-round vertex sampler with
 its concentration checks, and the Chernoff tail bounds used to set test
@@ -47,10 +48,10 @@ from .errors import (
 from .lp import (
     FractionalAssignment,
     VertexWeights,
-    max_fractional_matching,
-    min_fractional_cover,
     permute_weights,
     relabel_by_weights,
+    solve_fractional,
+    weight_closure,
 )
 from .matching import exact_nu
 
@@ -83,19 +84,15 @@ class PipelineConfig:
     """Knobs of the constructive route and its samplers.
 
     eta is the padding fraction of the augmentation rule; rho the degree
-    slack; eps the containment scale; beta the admissible-range parameter
-    (eta defaults to beta/3). sigma and tau are forwarded to nibble
-    configurations by callers that chain into the semi-random stage.
+    slack; eps the containment scale. sampler and seed shape the
+    first-round vertex sampler.
     """
 
     eta: Fraction = Fraction(1, 10)
     rho: Fraction = Fraction(1, 10000)
     eps: Fraction = Fraction(1, 10)
-    beta: Fraction = Fraction(3, 10)
     sampler: SamplerSettings = field(default_factory=SamplerSettings)
     seed: int = 0
-    sigma: Fraction = Fraction(1, 10)
-    tau: Fraction = Fraction(1, 20)
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -151,18 +148,17 @@ class TraceStep:
     details: dict
 
     def record(self) -> dict:
-        out = {"step": self.name, "status": self.status}
-        out.update({k: _plain(v) for k, v in self.details.items()})
-        return out
+        return {"step": self.name, "status": self.status, **_plain(self.details)}
 
 
 def _plain(v):
+    """JSON-ready copy: Fractions as "p/q", tuples as lists, dict keys sorted."""
     if isinstance(v, Fraction):
         return str(v)
-    if isinstance(v, (tuple, list)):
-        return [_plain(x) for x in v]
     if isinstance(v, dict):
-        return {k: _plain(x) for k, x in v.items()}
+        return {k: _plain(x) for k, x in sorted(v.items())}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
     return v
 
 
@@ -180,8 +176,9 @@ class PipelineTrace:
     relabel_old_to_new: tuple[int, ...] = ()
     constants: dict = field(default_factory=dict)
 
-    def add(self, name: str, status: str, seconds: float, **details) -> None:
-        self.steps.append(TraceStep(name, status, seconds, details))
+    def step(self, name: str) -> _Step:
+        """Start timing a step; use as ``with trace.step(name) as st:``."""
+        return _Step(self, name)
 
     def records(self) -> list[dict]:
         head = {
@@ -200,14 +197,48 @@ class PipelineTrace:
         return [head] + [st.record() for st in self.steps]
 
 
-class _Timer:
-    def __enter__(self):
+class _Step:
+    """A pipeline step in progress, timed from its creation.
+
+    The block may set name, status and details. The step is appended to the
+    trace when the block ends without an exception; fail and contradict
+    append it as failed, with only the message and the given details (under
+    the name ``step`` if given), and raise with the trace attached.
+    """
+
+    def __init__(self, trace: PipelineTrace, name: str):
+        self.trace = trace
+        self.name = name
+        self.status = "ok"
+        self.details: dict = {}
         self.t0 = time.perf_counter()
+
+    def __enter__(self) -> _Step:
         return self
 
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self.t0
-        return False
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self._end()
+
+    def _end(self) -> None:
+        seconds = time.perf_counter() - self.t0
+        self.trace.steps.append(TraceStep(self.name, self.status, seconds, self.details))
+
+    def _end_with(self, message: str, step: str | None, details: dict) -> None:
+        self.name = step or self.name
+        self.status = "failed"
+        self.details = {"message": message, **details}
+        self._end()
+
+    def fail(self, message: str, step: str | None = None, **details):
+        """Append the step as failed and raise StepFailureError."""
+        self._end_with(message, step, details)
+        raise StepFailureError(message, trace=self.trace)
+
+    def contradict(self, message: str, step: str | None = None, **details):
+        """Append the step as failed and raise InternalContradictionError."""
+        self._end_with(message, step, details)
+        raise InternalContradictionError(message, check=self.name, trace=self.trace)
 
 
 def _complete_block_size(m: int, eps: Fraction, n: int) -> int:
@@ -248,21 +279,6 @@ def check_pipeline_preconditions(
     }
 
 
-def _fail(trace: PipelineTrace, name: str, seconds: float, message: str, **details):
-    trace.add(name, "failed", seconds, message=message, **details)
-    raise StepFailureError(message, trace=trace)
-
-
-def _contradict(trace: PipelineTrace, name: str, seconds: float, message: str, **details):
-    trace.add(name, "failed", seconds, message=message, **details)
-    raise InternalContradictionError(message, check=name, trace=trace)
-
-
-def _owner_route(route: str) -> None:
-    if route not in ("auto", "exact", "greedy"):
-        raise InvalidQueryError(f"route must be auto|exact|greedy, got {route!r}")
-
-
 def fractional_pm_pipeline(
     H: KGraph,
     m: int,
@@ -280,7 +296,8 @@ def fractional_pm_pipeline(
     steps whose guarantees are only asymptotic raise StepFailureError with
     the trace attached.
     """
-    _owner_route(route)
+    if route not in ("auto", "exact", "greedy"):
+        raise InvalidQueryError(f"route must be auto|exact|greedy, got {route!r}")
     n, k = H.n, H.k
     if m < 1 or n < k * m:
         raise InvalidQueryError(f"need 1 <= m <= n/k, got n={n}, m={m}")
@@ -295,168 +312,112 @@ def fractional_pm_pipeline(
         "residual": augmentation_residual(n, k, m, cfg.eta, r),
     }
 
-    with _Timer() as t:
+    with trace.step("preconditions") as st:
         pre = check_pipeline_preconditions(H, m, r, cfg, check_alpha=check_alpha)
-    trace.preconditions = pre
-    trace.add("preconditions", "ok", t.seconds, **pre)
+        trace.preconditions = pre
+        st.details = pre
 
     # minimum fractional cover of the augmented graph
-    with _Timer() as t:
-        H_aug = join_clique(H, r)
-        tau_value, cover = min_fractional_cover(H_aug)
     target = Fraction(n + r, k)
-    trace.add("cover", "ok", t.seconds, tau=tau_value, target=target)
+    with trace.step("cover") as st:
+        H_aug = join_clique(H, r)
+        tau_value, matching, cover = solve_fractional(H_aug)
+        st.details = {"tau": tau_value, "target": target}
     if tau_value < target:
-        _fail(
-            trace,
-            "cover_certificate",
-            0.0,
+        trace.step("cover_certificate").fail(
             "cover below (n+r)/k certifies that no perfect fractional matching exists",
             tau=tau_value,
             target=target,
         )
 
     # sort the original vertices by weight; clique labels stay on top
-    with _Timer() as t:
+    with trace.step("relabel") as st:
         base_weights = VertexWeights(cover.weights[:n])
         H_sorted, old_to_new = relabel_by_weights(H, base_weights)
         full_map = old_to_new + tuple(range(n + 1, n + r + 1))
         w = permute_weights(cover, full_map)
         H_aug_sorted = join_clique(H_sorted, r)
         if not w.is_cover_of(H_aug_sorted):
-            _contradict(trace, "relabel", t.seconds, "cover broken by relabeling")
-    trace.relabel_old_to_new = old_to_new
-    trace.add("relabel", "ok", t.seconds, old_to_new=old_to_new)
+            st.contradict("cover broken by relabeling")
+        trace.relabel_old_to_new = old_to_new
+        st.details = {"old_to_new": old_to_new}
 
     # weight closure and its core/link
-    with _Timer() as t:
-        from .lp import weight_closure
-
+    with trace.step("closure") as st:
         closure = weight_closure(n + r, k, w)
         if not set(H_aug_sorted.edges) <= set(closure.edges):
-            _contradict(trace, "closure", t.seconds, "augmented graph escapes its weight closure")
+            st.contradict("augmented graph escapes its weight closure")
         core_graph = induced(closure, range(1, n + 1))  # clique labels are on top
         link_graph = link(core_graph, n)
-    trace.add(
-        "closure",
-        "ok",
-        t.seconds,
-        closure_edges=len(closure.edges),
-        core_edges=len(core_graph.edges),
-        link_edges=len(link_graph.edges),
-    )
+        st.details = {
+            "closure_edges": len(closure.edges),
+            "core_edges": len(core_graph.edges),
+            "link_edges": len(link_graph.edges),
+        }
 
     # structural certificates
-    with _Timer() as t:
-        stable_ok = is_stable(link_graph)
-    if not stable_ok:
-        _contradict(trace, "link_stability", t.seconds, "link of the closure is not stable")
-    trace.add("link_stability", "ok", t.seconds)
+    with trace.step("link_stability") as st:
+        if not is_stable(link_graph):
+            st.contradict("link of the closure is not stable")
 
     block_top = _complete_block_size(m, cfg.eps, n)
-    with _Timer() as t:
-        block_ok = True
+    with trace.step("complete_block") as st:
         missing = None
         if block_top >= k:
             for e in combinations(range(1, min(block_top, n) + 1), k):
                 if e not in core_graph.edge_set:
-                    block_ok, missing = False, e
+                    missing = e
                     break
-    if not block_ok:
-        if pre["alpha_ok"]:
-            _contradict(
-                trace,
-                "complete_block",
-                t.seconds,
-                f"low-index block [{block_top}] is not complete despite the independence margin",
+        if missing is not None:
+            if pre["alpha_ok"]:
+                st.contradict(
+                    f"low-index block [{block_top}] is not complete despite the independence margin",
+                    missing=missing,
+                )
+            st.fail(
+                f"low-index block [{block_top}] is not complete "
+                "(independence precondition unmet or unchecked)",
                 missing=missing,
             )
-        _fail(
-            trace,
-            "complete_block",
-            t.seconds,
-            f"low-index block [{block_top}] is not complete "
-            "(independence precondition unmet or unchecked)",
-            missing=missing,
-        )
-    trace.add("complete_block", "ok", t.seconds, block_top=block_top)
+        st.details = {"block_top": block_top}
 
-    with _Timer() as t:
-        transfer_ok = True
-        witness = None
+    with trace.step("neighborhood_transfer") as st:
         for e in link_graph.edges:
             ev = set(e)
             for i in range(1, n + 1):
-                if i in ev:
-                    continue
-                if tuple(sorted(e + (i,))) not in core_graph.edge_set:
-                    transfer_ok, witness = False, (e, i)
-                    break
-            if not transfer_ok:
-                break
-    if not transfer_ok:
-        _contradict(
-            trace,
-            "neighborhood_transfer",
-            t.seconds,
-            "a link edge fails to transfer to a smaller-index vertex",
-            witness=witness,
-        )
-    trace.add("neighborhood_transfer", "ok", t.seconds)
+                if i not in ev and tuple(sorted(e + (i,))) not in core_graph.edge_set:
+                    st.contradict(
+                        "a link edge fails to transfer to a smaller-index vertex", witness=(e, i)
+                    )
 
     # integral matching of size m inside the core graph
     M = None
     if route in ("auto", "exact"):
-        with _Timer() as t:
+        with trace.step("find_matching") as st:
             nu_link, link_matching = exact_nu(link_graph)
             if nu_link >= m:
-                picked = list(link_matching.edges[:m])
+                picked = link_matching.edges[:m]
                 used = {v for e in picked for v in e}
-                fresh = [v for v in range(1, n + 1) if v not in used][:m]
-                if len(fresh) < m:
-                    _fail(trace, "matching_exact", t.seconds, "not enough fresh vertices")
-                M = [tuple(sorted(e + (v,))) for e, v in zip(picked, fresh)]
-                for e in M:
-                    if e not in core_graph.edge_set:
-                        _contradict(
-                            trace,
-                            "matching_exact",
-                            t.seconds,
-                            "transferred edge missing from the core graph",
-                            edge=e,
-                        )
-        if M is not None:
-            trace.route_used = "exact"
-            trace.add("find_matching", "ok", t.seconds, route="exact", link_nu=nu_link, size=m)
-        elif route == "exact":
-            _fail(
-                trace,
-                "find_matching",
-                t.seconds,
-                f"link matching has only {nu_link} < m = {m} edges",
-                route="exact",
-            )
-        else:
-            trace.add(
-                "find_matching_exact_attempt",
-                "skipped",
-                t.seconds,
-                link_nu=nu_link,
-                note="falling back to the block route",
-            )
+                M = _transfer(st, picked, used, core_graph, n, step="matching_exact")
+                trace.route_used = "exact"
+                st.details = {"route": "exact", "link_nu": nu_link, "size": m}
+            elif route == "exact":
+                st.fail(f"link matching has only {nu_link} < m = {m} edges", route="exact")
+            else:
+                st.name, st.status = "find_matching_exact_attempt", "skipped"
+                st.details = {"link_nu": nu_link, "note": "falling back to the block route"}
 
     if M is None:
         M = _block_route_matching(core_graph, link_graph, n, k, m, cfg, trace)
         trace.route_used = "greedy"
 
-    with _Timer() as t:
-        matching_ok = verify_matching(core_graph, Matching.from_edges(M)) and len(M) == m
-    if not matching_ok:
-        _contradict(trace, "matching_verify", t.seconds, "assembled matching is invalid")
-    trace.add("matching_verify", "ok", t.seconds, size=len(M))
+    with trace.step("matching_verify") as st:
+        if not (verify_matching(core_graph, Matching.from_edges(M)) and len(M) == m):
+            st.contradict("assembled matching is invalid")
+        st.details = {"size": len(M)}
 
     # perfect matching of the closure minus residue-class vertices and V(M)
-    with _Timer() as t:
+    with trace.step("clique_completion") as st:
         M_used = {v for e in M for v in e}
         leftover = [v for v in range(1, n + 1) if v not in M_used]
         q_free = list(range(n + s + 1, n + r + 1))
@@ -465,21 +426,18 @@ def fractional_pm_pipeline(
             live = leftover + q_free
             completion = _exact_perfect_matching(closure, live)
         if completion is None:
-            _fail(
-                trace,
-                "clique_completion",
-                t.seconds,
+            st.fail(
                 "no perfect matching of the closure minus the residue class and V(M)",
                 leftover=len(leftover),
                 clique_free=len(q_free),
             )
         for e in completion:
             if e not in closure.edge_set:
-                _contradict(trace, "clique_completion", t.seconds, "completion used a non-edge", edge=e)
-    trace.add("clique_completion", "ok", t.seconds, size=len(completion))
+                st.contradict("completion used a non-edge", edge=e)
+        st.details = {"size": len(completion)}
 
     # assemble, splicing cyclic windows over the residue class if needed
-    with _Timer() as t:
+    with trace.step("residue_splice" if s else "assemble") as st:
         phi: dict[EdgeT, Fraction] = {}
         one = Fraction(1)
         if s == 0:
@@ -489,12 +447,7 @@ def fractional_pm_pipeline(
                 phi[e] = one
         else:
             if r < s:
-                _fail(
-                    trace,
-                    "residue_splice",
-                    t.seconds,
-                    f"residue class needs {s} clique vertices but only {r} exist",
-                )
+                st.fail(f"residue class needs {s} clique vertices but only {r} exist")
             if completion:
                 f, ones = completion[0], M + completion[1:]
             else:
@@ -506,34 +459,40 @@ def fractional_pm_pipeline(
             for i in range(nn):
                 window = tuple(sorted(window_verts[(i + j) % nn] for j in range(k)))
                 if window not in closure.edge_set:
-                    _contradict(
-                        trace, "residue_splice", t.seconds, "window is not a closure edge", edge=window
-                    )
+                    st.contradict("window is not a closure edge", edge=window)
                 phi[window] = wk
             for e in ones:
                 phi[e] = one
         assignment = FractionalAssignment(closure, phi)  # validates loads exactly
         value = assignment.value()
-    if value != target:
-        _contradict(
-            trace, "verify", t.seconds, "assembled value is not (n+r)/k", value=value, target=target
-        )
-    trace.add("residue_splice" if s else "assemble", "ok", t.seconds, value=value)
+        if value != target:
+            st.contradict(
+                "assembled value is not (n+r)/k", step="verify", value=value, target=target
+            )
+        st.details = {"value": value}
 
-    # cross-check against the exact fractional optimum of the augmented graph
-    with _Timer() as t:
-        lp_value, _ = max_fractional_matching(H_aug_sorted)
-    if lp_value != value:
-        _contradict(
-            trace,
-            "verify",
-            t.seconds,
-            "pipeline value disagrees with the exact fractional optimum",
-            lp_value=lp_value,
-            value=value,
+    # cross-check against the exact fractional optimum of the augmented graph:
+    # the cover step's matching, relabeled like its cover, is a fractional
+    # matching of H_aug_sorted; w is a cover of it (checked in relabel), so
+    # equal totals certify lp_value as the optimum by weak duality
+    with trace.step("verify") as st:
+        primal = FractionalAssignment(
+            H_aug_sorted,
+            {tuple(sorted(full_map[v - 1] for v in e)): x for e, x in matching.phi.items()},
         )
-    trace.value = value
-    trace.add("verify", "ok", t.seconds, lp_value=lp_value, perfect=assignment.is_perfect())
+        lp_value = primal.value()
+        if lp_value != w.total():
+            st.contradict(
+                "relabeled matching and cover witnesses disagree", lp_value=lp_value, tau=w.total()
+            )
+        if lp_value != value:
+            st.contradict(
+                "pipeline value disagrees with the exact fractional optimum",
+                lp_value=lp_value,
+                value=value,
+            )
+        trace.value = value
+        st.details = {"lp_value": lp_value, "perfect": assignment.is_perfect()}
     return assignment, trace
 
 
@@ -553,7 +512,7 @@ def _block_route_matching(
     ever formed. Greedy and size guarantees here are asymptotic, so any
     shortfall raises StepFailureError rather than guessing.
     """
-    with _Timer() as t:
+    with trace.step("block_route_classify") as st:
         W = tuple(range(1, m))
         U = tuple(range(m, n))
         part = VertexPartition(U, W)
@@ -568,24 +527,18 @@ def _block_route_matching(
         b = len(b_bad)
         link_def = deficiency(link_graph, part, k - 1) if m >= 2 else 0
         close_ok = Fraction(link_def) ** 2 <= cfg.rho * Fraction(n_link) ** (2 * (k - 1))
-    trace.add(
-        "block_route_classify",
-        "ok",
-        t.seconds,
-        bad_total=len(v_bad),
-        bad_in_W=b,
-        link_deficiency=link_def,
-        link_close=close_ok,
-    )
+        st.details = {
+            "bad_total": len(v_bad),
+            "bad_in_W": b,
+            "link_deficiency": link_def,
+            "link_close": close_ok,
+        }
 
-    with _Timer() as t:
+    with trace.step("block_route_block_matching") as st:
         block_top = _complete_block_size(m, cfg.eps, n)
         block = sorted(set(b_bad) | set(range(m, min(block_top, n) + 1)))
         if (b + 1) * k > len(block):
-            _fail(
-                trace,
-                "block_route_block_matching",
-                t.seconds,
+            st.fail(
                 f"block of {len(block)} vertices cannot hold {b + 1} disjoint edges",
                 block=len(block),
                 needed=(b + 1) * k,
@@ -595,18 +548,12 @@ def _block_route_matching(
         for _ in range(b + 1):
             e = tuple(pool[:k])
             if e not in core_graph.edge_set:
-                _fail(
-                    trace,
-                    "block_route_block_matching",
-                    t.seconds,
-                    "block edge missing from the core graph",
-                    edge=e,
-                )
+                st.fail("block edge missing from the core graph", edge=e)
             block_matching.append(e)
             pool = pool[k:]
-    trace.add("block_route_block_matching", "ok", t.seconds, size=len(block_matching))
+        st.details = {"size": len(block_matching)}
 
-    with _Timer() as t:
+    with trace.step("block_route_transversal") as st:
         removed = set().union(*map(set, block_matching)) | v_bad
         transversal: list[EdgeT] = []
         used: set[int] = set()
@@ -627,41 +574,36 @@ def _block_route_matching(
                 found = e
                 break
             if found is None:
-                _fail(
-                    trace,
-                    "block_route_transversal",
-                    t.seconds,
-                    f"no available one-W-vertex link edge at vertex {x}",
-                    vertex=x,
-                )
+                st.fail(f"no available one-W-vertex link edge at vertex {x}", vertex=x)
             transversal.append(found)
             used |= set(found)
         if len(transversal) < m - b - 1:
-            _fail(
-                trace,
-                "block_route_transversal",
-                t.seconds,
-                f"only {len(transversal)} of {m - b - 1} one-W-vertex edges found",
-            )
-    trace.add("block_route_transversal", "ok", t.seconds, size=len(transversal))
+            st.fail(f"only {len(transversal)} of {m - b - 1} one-W-vertex edges found")
+        st.details = {"size": len(transversal)}
 
-    with _Timer() as t:
+    with trace.step("block_route_extend") as st:
         blocked = removed | used | {v for e in transversal for v in e}
-        fresh = [v for v in range(1, n + 1) if v not in blocked][: m - b - 1]
-        if len(fresh) < m - b - 1:
-            _fail(trace, "block_route_extend", t.seconds, "not enough fresh vertices")
-        extended = [tuple(sorted(e + (v,))) for e, v in zip(transversal, fresh)]
-        for e in extended:
-            if e not in core_graph.edge_set:
-                _contradict(
-                    trace,
-                    "block_route_extend",
-                    t.seconds,
-                    "transferred edge missing from the core graph",
-                    edge=e,
-                )
-    trace.add("block_route_extend", "ok", t.seconds, size=len(extended))
+        extended = _transfer(st, transversal, blocked, core_graph, n)
+        st.details = {"size": len(extended)}
     return block_matching + extended
+
+
+def _transfer(
+    st: _Step, link_edges, blocked: set[int], core_graph: KGraph, n: int, step: str | None = None
+) -> list[EdgeT]:
+    """Extend each link edge of vertex n by its own unblocked vertex of [n].
+
+    Neighborhood transfer makes every such extension a core edge; a missing
+    one is a contradiction.
+    """
+    fresh = [v for v in range(1, n + 1) if v not in blocked][: len(link_edges)]
+    if len(fresh) < len(link_edges):
+        st.fail("not enough fresh vertices", step=step)
+    out = [tuple(sorted(e + (v,))) for e, v in zip(link_edges, fresh)]
+    for e in out:
+        if e not in core_graph.edge_set:
+            st.contradict("transferred edge missing from the core graph", step=step, edge=e)
+    return out
 
 
 def _complete_through_clique(

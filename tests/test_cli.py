@@ -1,8 +1,9 @@
+import io
 import json
 
 import pytest
 
-from hypermatch import complete, format_graph, parse_graph
+from hypermatch import complete, format_graph, lp, parse_graph
 from hypermatch.cli import main
 
 
@@ -69,6 +70,24 @@ class TestSolvers:
         lines = out.splitlines()
         assert lines[0] == "nu' 5/3" and lines[1] == "tau' 5/3"
 
+    def test_frac_solves_once(self, capsys, monkeypatch):
+        calls = []
+        solve = lp._solve_incidence_lp
+        monkeypatch.setattr(lp, "_solve_incidence_lp", lambda H: calls.append(H) or solve(H))
+        text = format_graph(complete(6, 3))
+        code, out = run(capsys, "frac", stdin=text, monkeypatch=monkeypatch)
+        assert code == 0 and out == "nu' 2\ntau' 2\n"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["nu", "frac"])
+    @pytest.mark.parametrize("text", ["3 x\n", "3 4\n1 2 z\n"])
+    def test_non_integer_input_is_a_clean_error(self, capsys, monkeypatch, command, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = main([command])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: line ") and err.count("\n") == 1
+
     def test_contain(self, capsys, monkeypatch):
         from hypermatch import build_Hknm
 
@@ -104,6 +123,44 @@ class TestSolvers:
         )
         assert code == 1
         assert any(json.loads(l)["status"] == "failed" for l in out.splitlines())
+
+
+# records printed by the README example and by the edgeless failure case;
+# the trace records carry no timings, so these bytes are fixed
+GOLDEN_COMPLETE_12 = [
+    '{"constants": {"eps": "1/10", "eta": "1/12", "four_rho": "1/2500", "residual": "0", "rho": "1/10000", "two_eta_over_k": "1/18"}, "k": 3, "m": 3, "n": 12, "preconditions": {"alpha": 2, "alpha_bound": 7, "alpha_ok": true, "clique_ok": false, "degree_floor": "11866/625", "degree_ok": true, "delta1": 55, "m_range_ok": true}, "r": 1, "route": "exact", "s": 1, "status": "ok", "step": "summary", "value": "13/3"}',
+    '{"alpha": 2, "alpha_bound": 7, "alpha_ok": true, "clique_ok": false, "degree_floor": "11866/625", "degree_ok": true, "delta1": 55, "m_range_ok": true, "status": "ok", "step": "preconditions"}',
+    '{"status": "ok", "step": "cover", "target": "13/3", "tau": "13/3"}',
+    '{"old_to_new": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], "status": "ok", "step": "relabel"}',
+    '{"closure_edges": 286, "core_edges": 220, "link_edges": 55, "status": "ok", "step": "closure"}',
+    '{"status": "ok", "step": "link_stability"}',
+    '{"block_top": 5, "status": "ok", "step": "complete_block"}',
+    '{"status": "ok", "step": "neighborhood_transfer"}',
+    '{"link_nu": 5, "route": "exact", "size": 3, "status": "ok", "step": "find_matching"}',
+    '{"size": 3, "status": "ok", "step": "matching_verify"}',
+    '{"size": 1, "status": "ok", "step": "clique_completion"}',
+    '{"status": "ok", "step": "residue_splice", "value": "13/3"}',
+    '{"lp_value": "13/3", "perfect": true, "status": "ok", "step": "verify"}',
+]
+GOLDEN_EDGELESS_12 = [
+    '{"constants": {"eps": "1/10", "eta": "1/10", "four_rho": "1/2500", "residual": "1/5", "rho": "1/10000", "two_eta_over_k": "1/15"}, "k": 3, "m": 3, "n": 12, "preconditions": {"alpha": 12, "alpha_bound": 7, "alpha_ok": false, "clique_ok": false, "degree_floor": "11866/625", "degree_ok": false, "delta1": 0, "m_range_ok": true}, "r": 1, "route": null, "s": 1, "status": "incomplete", "step": "summary", "value": null}',
+    '{"alpha": 12, "alpha_bound": 7, "alpha_ok": false, "clique_ok": false, "degree_floor": "11866/625", "degree_ok": false, "delta1": 0, "m_range_ok": true, "status": "ok", "step": "preconditions"}',
+    '{"status": "ok", "step": "cover", "target": "13/3", "tau": "1"}',
+    '{"message": "cover below (n+r)/k certifies that no perfect fractional matching exists", "status": "failed", "step": "cover_certificate", "target": "13/3", "tau": "1"}',
+]
+
+
+@pytest.mark.parametrize(
+    "graph, argv, code, golden",
+    [
+        (complete(12, 3), ["--m", "3", "--eta", "1/12"], 0, GOLDEN_COMPLETE_12),
+        (parse_graph("3 12\n"), ["--m", "3"], 1, GOLDEN_EDGELESS_12),
+    ],
+    ids=["complete_12", "edgeless_12"],
+)
+def test_pipeline_records_golden(capsys, monkeypatch, graph, argv, code, golden):
+    got = run(capsys, "pipeline", *argv, stdin=format_graph(graph), monkeypatch=monkeypatch)
+    assert got == (code, "\n".join(golden) + "\n")
 
 
 class TestVerifySearchReport:

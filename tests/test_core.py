@@ -263,3 +263,9 @@ class TestTextFormat:
     def test_header_first(self):
         with pytest.raises(InvalidQueryError):
             parse_graph("# only a comment\n")
+
+    def test_rejects_non_integers_with_line_number(self):
+        with pytest.raises(InvalidQueryError, match="line 1"):
+            parse_graph("3 x\n")
+        with pytest.raises(InvalidQueryError, match="line 3"):
+            parse_graph("3 4\n# comment\n1 2 z\n")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from hypermatch import KGraph, build_Hknm, complete, is_stable, random_kgraph
+from hypermatch import KGraph, build_Hknm, complete, is_stable, lp, random_kgraph
 from hypermatch.errors import InvalidQueryError
 from hypermatch.lp import (
     FractionalAssignment,
@@ -16,6 +16,7 @@ from hypermatch.lp import (
     min_fractional_cover,
     permute_weights,
     relabel_by_weights,
+    solve_fractional,
     weight_closure,
 )
 
@@ -77,6 +78,18 @@ class TestDuality:
 
     def test_edgeless(self):
         assert check_duality(KGraph(5, 3, []))
+
+    def test_one_solve_gives_both_witnesses(self, monkeypatch):
+        calls = []
+        solve = lp._solve_incidence_lp
+        monkeypatch.setattr(lp, "_solve_incidence_lp", lambda H: calls.append(H) or solve(H))
+        H = build_Hknm(9, 3, 3)[0]
+        assert check_duality(H)
+        assert len(calls) == 1
+        value, phi, w = solve_fractional(H)
+        assert len(calls) == 2
+        assert phi.value() == w.total() == value == max_fractional_matching(H)[0]
+        assert w.is_cover_of(H)
 
     def test_sandwich_on_random(self, rng):
         for trial in range(10):

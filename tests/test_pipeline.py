@@ -12,6 +12,7 @@ from hypermatch import (
     complete,
     degree,
     join_clique,
+    lp,
     random_kgraph,
 )
 from hypermatch.errors import (
@@ -134,6 +135,14 @@ class TestPipeline:
         assert trace.preconditions["degree_ok"] is False
         assert any(s.name == "cover_certificate" and s.status == "failed" for s in trace.steps)
 
+    def test_failure_inside_a_step_carries_the_trace(self):
+        # r = 1 leaves no free clique vertex to complete the 4 leftover vertices
+        with pytest.raises(StepFailureError) as exc:
+            fractional_pm_pipeline(complete(13, 3), 3, 1, PipelineConfig())
+        last = exc.value.trace.steps[-1]
+        assert (last.name, last.status) == ("clique_completion", "failed")
+        assert last.details["leftover"] == 4 and last.details["clique_free"] == 0
+
     def test_value_matches_lp_on_random_dense(self):
         from hypermatch.lp import max_fractional_matching
 
@@ -165,6 +174,14 @@ class TestPipeline:
         _, trace = fractional_pm_pipeline(H, 3, 3, PipelineConfig())
         text = json.dumps(trace.records())
         assert "summary" in text
+
+    def test_solves_the_lp_once(self, monkeypatch):
+        calls = []
+        solve = lp._solve_incidence_lp
+        monkeypatch.setattr(lp, "_solve_incidence_lp", lambda H: calls.append(H) or solve(H))
+        _, trace = fractional_pm_pipeline(complete(12, 3), 3, 3, PipelineConfig())
+        assert trace.value == 5
+        assert len(calls) == 1
 
     def test_rejects_bad_route(self):
         with pytest.raises(InvalidQueryError):
