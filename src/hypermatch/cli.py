@@ -42,7 +42,10 @@ from .pipeline import PipelineConfig, build_augmented, fractional_pm_pipeline
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction p/q, got {text!r}") from None
 
 
 def _read_graph(args) -> KGraph:
@@ -312,7 +315,7 @@ def main(argv=None) -> int:
     except BudgetExceededError:
         print("indeterminate: node budget exhausted", file=sys.stderr)
         return 2
-    except HypermatchError as ex:
+    except (HypermatchError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
 

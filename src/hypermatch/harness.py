@@ -31,6 +31,7 @@ from .core import KGraph, Matching, format_graph, min_l_degree, parse_graph, ver
 from .errors import (
     BudgetExceededError,
     HypermatchError,
+    InvalidQueryError,
     SamplingExhaustedError,
     StepFailureError,
 )
@@ -139,7 +140,7 @@ def emit_report(report: ExperimentReport, fmt: str = "records", include_timings:
             c = _clean(inst, include_timings)
             out.write(",".join(_csv_cell(c.get(k)) for k in keys) + "\n")
         return out.getvalue()
-    raise ValueError(f"unknown report format {fmt!r}")
+    raise InvalidQueryError(f"unknown report format {fmt!r}")
 
 
 def _csv_cell(v) -> str:
@@ -163,10 +164,15 @@ def load_report(text: str) -> ExperimentReport:
     header = None
     instances: list[dict] = []
     counterexamples: list[dict] = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as ex:
+            raise InvalidQueryError(f"line {lineno}: not JSON ({ex.msg})") from None
+        if not isinstance(obj, dict) or "record" not in obj:
+            raise InvalidQueryError(f"line {lineno}: expected a JSON object with a 'record' key")
         kind = obj.pop("record")
         if kind == "report":
             header = obj
@@ -175,18 +181,21 @@ def load_report(text: str) -> ExperimentReport:
         elif kind == "counterexample":
             counterexamples.append(obj)
         else:
-            raise ValueError(f"unknown record kind {kind!r}")
+            raise InvalidQueryError(f"line {lineno}: unknown record kind {kind!r}")
     if header is None:
-        raise ValueError("missing report header record")
-    return ExperimentReport(
-        experiment=header["experiment"],
-        params=header["params"],
-        instances=instances,
-        counterexamples=counterexamples,
-        seed=header["seed"],
-        version=header["version"],
-        incomplete=header["incomplete"],
-    )
+        raise InvalidQueryError("missing report header record")
+    try:
+        return ExperimentReport(
+            experiment=header["experiment"],
+            params=header["params"],
+            instances=instances,
+            counterexamples=counterexamples,
+            seed=header["seed"],
+            version=header["version"],
+            incomplete=header["incomplete"],
+        )
+    except KeyError as ex:
+        raise InvalidQueryError(f"report header record lacks {ex.args[0]!r}") from None
 
 
 def graph_fingerprint(H: KGraph) -> str:
@@ -276,7 +285,7 @@ def _sample_for_model(model: str, n: int, k: int, m: int, p, trial_seed: str) ->
         extra_p = 0.25 if p is None else p
         noise = random_kgraph(n, k, extra_p, seed=seed)
         return KGraph(n, k, list(base.edges) + list(noise.edges))
-    raise ValueError(f"unknown model {model!r}")
+    raise InvalidQueryError(f"unknown model {model!r}")
 
 
 def conjecture_search(
@@ -297,7 +306,7 @@ def conjecture_search(
     Budget exhaustion marks the report incomplete instead of aborting.
     """
     if not k * m < n:
-        raise ValueError(f"need m < n/k, got n={n}, k={k}, m={m}")
+        raise InvalidQueryError(f"need m < n/k, got n={n}, k={k}, m={m}")
     t0 = time.perf_counter()
     thr = vertex_degree_threshold(n, k, m)
     budget = node_budget()

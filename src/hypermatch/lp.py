@@ -1,9 +1,12 @@
 """Exact rational linear programming for fractional matchings and covers.
 
-One simplex solve (revised simplex with an explicit basis inverse, Fraction
-arithmetic, Bland's anti-cycling rule) yields both optima: the fractional
-matching from the primal basis and the fractional vertex cover from the
-duals of the final basis. solve_fractional returns both witnesses after
+One simplex solve (revised simplex, Bland's anti-cycling rule) yields both
+optima: the fractional matching from the primal basis and the fractional
+vertex cover from the duals of the final basis. The pivot loop is
+fraction-free: it runs on Python ints, keeping D = det B > 0 and the
+integer adjugate A = adj B of the basis matrix B, so B^-1 = A / D; every
+update divides exactly by the old D, and Fraction appears only in the
+returned values. solve_fractional returns both witnesses after
 re-verifying them by direct exact arithmetic, so their equal values certify
 optimality of both via weak duality independently of the pivoting path.
 
@@ -17,13 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import itemgetter
 from typing import Mapping
 
 from .core import EdgeT, KGraph
 from .errors import InternalContradictionError, InvalidQueryError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,15 @@ class FractionalAssignment:
         return tuple(sorted(e for e, val in self.phi.items() if val > 0))
 
 
+def _common_denominator(weights) -> tuple[int, list[int]]:
+    """(D, nums) with D the lcm of the denominators and weights[v-1] = nums[v] / D.
+
+    nums[0] is a 0 pad so that a k-set's weight is sum(nums[v] for v in e) / D.
+    """
+    den = lcm(*(w.denominator for w in weights))
+    return den, [0] + [w.numerator * (den // w.denominator) for w in weights]
+
+
 @dataclass(frozen=True)
 class VertexWeights:
     """Vertex weights in [0,1]; weights[v-1] is the weight of vertex v."""
@@ -93,7 +106,8 @@ class VertexWeights:
         return sum(self.weights, ZERO)
 
     def is_cover_of(self, H: KGraph) -> bool:
-        return all(sum(self.weights[v - 1] for v in e) >= 1 for e in H.edges)
+        den, nums = _common_denominator(self.weights)
+        return all(sum(map(nums.__getitem__, e)) >= den for e in H.edges)
 
     def is_sorted_nonincreasing(self) -> bool:
         return all(self.weights[i] >= self.weights[i + 1] for i in range(len(self.weights) - 1))
@@ -109,87 +123,65 @@ def _solve_incidence_lp(H: KGraph) -> tuple[Fraction, dict[EdgeT, Fraction], tup
     phase 1 is needed. Deterministic: Bland's rule (lowest eligible column;
     ratio ties broken by lowest basic variable) over the canonical edge
     order, edges first, then slacks.
+
+    Fraction-free: the loop runs on ints. For the basis matrix B it keeps
+    det = D = det B > 0 and adj = A = adj B, so B^-1 = A / D, plus the
+    numerators xb = A 1 of the basic values and y = c_B A of the duals, both
+    over D. A pivot on d = A a_enter with p = d[leave] > 0 keeps the leaving
+    row, maps every other row to (p row - d[i] prow) // D and sets D := p;
+    the division is exact because the result is adj B' with det B' = p.
+    Signs and ratios are compared over the positive common denominators, so
+    every pivot is the one Bland's rule picks over Fraction, and the witness
+    is the same. Fraction appears only in the returned values.
     """
     m = H.n
     ncols = len(H.edges)
-    # edge columns as 0-based row index tuples
+    # edge columns as 0-based row index tuples; k >= 2, so each getter returns a tuple
     cols = [tuple(v - 1 for v in e) for e in H.edges]
-    binv = [[ZERO] * m for _ in range(m)]
-    for i in range(m):
-        binv[i][i] = ONE
-    xb = [ONE] * m
+    col_getters = [itemgetter(*c) for c in cols]
+    adj = [[int(i == t) for t in range(m)] for i in range(m)]
+    xb = [1] * m
+    det = 1
     basis = list(range(ncols, ncols + m))  # slack of row i has index ncols + i
     edge_basic = [False] * m  # whether basis[i] is an edge column (cost 1)
 
     while True:
-        # y = cB^T Binv, skipping zero-cost (slack) basis rows
-        y = [ZERO] * m
-        for i in range(m):
-            if edge_basic[i]:
-                row = binv[i]
-                for t in range(m):
-                    if row[t]:
-                        y[t] += row[t]
-        # Bland pricing: first column with positive reduced cost
-        enter = None
-        enter_rows: tuple[int, ...] = ()
-        for j in range(ncols):
-            rc = ONE
-            for t in cols[j]:
-                rc -= y[t]
-            if rc > 0:
-                enter, enter_rows = j, cols[j]
+        # y = cB^T adj, summing only edge (cost 1) basis rows
+        y = list(map(sum, zip([0] * m, *(adj[i] for i in range(m) if edge_basic[i]))))
+        # Bland pricing: first column with positive reduced cost (det - y a_j) / det
+        enter = next((j for j, col in enumerate(col_getters) if sum(col(y)) < det), None)
+        if enter is None:
+            enter = next((ncols + i for i in range(m) if y[i] < 0), None)
+            if enter is None:
                 break
-        if enter is None:
-            for i in range(m):
-                if -y[i] > 0:
-                    enter, enter_rows = ncols + i, (i,)
-                    break
-        if enter is None:
-            break
-        # direction d = Binv A_enter
-        d = [ZERO] * m
-        for t in enter_rows:
-            for i in range(m):
-                if binv[i][t]:
-                    d[i] += binv[i][t]
+        enter_rows = cols[enter] if enter < ncols else (enter - ncols,)
+        # direction d = adj a_enter, so B^-1 a_enter = d / det
+        d = [sum(map(row.__getitem__, enter_rows)) for row in adj]
         leave = None
-        best_ratio = None
         for i in range(m):
             if d[i] > 0:
-                ratio = xb[i] / d[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                lhs, rhs = xb[i] * d[leave], xb[leave] * d[i]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise InternalContradictionError("packing LP reported unbounded", check="lp-bounded")
-        piv = d[leave]
-        if piv != 1:
-            inv = ONE / piv
-            binv[leave] = [x * inv for x in binv[leave]]
-            xb[leave] *= inv
-        prow = binv[leave]
-        pval = xb[leave]
+        p, prow, pval = d[leave], adj[leave], xb[leave]
         for i in range(m):
-            if i == leave:
-                continue
             f = d[i]
-            if f:
-                row = binv[i]
-                row[:] = [a if not b else a - f * b for a, b in zip(row, prow)]
-                if pval:
-                    xb[i] -= f * pval
+            if i != leave and (f or p != det):
+                adj[i] = [(a * p - f * b) // det for a, b in zip(adj[i], prow)]
+                xb[i] = (xb[i] * p - f * pval) // det
+        det = p
         basis[leave] = enter
         edge_basic[leave] = enter < ncols
 
-    value = sum((xb[i] for i in range(m) if edge_basic[i]), ZERO)
-    phi = {H.edges[basis[i]]: xb[i] for i in range(m) if edge_basic[i]}
-    # y was priced from the final basis, so it is the optimal dual vector
-    return value, phi, tuple(y)
+    value = Fraction(sum(xb[i] for i in range(m) if edge_basic[i]), det)
+    phi = {H.edges[basis[i]]: Fraction(xb[i], det) for i in range(m) if edge_basic[i]}
+    # y was priced from the final basis, so y / det is the optimal dual vector
+    return value, phi, tuple(Fraction(t, det) for t in y)
 
 
 def solve_fractional(H: KGraph) -> tuple[Fraction, FractionalAssignment, VertexWeights]:
@@ -264,10 +256,9 @@ def weight_closure(n_total: int, k: int, w: VertexWeights) -> KGraph:
     """All k-sets of 1..n_total whose weights sum to at least 1, exactly."""
     if w.n != n_total:
         raise InvalidQueryError(f"weights cover {w.n} vertices, expected {n_total}")
-    weights = w.weights
-    edges = [
-        e for e in combinations(range(1, n_total + 1), k) if sum(weights[v - 1] for v in e) >= 1
-    ]
+    den, nums = _common_denominator(w.weights)
+    weight = nums.__getitem__
+    edges = [e for e in combinations(range(1, n_total + 1), k) if sum(map(weight, e)) >= den]
     return KGraph._from_sorted(n_total, k, edges)
 
 

@@ -88,6 +88,27 @@ class TestSolvers:
         assert code == 1
         assert err.startswith("error: line ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--family", "random", "--n", "5", "--p", "1/0"],
+            ["contain", "--m", "2", "--eps", "1/0"],
+            ["nibble", "--bite", "one"],
+        ],
+        ids=["gen-p", "contain-eps", "nibble-bite"],
+    )
+    def test_bad_fraction_argument_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "expected a fraction p/q" in capsys.readouterr().err
+
+    def test_missing_input_file_is_a_clean_error(self, capsys, tmp_path):
+        code = main(["nu", "--input", str(tmp_path / "missing.txt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "missing.txt" in err and err.count("\n") == 1
+
     def test_contain(self, capsys, monkeypatch):
         from hypermatch import build_Hknm
 
@@ -180,6 +201,24 @@ class TestVerifySearchReport:
         code2, rows = run(capsys, "report", "--input", str(path), "--format", "rows")
         assert code2 == 0
         assert rows.splitlines()[0].startswith("delta1")
+
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["search", "--n", "5", "--k", "3", "--m", "9"], None),
+            (["report"], "\n"),
+            (["report"], "x\n"),
+            (["report"], '{"record": "report"}\n'),
+        ],
+        ids=["search-m-too-large", "report-empty", "report-not-json", "report-header-incomplete"],
+    )
+    def test_bad_query_is_a_clean_error(self, capsys, monkeypatch, argv, stdin):
+        if stdin is not None:
+            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_help_documents_budget_env(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,12 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from hypermatch import KGraph, build_Hknm, complete, is_stable, lp, random_kgraph
-from hypermatch.errors import InvalidQueryError
+from hypermatch import KGraph, build_Hknm, complete, is_stable, join_clique, lp, random_kgraph
+from hypermatch.errors import InternalContradictionError, InvalidQueryError
 from hypermatch.lp import (
     FractionalAssignment,
     VertexWeights,
@@ -19,6 +22,79 @@ from hypermatch.lp import (
     solve_fractional,
     weight_closure,
 )
+
+
+@st.composite
+def lp_graphs(draw):
+    k = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=max(3, k), max_value=9))
+    all_edges = list(combinations(range(1, n + 1), k))
+    keep = draw(st.lists(st.booleans(), min_size=len(all_edges), max_size=len(all_edges)))
+    return KGraph(n, k, [e for e, b in zip(all_edges, keep) if b])
+
+
+# weights with mixed denominators, so that many k-sets sum to exactly 1
+mixed_weights = st.lists(
+    st.sampled_from([1, 2, 3, 4, 6, 12]).flatmap(
+        lambda den: st.builds(Fraction, st.integers(0, den), st.just(den))
+    ),
+    min_size=3,
+    max_size=9,
+)
+
+
+class TestFractionFreeSimplex:
+    """The integer pivot loop against the Fraction simplex it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(lp_graphs())
+    def test_same_pivots_as_fraction_simplex(self, H):
+        got = lp._solve_incidence_lp(H)
+        want = oracles.fraction_simplex(H)
+        assert got == want
+        assert list(got[1]) == list(want[1])  # same basis order, not just the same values
+
+    def test_pipeline_sized_augmented_graphs(self):
+        for n, seed in [(12, 0), (13, 1), (14, 2)]:
+            G = join_clique(random_kgraph(n, 3, Fraction(7, 10), seed=seed), 18 - n)
+            assert G.n == 18
+            assert lp._solve_incidence_lp(G) == oracles.fraction_simplex(G)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_weights, st.integers(min_value=2, max_value=3))
+    def test_cover_and_closure_agree_with_fraction_sums(self, weights, k):
+        n = len(weights)
+        w = VertexWeights(tuple(weights))
+        heavy = [e for e in combinations(range(1, n + 1), k) if sum(w[v] for v in e) >= 1]
+        assert weight_closure(n, k, w).edges == tuple(heavy)
+        assert w.is_cover_of(complete(n, k)) == (len(heavy) == math.comb(n, k))
+        assert w.is_cover_of(KGraph(n, k, heavy))
+
+    def test_sums_of_exactly_one(self):
+        w = VertexWeights((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6), Fraction(1, 4), Fraction(0)))
+        assert w.is_cover_of(KGraph(5, 3, [(1, 2, 3)]))  # 1/2 + 1/3 + 1/6 = 1
+        assert not w.is_cover_of(KGraph(5, 3, [(1, 2, 3), (2, 3, 4)]))  # 3/4
+        assert weight_closure(5, 3, w).edges == ((1, 2, 3), (1, 2, 4))  # 1 and 13/12
+
+
+class TestCertificate:
+    """solve_fractional refuses a simplex answer whose witnesses do not check out."""
+
+    @pytest.mark.parametrize(
+        "corrupt, check",
+        [
+            (lambda value, phi, duals: (value, phi, (Fraction(0),) * len(duals)), "lp-dual-feasible"),
+            (lambda value, phi, duals: (value + 1, phi, duals), "lp-primal-value"),
+            (lambda value, phi, duals: (value, phi, (Fraction(1),) * len(duals)), "lp-dual-value"),
+        ],
+        ids=["dual-not-a-cover", "wrong-objective", "dual-total-off"],
+    )
+    def test_refuses_bad_witness(self, monkeypatch, corrupt, check):
+        solve = lp._solve_incidence_lp
+        monkeypatch.setattr(lp, "_solve_incidence_lp", lambda H: corrupt(*solve(H)))
+        with pytest.raises(InternalContradictionError) as info:
+            solve_fractional(complete(5, 3))
+        assert info.value.check == check
 
 
 class TestMatchingLP:
