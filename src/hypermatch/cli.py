@@ -3,7 +3,8 @@
 Subcommands: gen, nu, frac, contain, nibble, pipeline, verify, search,
 report. Graphs travel in the plain text format (header "k n", one ascending
 edge per line, '#' comments). Exit codes: 0 all assertions passed, 1
-assertion failure, 2 indeterminate (a search hit its node budget).
+assertion failure, malformed input or a malformed command line, 2
+indeterminate (a search hit its node budget).
 """
 
 from __future__ import annotations
@@ -208,8 +209,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one `error:` line and exit 1, like malformed input;
+    exit 2 stays reserved for an exhausted node budget."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="hypermatch",
         description="Desk-scale laboratory for matchings in k-uniform hypergraphs.",
         epilog=(

@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import ceil, comb, factorial
 
 from .core import KGraph
 from .errors import InvalidQueryError, SamplingExhaustedError
@@ -191,12 +191,31 @@ def l_degree_conjectured_fraction(k: int, l: int) -> Fraction:
     return max(Fraction(1, 2), 1 - (1 - Fraction(1, k)) ** (k - l))
 
 
+_TWO53 = 2**53
+
+
+def _draw_threshold(p) -> float:
+    """The float T such that rng.random() < T exactly when rng.random() < p.
+
+    random() returns a / 2**53 for an integer a, and a < p * 2**53 holds
+    exactly when a < ceil(p * 2**53). That ceiling over 2**53 is a float
+    with no rounding, and a float compare is far cheaper than comparing a
+    float with a Fraction. p outside [0, 1] is clamped, which keeps every
+    draw, or none, as the direct compare does.
+    """
+    if not p > 0:
+        return 0.0
+    if p >= 1:
+        return 1.0
+    return ceil(Fraction(p) * _TWO53) / _TWO53
+
+
 def random_kgraph(n: int, k: int, p, seed: int) -> KGraph:
     """Each k-set included independently with probability p; seed-deterministic."""
     if not 0 <= p <= 1:
         raise InvalidQueryError(f"need 0 <= p <= 1, got {p}")
-    rng = random.Random(seed)
-    edges = [e for e in combinations(range(1, n + 1), k) if rng.random() < p]
+    draw, t = random.Random(seed).random, _draw_threshold(p)
+    edges = [e for e in combinations(range(1, n + 1), k) if draw() < t]
     return KGraph._from_sorted(n, k, edges)
 
 
@@ -221,10 +240,10 @@ def random_kgraph_conditioned(
     if p is None:
         full = comb(n - 1, k - 1)
         p = min(Fraction(1), Fraction(3 * floor, 2 * full)) if full else Fraction(1)
-    rng = random.Random(seed)
+    draw, t = random.Random(seed).random, _draw_threshold(p)
     all_sets = list(combinations(range(1, n + 1), k))
     for _ in range(tries):
-        edges = [e for e in all_sets if rng.random() < p]
+        edges = [e for e in all_sets if draw() < t]
         degs = [0] * (n + 1)
         for e in edges:
             for v in e:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -27,16 +27,19 @@ class KGraph:
     k-tuples; a hash-set membership index, per-edge vertex bitmasks and
     per-vertex incidence lists are built lazily and shared by every
     operation, so instances are cheap to pass around and safe to share
-    across concurrent readers.
+    across concurrent readers. Assigning or deleting any attribute raises
+    AttributeError.
     """
+
+    n: int
+    k: int
+    edges: tuple[EdgeT, ...]
 
     def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]], validate: bool = True):
         if k < 2:
             raise InvalidQueryError(f"uniformity k must be >= 2, got {k}")
         if n < 0:
             raise InvalidQueryError(f"vertex count must be >= 0, got {n}")
-        self.n = n
-        self.k = k
         if validate:
             canon = set()
             for e in edges:
@@ -46,9 +49,18 @@ class KGraph:
                 if t[0] < 1 or t[-1] > n:
                     raise InvalidQueryError(f"edge {t!r} out of vertex range 1..{n}")
                 canon.add(t)
-            self.edges: tuple[EdgeT, ...] = tuple(sorted(canon))
+            edges = tuple(sorted(canon))
         else:
-            self.edges = tuple(tuple(e) for e in edges)
+            edges = tuple(tuple(e) for e in edges)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "edges", edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"KGraph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"KGraph is immutable; cannot delete {name!r}")
 
     @classmethod
     def _from_sorted(cls, n: int, k: int, edges: Iterable[Sequence[int]]) -> "KGraph":
@@ -91,10 +103,31 @@ class KGraph:
         """Edges as an (e, k) int32 numpy array, for vectorized samplers."""
         import numpy as np
 
-        flat = np.fromiter(
-            (v for e in self.edges for v in e), dtype=np.int32, count=self.k * len(self.edges)
-        )
+        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int32, count=self.k * len(self.edges))
         return flat.reshape(len(self.edges), self.k)
+
+    @cached_property
+    def regularity_stats(self) -> tuple[int, int, float, int]:
+        """(min vertex degree, max vertex degree, average degree k*e/n, max
+        pair codegree), the tau-free part of the nibble's regularity gate;
+        all zero for an edgeless graph."""
+        import numpy as np
+
+        if not self.edges:
+            return 0, 0, 0.0, 0
+        arr = self.edge_array
+        n, k = self.n, self.k
+        degs = np.bincount(arr.ravel(), minlength=n + 1)[1:]
+        codes = np.concatenate(
+            [arr[:, a].astype(np.int64) * (n + 1) + arr[:, b] for a in range(k) for b in range(a + 1, k)]
+        )
+        # counting in a table of all (n+1)^2 pair codes beats sorting; the cap
+        # keeps a sparse host on many vertices from allocating O(n^2)
+        if (n + 1) ** 2 <= 4 * len(codes):
+            counts = np.bincount(codes)
+        else:
+            counts = np.unique(codes, return_counts=True)[1]
+        return int(degs.min()), int(degs.max()), k * len(self.edges) / n, int(counts.max())
 
     def has_edge(self, e: Sequence[int]) -> bool:
         return tuple(sorted(e)) in self.edge_set

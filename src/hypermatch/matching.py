@@ -10,6 +10,7 @@ from fractions import Fraction
 from math import floor
 from typing import Iterable, Sequence
 
+from .constructions import _draw_threshold
 from .core import EdgeT, KGraph, Matching
 from .errors import BudgetExceededError, InvalidQueryError, PreconditionError
 from .lp import FractionalAssignment
@@ -103,15 +104,12 @@ def exact_nu(
     best_edges = list(seed_matching.edges)
 
     # deterministic edge order per vertex: prefer edges whose other endpoints
-    # have small total degree (they consume scarce vertices first)
+    # have small total degree (they consume scarce vertices first). Within
+    # one vertex's edges that order is the order of the whole edge's degree
+    # sum, and the stable sort of ascending indices breaks ties by index.
     static_deg = [len(H.vertex_edges[v - 1]) for v in range(1, n + 1)]
-    by_vertex: list[list[int]] = []
-    for v in range(1, n + 1):
-        idxs = sorted(
-            H.vertex_edges[v - 1],
-            key=lambda i: (sum(static_deg[u - 1] for u in edges[i] if u != v), i),
-        )
-        by_vertex.append(idxs)
+    edge_deg = [sum(static_deg[u - 1] for u in e) for e in edges]
+    by_vertex = [sorted(H.vertex_edges[v - 1], key=edge_deg.__getitem__) for v in range(1, n + 1)]
 
     nodes = 0
 
@@ -187,25 +185,20 @@ class NibbleReport:
 
 
 def _regularity_gate(H: KGraph, tau: Fraction) -> tuple[bool, bool, float, int]:
+    lo, hi, D, max_cod = H.regularity_stats
+    t = float(tau)
+    degree_ok = (1 - t) * D < lo and hi < (1 + t) * D
+    return degree_ok, max_cod < t * D, D, max_cod
+
+
+def _rows_within(mask, rows):
+    """For each row of an (e, k) vertex array, whether mask holds at all k vertices."""
     import numpy as np
 
-    arr = H.edge_array
-    n, k = H.n, H.k
-    if len(H.edges) == 0 or n == 0:
-        return False, False, 0.0, 0
-    degs = np.bincount(arr.ravel(), minlength=n + 1)[1:]
-    D = k * len(H.edges) / n
-    t = float(tau)
-    degree_ok = bool(((1 - t) * D < degs).all() and (degs < (1 + t) * D).all())
-    pair_codes = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            pair_codes.append(arr[:, a].astype(np.int64) * (n + 1) + arr[:, b])
-    codes = np.concatenate(pair_codes)
-    _, counts = np.unique(codes, return_counts=True)
-    max_cod = int(counts.max()) if len(counts) else 0
-    codegree_ok = max_cod < t * D
-    return degree_ok, codegree_ok, D, max_cod
+    ok = np.take(mask, rows[:, 0])
+    for j in range(1, rows.shape[1]):
+        ok &= np.take(mask, rows[:, j])
+    return ok
 
 
 def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
@@ -239,14 +232,12 @@ def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
         if len(cand):
             cand_rows = arr[cand]
             usage = np.bincount(cand_rows.ravel(), minlength=n + 1)
-            clean = (usage[cand_rows] == 1).all(axis=1)
-            kept_rows = cand_rows[clean]
+            kept_rows = cand_rows[_rows_within(usage == 1, cand_rows)]
             kept = len(kept_rows)
             if kept:
-                for row in kept_rows:
-                    matched.append(tuple(int(x) for x in row))
+                matched.extend(map(tuple, kept_rows.tolist()))
                 alive[kept_rows.ravel()] = False
-                arr = arr[alive[arr].all(axis=1)]
+                arr = np.compress(_rows_within(alive, arr), arr, axis=0)
         rounds.append(NibbleRound(rnd, n_cur, e_cur, d_cur, len(cand), kept))
 
     # greedy cleanup on whatever survived
@@ -254,7 +245,7 @@ def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
     for v in range(1, n + 1):
         if not alive[v]:
             used |= 1 << v
-    remainder = sorted(tuple(int(x) for x in row) for row in arr)
+    remainder = sorted(map(tuple, arr.tolist()))
     for e in remainder:
         m = 0
         for v in e:
@@ -330,10 +321,10 @@ def sparsify_by_fractional(
         if len(hits) > 1:
             raise PreconditionError(f"edge {e} lies in {len(hits)} copies; at most one allowed")
 
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     included = []
     for phi in assignments:
         for e in sorted(phi.phi):
-            if rng.random() < phi.phi[e]:
+            if draw() < _draw_threshold(phi.phi[e]):
                 included.append(e)
     return KGraph._from_sorted(n, k, sorted(set(included)))

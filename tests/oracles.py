@@ -1,13 +1,25 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here enumerates; nothing shares code paths with the package
-implementations it is used to check.
+implementations it is used to check. The exceptions are verbatim copies of
+code the package replaced with faster equivalents (the Fraction simplex,
+the Fraction-compare generators, the uncached nibble report); the fast
+versions must reproduce them exactly.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
-from hypermatch.errors import InternalContradictionError
+from hypermatch.constructions import vertex_degree_threshold
+from hypermatch.core import EdgeT, KGraph, Matching
+from hypermatch.errors import (
+    InternalContradictionError,
+    InvalidQueryError,
+    SamplingExhaustedError,
+)
+from hypermatch.matching import NibbleConfig, NibbleReport, NibbleRound
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -201,3 +213,137 @@ def fraction_simplex(H):
     phi = {H.edges[basis[i]]: xb[i] for i in range(m) if edge_basic[i]}
     # y was priced from the final basis, so it is the optimal dual vector
     return value, phi, tuple(y)
+
+
+# -- the generators and the nibble report before exact float thresholds ------
+#
+# Each k-set draw below compares rng.random() with a Fraction p directly, and
+# the regularity gate is recomputed on every report. The package versions
+# must keep the same k-sets and return equal NibbleReports.
+
+
+def random_kgraph(n: int, k: int, p, seed: int) -> KGraph:
+    """Each k-set included independently with probability p; seed-deterministic."""
+    if not 0 <= p <= 1:
+        raise InvalidQueryError(f"need 0 <= p <= 1, got {p}")
+    rng = random.Random(seed)
+    edges = [e for e in combinations(range(1, n + 1), k) if rng.random() < p]
+    return KGraph._from_sorted(n, k, edges)
+
+
+def random_kgraph_conditioned(
+    n: int,
+    k: int,
+    m: int,
+    floor: int | None = None,
+    tries: int = 1000,
+    seed: int = 0,
+    p=None,
+) -> KGraph:
+    """Rejection-sample random k-graphs until the minimum vertex degree is >= floor.
+
+    floor defaults to vertex_degree_threshold(n, k, m) + 1, so accepted graphs
+    strictly exceed the threshold. p defaults to min(1, 3*floor / (2*C(n-1,k-1))),
+    which keeps the acceptance rate workable near the threshold. Raises
+    SamplingExhaustedError when tries run out.
+    """
+    if floor is None:
+        floor = vertex_degree_threshold(n, k, m) + 1
+    if p is None:
+        full = comb(n - 1, k - 1)
+        p = min(Fraction(1), Fraction(3 * floor, 2 * full)) if full else Fraction(1)
+    rng = random.Random(seed)
+    all_sets = list(combinations(range(1, n + 1), k))
+    for _ in range(tries):
+        edges = [e for e in all_sets if rng.random() < p]
+        degs = [0] * (n + 1)
+        for e in edges:
+            for v in e:
+                degs[v] += 1
+        if min(degs[1:]) >= floor:
+            return KGraph._from_sorted(n, k, edges)
+    raise SamplingExhaustedError(
+        f"no sample with min degree >= {floor} in {tries} tries (n={n}, k={k}, p={p})"
+    )
+
+
+def _regularity_gate(H: KGraph, tau: Fraction) -> tuple[bool, bool, float, int]:
+    import numpy as np
+
+    arr = H.edge_array
+    n, k = H.n, H.k
+    if len(H.edges) == 0 or n == 0:
+        return False, False, 0.0, 0
+    degs = np.bincount(arr.ravel(), minlength=n + 1)[1:]
+    D = k * len(H.edges) / n
+    t = float(tau)
+    degree_ok = bool(((1 - t) * D < degs).all() and (degs < (1 + t) * D).all())
+    pair_codes = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            pair_codes.append(arr[:, a].astype(np.int64) * (n + 1) + arr[:, b])
+    codes = np.concatenate(pair_codes)
+    _, counts = np.unique(codes, return_counts=True)
+    max_cod = int(counts.max()) if len(counts) else 0
+    codegree_ok = max_cod < t * D
+    return degree_ok, codegree_ok, D, max_cod
+
+
+def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
+    """Semi-random nibble with per-round statistics and the regularity gate."""
+    import numpy as np
+
+    n, k = H.n, H.k
+    if not H.edges:
+        return NibbleReport(Matching(()), Fraction(0), (), False, False, 0.0, 0)
+    deg_ok, cod_ok, D0, max_cod = _regularity_gate(H, cfg.tau_check)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    arr = H.edge_array
+    alive = np.ones(n + 1, dtype=bool)
+    alive[0] = False
+    matched: list[EdgeT] = []
+    rounds: list[NibbleRound] = []
+    bite = float(cfg.bite_fraction)
+
+    for rnd in range(cfg.max_rounds):
+        e_cur = len(arr)
+        n_cur = int(alive.sum())
+        if e_cur == 0 or n_cur < k:
+            break
+        d_cur = k * e_cur / n_cur
+        if d_cur < 1:
+            break
+        p = min(1.0, bite / d_cur)
+        draws = rng.random(e_cur)
+        cand = np.nonzero(draws < p)[0]
+        kept = 0
+        if len(cand):
+            cand_rows = arr[cand]
+            usage = np.bincount(cand_rows.ravel(), minlength=n + 1)
+            clean = (usage[cand_rows] == 1).all(axis=1)
+            kept_rows = cand_rows[clean]
+            kept = len(kept_rows)
+            if kept:
+                for row in kept_rows:
+                    matched.append(tuple(int(x) for x in row))
+                alive[kept_rows.ravel()] = False
+                arr = arr[alive[arr].all(axis=1)]
+        rounds.append(NibbleRound(rnd, n_cur, e_cur, d_cur, len(cand), kept))
+
+    # greedy cleanup on whatever survived
+    used = 0
+    for v in range(1, n + 1):
+        if not alive[v]:
+            used |= 1 << v
+    remainder = sorted(tuple(int(x) for x in row) for row in arr)
+    for e in remainder:
+        m = 0
+        for v in e:
+            m |= 1 << v
+        if not m & used:
+            matched.append(e)
+            used |= m
+
+    matching = Matching.from_edges(matched)
+    covered = Fraction(k * len(matching.edges), n)
+    return NibbleReport(matching, covered, tuple(rounds), deg_ok, cod_ok, D0, max_cod)

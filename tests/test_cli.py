@@ -100,8 +100,20 @@ class TestSolvers:
     def test_bad_fraction_argument_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
-        assert info.value.code == 2
-        assert "expected a fraction p/q" in capsys.readouterr().err
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "expected a fraction p/q" in err
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["nu", "--bogus"], ["search", "--n", "9"]], ids=["no-command", "unknown", "missing"]
+    )
+    def test_usage_errors_exit_1_not_indeterminate(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_input_file_is_a_clean_error(self, capsys, tmp_path):
         code = main(["nu", "--input", str(tmp_path / "missing.txt")])

@@ -1,8 +1,10 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hypermatch import (
@@ -22,7 +24,12 @@ from hypermatch import (
     space_barrier,
     vertex_degree_threshold,
 )
-from hypermatch.constructions import VertexPartition, beta_upper_bound, template_edge_count
+from hypermatch.constructions import (
+    VertexPartition,
+    _draw_threshold,
+    beta_upper_bound,
+    template_edge_count,
+)
 from hypermatch.errors import InvalidQueryError, SamplingExhaustedError
 
 
@@ -222,6 +229,84 @@ class TestRandomGraphs:
     def test_conditioned_exhaustion_is_distinct(self):
         with pytest.raises(SamplingExhaustedError):
             random_kgraph_conditioned(9, 3, 2, floor=10**6, tries=3, seed=0)
+
+
+TWO53 = 2**53
+
+# p as a Fraction (including ones a hair either side of a draw value), a
+# float, and the two extremes as ints
+probabilities = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.integers(min_value=0, max_value=TWO53).map(lambda j: Fraction(j, TWO53)),
+    st.integers(min_value=0, max_value=TWO53 - 1).map(lambda j: Fraction(2 * j + 1, 2 * TWO53)),
+    st.floats(min_value=0, max_value=1),
+    st.sampled_from([0, 1]),
+)
+
+
+@st.composite
+def shapes(draw):
+    k = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=max(3, k), max_value=12))
+    return n, k
+
+
+class TestDrawThreshold:
+    """rng.random() is a / 2**53, so comparing it with the float threshold
+    must agree with comparing it with p itself, right at the boundary."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [Fraction(1, TWO53), Fraction(12345, TWO53), Fraction(TWO53 - 1, TWO53),
+         Fraction(1, 2 * TWO53), Fraction(2 * 777 + 1, 2 * TWO53), Fraction(2 * TWO53 - 1, 2 * TWO53),
+         Fraction(1, 3), 0.3, Fraction(3, 10), 0, 1],
+    )
+    def test_boundary_draws(self, p):
+        t = _draw_threshold(p)
+        c = ceil(Fraction(p) * TWO53)
+        for a in (c - 1, c, c + 1):
+            assert (a / TWO53 < t) == (Fraction(a, TWO53) < p), (p, a)
+
+    @pytest.mark.parametrize("p", [Fraction(-1, 2), -3, Fraction(3, 2), 7, float("inf"), float("nan")])
+    def test_out_of_range_keeps_all_or_nothing(self, p):
+        t = _draw_threshold(p)
+        for a in (0, 1, TWO53 // 2, TWO53 - 1):
+            assert (a / TWO53 < t) == (a / TWO53 < p)
+
+
+class TestGeneratorsMatchOracle:
+    """The float-threshold generators keep exactly the k-sets of the
+    Fraction-compare generators in tests/oracles.py, seed for seed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shapes(), probabilities, st.integers(min_value=0, max_value=2**64))
+    def test_random_kgraph(self, shape, p, seed):
+        n, k = shape
+        assert random_kgraph(n, k, p, seed).edges == oracles.random_kgraph(n, k, p, seed).edges
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shapes(),
+        st.one_of(probabilities, st.fractions(min_value=-1, max_value=2, max_denominator=100), st.none()),
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=0, max_value=2**64),
+    )
+    def test_random_kgraph_conditioned(self, shape, p, floor, seed):
+        n, k = shape
+        m = max(1, n // k - 1)
+        results = []
+        for sample in (random_kgraph_conditioned, oracles.random_kgraph_conditioned):
+            try:
+                results.append(sample(n, k, m, floor=floor, tries=4, seed=seed, p=p).edges)
+            except SamplingExhaustedError as ex:
+                results.append(str(ex))
+        assert results[0] == results[1]
+
+    def test_default_floor_and_p(self):
+        for seed in range(20):
+            assert random_kgraph_conditioned(9, 3, 2, tries=50, seed=seed) == (
+                oracles.random_kgraph_conditioned(9, 3, 2, tries=50, seed=seed)
+            )
 
 
 class TestVertexPartition:

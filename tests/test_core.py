@@ -59,6 +59,19 @@ class TestKGraphBasics:
         H = complete(6, 3)
         assert len(H.edges) == 20
 
+    def test_attributes_are_read_only(self):
+        H = complete(6, 3)
+        before = H.edge_set
+        with pytest.raises(AttributeError):
+            H.edges = ((1, 2, 3),)
+        with pytest.raises(AttributeError):
+            H.n = 7
+        with pytest.raises(AttributeError):
+            H.edge_set = frozenset()
+        with pytest.raises(AttributeError):
+            del H.k
+        assert (H.n, H.k, len(H.edges), H.edge_set) == (6, 3, 20, before)
+
 
 class TestDegree:
     def test_complete_singleton(self):

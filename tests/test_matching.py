@@ -6,6 +6,7 @@ import pytest
 import oracles
 from hypermatch import (
     KGraph,
+    Matching,
     build_Hknm,
     complete,
     join_clique,
@@ -19,6 +20,7 @@ from hypermatch.errors import BudgetExceededError, PreconditionError
 from hypermatch.lp import FractionalAssignment, clique_window_matching, max_fractional_matching
 from hypermatch.matching import (
     NibbleConfig,
+    _regularity_gate,
     exact_nu,
     greedy_matching,
     nibble_matching,
@@ -83,6 +85,20 @@ class TestExactNu:
             nu_aug, _ = exact_nu(join_clique(H, r))
             assert nu_aug >= nu
             assert nu >= nu_aug - r
+
+    @pytest.mark.parametrize(
+        "seed, witness",
+        [
+            (0, ((1, 3, 9), (2, 5, 7), (4, 6, 8))),
+            (1, ((1, 4, 8), (2, 6, 7), (3, 5, 9))),
+            (3, ((1, 2, 3), (4, 7, 9), (5, 6, 8))),
+        ],
+    )
+    def test_witness_follows_the_degree_sum_edge_order(self, seed, witness):
+        # each of these witnesses changes if a vertex's edges are tried in
+        # another order than ascending degree sum of their other endpoints
+        H = random_kgraph(9, 3, Fraction(1, 3), seed=seed)
+        assert exact_nu(H) == (3, Matching(witness))
 
     def test_budget_raises(self):
         # greedy seeds 2 here but nu = 3, so the search must expand
@@ -177,6 +193,49 @@ class TestNibble:
         assert rep.max_codegree == 4
 
 
+class TestNibbleMatchesOracle:
+    """The cached gate and the column-wise round loop give the same
+    NibbleReport as the uncached reference in tests/oracles.py."""
+
+    # sparse-60 has far fewer pair codes than (n+1)^2, so its codegree count
+    # takes np.unique rather than a table of every pair code. lopsided-7 has
+    # its lone minimum degree 12 at vertex 1 and (1 - 1/8) * D == 12 exactly.
+    HOSTS = {
+        "complete-40": lambda: complete(40, 3),
+        "random-40": lambda: random_kgraph(40, 3, Fraction(1, 4), seed=2024),
+        "random-k4-30": lambda: random_kgraph(30, 4, Fraction(1, 50), seed=7),
+        "sparse-60": lambda: random_kgraph(60, 3, Fraction(1, 400), seed=3),
+        "lopsided-7": lambda: KGraph(7, 3, set(complete(7, 3).edges) - {(1, 5, 6), (1, 5, 7), (1, 6, 7)}),
+    }
+    CONFIGS = [NibbleConfig(seed=s) for s in range(5)] + [
+        NibbleConfig(bite_fraction=Fraction(1, 3), max_rounds=6, seed=11, tau_check=Fraction(1, 2)),
+    ]
+
+    @pytest.mark.parametrize("host", sorted(HOSTS))
+    def test_sweep(self, host):
+        H = self.HOSTS[host]()
+        for cfg in self.CONFIGS:
+            ref = oracles.nibble_matching_report(self.HOSTS[host](), cfg)
+            assert nibble_matching_report(H, cfg) == ref, cfg
+
+    @pytest.mark.parametrize("host", sorted(HOSTS))
+    def test_gate_depends_on_tau_only_per_call(self, host):
+        # complete(40, 3) has codegree 38 against D = 741: the codegree gate
+        # fails at tau = 1/20 and passes at tau = 1/10, so a cached verdict
+        # would show; at tau = 38/741 the codegree sits on its bound exactly
+        H = self.HOSTS[host]()
+        taus = (Fraction(1, 20), Fraction(1, 10), Fraction(1, 2), Fraction(1, 8), Fraction(38, 741), Fraction(1, 20))
+        got = [_regularity_gate(H, tau) for tau in taus]
+        assert got == [oracles._regularity_gate(self.HOSTS[host](), tau) for tau in taus]
+        if host == "complete-40":
+            assert got[0] != got[1]
+
+    def test_gate_on_edgeless_host(self):
+        H = KGraph(5, 3, [])
+        assert _regularity_gate(H, Fraction(1, 20)) == oracles._regularity_gate(H, Fraction(1, 20))
+        assert H.regularity_stats == (0, 0, 0.0, 0)
+
+
 class TestSparsify:
     def _window_copy(self, H, verts):
         """Perfect fractional matching of the complete induced block, in host labels."""
@@ -220,6 +279,17 @@ class TestSparsify:
         partial = FractionalAssignment(H, {(1, 2, 3): Fraction(1)})
         with pytest.raises(PreconditionError):
             sparsify_by_fractional(H, [(range(1, 7), partial)], seed=0)
+
+    def test_same_draws_as_fraction_compare(self):
+        import random
+
+        H = complete(12, 3)
+        copies = [(range(1, 7), self._window_copy(H, range(1, 7))),
+                  (range(7, 13), self._window_copy(H, range(7, 13)))]
+        for seed in range(30):
+            rng = random.Random(seed)
+            kept = {e for _, phi in copies for e in sorted(phi.phi) if rng.random() < phi.phi[e]}
+            assert sparsify_by_fractional(H, copies, seed=seed).edges == tuple(sorted(kept))
 
     def test_expected_degree_is_copy_count(self):
         # expected degree of v = number of copies containing v, since each
