@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -103,7 +103,9 @@ class KGraph:
         """Edges as an (e, k) int32 numpy array, for vectorized samplers."""
         import numpy as np
 
-        flat = np.fromiter(chain.from_iterable(self.edges), dtype=np.int32, count=self.k * len(self.edges))
+        flat = np.fromiter(
+            (v for e in self.edges for v in e), dtype=np.int32, count=self.k * len(self.edges)
+        )
         return flat.reshape(len(self.edges), self.k)
 
     @cached_property
@@ -121,12 +123,7 @@ class KGraph:
         codes = np.concatenate(
             [arr[:, a].astype(np.int64) * (n + 1) + arr[:, b] for a in range(k) for b in range(a + 1, k)]
         )
-        # counting in a table of all (n+1)^2 pair codes beats sorting; the cap
-        # keeps a sparse host on many vertices from allocating O(n^2)
-        if (n + 1) ** 2 <= 4 * len(codes):
-            counts = np.bincount(codes)
-        else:
-            counts = np.unique(codes, return_counts=True)[1]
+        counts = np.unique(codes, return_counts=True)[1]
         return int(degs.min()), int(degs.max()), k * len(self.edges) / n, int(counts.max())
 
     def has_edge(self, e: Sequence[int]) -> bool:

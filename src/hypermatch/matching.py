@@ -10,7 +10,6 @@ from fractions import Fraction
 from math import floor
 from typing import Iterable, Sequence
 
-from .constructions import _draw_threshold
 from .core import EdgeT, KGraph, Matching
 from .errors import BudgetExceededError, InvalidQueryError, PreconditionError
 from .lp import FractionalAssignment
@@ -104,12 +103,15 @@ def exact_nu(
     best_edges = list(seed_matching.edges)
 
     # deterministic edge order per vertex: prefer edges whose other endpoints
-    # have small total degree (they consume scarce vertices first). Within
-    # one vertex's edges that order is the order of the whole edge's degree
-    # sum, and the stable sort of ascending indices breaks ties by index.
+    # have small total degree (they consume scarce vertices first)
     static_deg = [len(H.vertex_edges[v - 1]) for v in range(1, n + 1)]
-    edge_deg = [sum(static_deg[u - 1] for u in e) for e in edges]
-    by_vertex = [sorted(H.vertex_edges[v - 1], key=edge_deg.__getitem__) for v in range(1, n + 1)]
+    by_vertex: list[list[int]] = []
+    for v in range(1, n + 1):
+        idxs = sorted(
+            H.vertex_edges[v - 1],
+            key=lambda i: (sum(static_deg[u - 1] for u in edges[i] if u != v), i),
+        )
+        by_vertex.append(idxs)
 
     nodes = 0
 
@@ -321,10 +323,10 @@ def sparsify_by_fractional(
         if len(hits) > 1:
             raise PreconditionError(f"edge {e} lies in {len(hits)} copies; at most one allowed")
 
-    draw = random.Random(seed).random
+    rng = random.Random(seed)
     included = []
     for phi in assignments:
         for e in sorted(phi.phi):
-            if draw() < _draw_threshold(phi.phi[e]):
+            if rng.random() < phi.phi[e]:
                 included.append(e)
     return KGraph._from_sorted(n, k, sorted(set(included)))
