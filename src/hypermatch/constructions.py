@@ -115,10 +115,28 @@ def build_Hknm(n: int, k: int, m: int) -> tuple[KGraph, VertexPartition]:
 
 
 def complete(n: int, k: int) -> KGraph:
-    """The complete k-graph on n vertices."""
+    """The complete k-graph on n vertices, built as its (e, k) edge array.
+
+    Level j holds the j-sets of {k-j+1, ..., n} in lexicographic order.
+    Those starting at a are a followed by the (j-1)-sets of {a+1, ..., n},
+    which are the last C(n-a, j-1) rows of level j-1.
+    """
+    import numpy as np
+
     if n < k:
         raise InvalidQueryError(f"need n >= k, got n={n}, k={k}")
-    return KGraph._from_sorted(n, k, combinations(range(1, n + 1), k))
+    arr = np.arange(k, n + 1, dtype=np.int32).reshape(-1, 1)
+    for j in range(2, k + 1):
+        lo = k - j + 1
+        level = np.empty((comb(n - lo + 1, j), j), np.int32)
+        row = 0
+        for a in range(lo, n - j + 2):
+            c = comb(n - a, j - 1)
+            level[row : row + c, 0] = a
+            level[row : row + c, 1:] = arr[len(arr) - c :]
+            row += c
+        arr = level
+    return KGraph._from_array(n, k, arr)
 
 
 def join_clique(H: KGraph, r: int) -> KGraph:
@@ -232,14 +250,17 @@ def random_kgraph_conditioned(
 
     floor defaults to vertex_degree_threshold(n, k, m) + 1, so accepted graphs
     strictly exceed the threshold. p defaults to min(1, 3*floor / (2*C(n-1,k-1))),
-    which keeps the acceptance rate workable near the threshold. Raises
-    SamplingExhaustedError when tries run out.
+    which keeps the acceptance rate workable near the threshold; a p given
+    outside [0, 1] raises InvalidQueryError. Raises SamplingExhaustedError
+    when tries run out.
     """
     if floor is None:
         floor = vertex_degree_threshold(n, k, m) + 1
     if p is None:
         full = comb(n - 1, k - 1)
         p = min(Fraction(1), Fraction(3 * floor, 2 * full)) if full else Fraction(1)
+    elif not 0 <= p <= 1:
+        raise InvalidQueryError(f"need 0 <= p <= 1, got {p}")
     draw, t = random.Random(seed).random, _draw_threshold(p)
     all_sets = list(combinations(range(1, n + 1), k))
     for _ in range(tries):

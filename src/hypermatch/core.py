@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -20,26 +20,32 @@ from .errors import InvalidQueryError
 EdgeT = tuple[int, ...]
 
 
+def _check_shape(n: int, k: int) -> None:
+    if k < 2:
+        raise InvalidQueryError(f"uniformity k must be >= 2, got {k}")
+    if n < 0:
+        raise InvalidQueryError(f"vertex count must be >= 0, got {n}")
+
+
 class KGraph:
     """Immutable k-uniform hypergraph on vertex set {1, ..., n}.
 
-    Edges are stored as a lexicographically sorted tuple of ascending
-    k-tuples; a hash-set membership index, per-edge vertex bitmasks and
-    per-vertex incidence lists are built lazily and shared by every
-    operation, so instances are cheap to pass around and safe to share
-    across concurrent readers. Assigning or deleting any attribute raises
-    AttributeError.
+    The edges, in lexicographic order, have two forms: `edges`, a tuple of
+    ascending k-tuples, and `edge_array`, an (e, k) int32 numpy array. A
+    graph keeps the form it was built from (the tuple, or the array for
+    `_from_array`) and builds the other on first use; `num_edges` reads
+    whichever is present. A hash-set membership index, per-edge vertex
+    bitmasks and per-vertex incidence lists are built lazily too and shared
+    by every operation, so instances are cheap to pass around and safe to
+    share across concurrent readers. Assigning or deleting any attribute
+    raises AttributeError.
     """
 
     n: int
     k: int
-    edges: tuple[EdgeT, ...]
 
     def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]], validate: bool = True):
-        if k < 2:
-            raise InvalidQueryError(f"uniformity k must be >= 2, got {k}")
-        if n < 0:
-            raise InvalidQueryError(f"vertex count must be >= 0, got {n}")
+        _check_shape(n, k)
         if validate:
             canon = set()
             for e in edges:
@@ -67,9 +73,30 @@ class KGraph:
         """Trusted constructor: edges must already be canonical (sorted, unique)."""
         return cls(n, k, edges, validate=False)
 
+    @classmethod
+    def _from_array(cls, n: int, k: int, arr) -> "KGraph":
+        """Trusted constructor: arr must be a canonical (lexicographically
+        sorted, unique rows) C-contiguous int32 (e, k) array of vertices."""
+        _check_shape(n, k)
+        H = cls.__new__(cls)
+        object.__setattr__(H, "n", n)
+        object.__setattr__(H, "k", k)
+        object.__setattr__(H, "edge_array", arr)
+        return H
+
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        d = vars(self)
+        return len(d["edges"]) if "edges" in d else len(self.edge_array)
+
+    @cached_property
+    def edges(self) -> tuple[EdgeT, ...]:
+        """Edges as a lexicographic tuple of ascending k-tuples, built from
+        edge_array in blocks of rows, so that neither full column lists nor
+        a list of the tuples is held beside the result."""
+        arr = self.edge_array
+        blocks = (arr[i : i + 4096].T.tolist() for i in range(0, len(arr), 4096))
+        return tuple(chain.from_iterable(zip(*cols) for cols in blocks))
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -115,7 +142,8 @@ class KGraph:
         all zero for an edgeless graph."""
         import numpy as np
 
-        if not self.edges:
+        e = self.num_edges
+        if not e:
             return 0, 0, 0.0, 0
         arr = self.edge_array
         n, k = self.n, self.k
@@ -124,7 +152,7 @@ class KGraph:
             [arr[:, a].astype(np.int64) * (n + 1) + arr[:, b] for a in range(k) for b in range(a + 1, k)]
         )
         counts = np.unique(codes, return_counts=True)[1]
-        return int(degs.min()), int(degs.max()), k * len(self.edges) / n, int(counts.max())
+        return int(degs.min()), int(degs.max()), k * e / n, int(counts.max())
 
     def has_edge(self, e: Sequence[int]) -> bool:
         return tuple(sorted(e)) in self.edge_set
@@ -138,7 +166,7 @@ class KGraph:
         return hash((self.n, self.k, self.edges))
 
     def __repr__(self) -> str:
-        return f"KGraph(n={self.n}, k={self.k}, e={len(self.edges)})"
+        return f"KGraph(n={self.n}, k={self.k}, e={self.num_edges})"
 
 
 @dataclass(frozen=True)
@@ -174,7 +202,7 @@ def degree(H: KGraph, T: Iterable[int]) -> int:
         raise InvalidQueryError(f"|T| = {len(ts)} exceeds uniformity k = {H.k}")
     _vertex_range_check(H, ts, "T")
     if not ts:
-        return len(H.edges)
+        return H.num_edges
     if len(ts) == 1:
         (v,) = ts
         return len(H.vertex_edges[v - 1])
@@ -186,7 +214,7 @@ def degree(H: KGraph, T: Iterable[int]) -> int:
 
 def _l_degrees(H: KGraph, l: int) -> Iterable[int]:
     if l == 0:
-        yield len(H.edges)
+        yield H.num_edges
         return
     if l == 1:
         for v in H.vertices():
@@ -386,7 +414,7 @@ def handshake_bound(H: KGraph, l: int):
 
     if comb(H.n, l) == 0:
         raise InvalidQueryError(f"C({H.n},{l}) = 0")
-    return Fraction(len(H.edges) * comb(H.k, l), comb(H.n, l))
+    return Fraction(H.num_edges * comb(H.k, l), comb(H.n, l))
 
 
 # -- plain-text graph format ------------------------------------------------

@@ -208,7 +208,7 @@ def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
     import numpy as np
 
     n, k = H.n, H.k
-    if not H.edges:
+    if not H.num_edges:
         return NibbleReport(Matching(()), Fraction(0), (), False, False, 0.0, 0)
     deg_ok, cod_ok, D0, max_cod = _regularity_gate(H, cfg.tau_check)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))

@@ -3,8 +3,8 @@
 Everything here enumerates; nothing shares code paths with the package
 implementations it is used to check. The exceptions are verbatim copies of
 code the package replaced with faster equivalents (the Fraction simplex,
-the Fraction-compare generators, the uncached nibble report); the fast
-versions must reproduce them exactly.
+the Fraction-compare generators, the uncached nibble report, the
+tuple-built complete graph); the fast versions must reproduce them exactly.
 """
 
 import random
@@ -213,6 +213,16 @@ def fraction_simplex(H):
     phi = {H.edges[basis[i]]: xb[i] for i in range(m) if edge_basic[i]}
     # y was priced from the final basis, so it is the optimal dual vector
     return value, phi, tuple(y)
+
+
+# -- the complete k-graph before it was built as an edge array ---------------
+
+
+def complete(n: int, k: int) -> KGraph:
+    """The complete k-graph on n vertices."""
+    if n < k:
+        raise InvalidQueryError(f"need n >= k, got n={n}, k={k}")
+    return KGraph._from_sorted(n, k, combinations(range(1, n + 1), k))
 
 
 # -- the generators and the nibble report before exact float thresholds ------

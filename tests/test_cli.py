@@ -218,11 +218,15 @@ class TestVerifySearchReport:
         "argv, stdin",
         [
             (["search", "--n", "5", "--k", "3", "--m", "9"], None),
+            (["search", "--n", "7", "--k", "3", "--m", "2", "--trials", "3", "--p", "3/2"], None),
             (["report"], "\n"),
             (["report"], "x\n"),
             (["report"], '{"record": "report"}\n'),
         ],
-        ids=["search-m-too-large", "report-empty", "report-not-json", "report-header-incomplete"],
+        ids=[
+            "search-m-too-large", "search-p-out-of-range",
+            "report-empty", "report-not-json", "report-header-incomplete",
+        ],
     )
     def test_bad_query_is_a_clean_error(self, capsys, monkeypatch, argv, stdin):
         if stdin is not None:

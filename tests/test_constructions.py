@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hypermatch import (
     complete,
     degree,
     erdos_threshold,
+    format_graph,
     join_clique,
     l_degree_conjectured_fraction,
     min_l_degree,
@@ -109,6 +111,29 @@ class TestComplete:
     def test_too_small(self):
         with pytest.raises(InvalidQueryError):
             complete(2, 3)
+
+    def test_uniformity_below_two(self):
+        with pytest.raises(InvalidQueryError, match="k must be >= 2"):
+            complete(5, 1)
+
+    @pytest.mark.parametrize(
+        "n, k", [(2, 2), (9, 2), (3, 3), (8, 3), (4, 4), (9, 4), (30, 4), (5, 5), (11, 5)]
+    )
+    def test_array_born_matches_oracle(self, n, k):
+        ref = oracles.complete(n, k)
+        H = complete(n, k)
+        assert H.edge_array.dtype == np.int32 and H.edge_array.flags.c_contiguous
+        assert np.array_equal(H.edge_array, ref.edge_array)
+        assert H.edges == ref.edges
+        assert format_graph(H).encode() == format_graph(ref).encode()
+        fresh = complete(n, k)
+        assert fresh == ref and hash(fresh) == hash(ref)
+        assert ref == complete(n, k)
+        for name, value in (("edges", ref.edges), ("edge_array", ref.edge_array), ("n", n + 1)):
+            with pytest.raises(AttributeError):
+                setattr(complete(n, k), name, value)
+        with pytest.raises(AttributeError):
+            del H.edges
 
 
 class TestJoinClique:
@@ -226,6 +251,11 @@ class TestRandomGraphs:
         H = random_kgraph_conditioned(9, 3, 2, tries=200, seed=5)
         assert min_l_degree(H, 1) >= vertex_degree_threshold(9, 3, 2) + 1
 
+    @pytest.mark.parametrize("p", [Fraction(-1, 2), Fraction(3, 2), 2, float("inf"), float("nan")])
+    def test_conditioned_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(InvalidQueryError, match="need 0 <= p <= 1"):
+            random_kgraph_conditioned(7, 3, 2, tries=3, seed=0, p=p)
+
     def test_conditioned_exhaustion_is_distinct(self):
         with pytest.raises(SamplingExhaustedError):
             random_kgraph_conditioned(9, 3, 2, floor=10**6, tries=3, seed=0)
@@ -294,6 +324,10 @@ class TestGeneratorsMatchOracle:
     def test_random_kgraph_conditioned(self, shape, p, floor, seed):
         n, k = shape
         m = max(1, n // k - 1)
+        if p is not None and not 0 <= p <= 1:
+            with pytest.raises(InvalidQueryError, match="need 0 <= p <= 1"):
+                random_kgraph_conditioned(n, k, m, floor=floor, tries=4, seed=seed, p=p)
+            return
         results = []
         for sample in (random_kgraph_conditioned, oracles.random_kgraph_conditioned):
             try:

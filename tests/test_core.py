@@ -25,6 +25,7 @@ from hypermatch import (
 )
 from hypermatch.core import handshake_bound
 from hypermatch.errors import InvalidQueryError
+from hypermatch.matching import NibbleConfig, nibble_matching_report
 
 
 @st.composite
@@ -71,6 +72,18 @@ class TestKGraphBasics:
         with pytest.raises(AttributeError):
             del H.k
         assert (H.n, H.k, len(H.edges), H.edge_set) == (6, 3, 20, before)
+
+    def test_counts_do_not_build_the_edge_tuple(self):
+        H = complete(12, 3)
+        assert H.num_edges == 220
+        assert repr(H) == "KGraph(n=12, k=3, e=220)"
+        assert H.regularity_stats == (55, 55, 55.0, 10)
+        assert nibble_matching_report(H, NibbleConfig(seed=1)).average_degree == 55.0
+        assert degree(H, ()) == 220
+        assert min_l_degree(H, 0) == max_l_degree(H, 0) == 220
+        assert handshake_bound(H, 0) == 220
+        assert "edges" not in vars(H)
+        assert len(H.edges) == 220 and "edges" in vars(H)
 
 
 class TestDegree:

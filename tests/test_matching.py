@@ -186,6 +186,7 @@ class TestNibbleMatchesOracle:
     # its lone minimum degree 12 at vertex 1 and (1 - 1/8) * D == 12 exactly.
     HOSTS = {
         "complete-40": lambda: complete(40, 3),
+        "complete-40-tuples": lambda: KGraph._from_sorted(40, 3, combinations(range(1, 41), 3)),
         "random-40": lambda: random_kgraph(40, 3, Fraction(1, 4), seed=2024),
         "random-k4-30": lambda: random_kgraph(30, 4, Fraction(1, 50), seed=7),
         "sparse-60": lambda: random_kgraph(60, 3, Fraction(1, 400), seed=3),
@@ -197,9 +198,12 @@ class TestNibbleMatchesOracle:
 
     @pytest.mark.parametrize("host", sorted(HOSTS))
     def test_sweep(self, host):
+        # the reference runs on a tuple-born copy, so the array-born
+        # complete-40 is checked against its twin
         H = self.HOSTS[host]()
         for cfg in self.CONFIGS:
-            ref = oracles.nibble_matching_report(self.HOSTS[host](), cfg)
+            fresh = self.HOSTS[host]()
+            ref = oracles.nibble_matching_report(KGraph._from_sorted(fresh.n, fresh.k, fresh.edges), cfg)
             assert nibble_matching_report(H, cfg) == ref, cfg
 
     @pytest.mark.parametrize("host", sorted(HOSTS))
