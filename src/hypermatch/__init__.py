@@ -4,13 +4,11 @@ from .core import (
     KGraph,
     Matching,
     degree,
-    dump_graph,
     format_graph,
     independence_number,
     induced,
     is_stable,
     link,
-    load_graph,
     max_l_degree,
     min_l_degree,
     parse_graph,

@@ -25,7 +25,7 @@ from .constructions import (
     space_barrier,
 )
 from .containment import classify_good_bad, eps_contains
-from .core import KGraph, format_graph, parse_graph
+from .core import format_graph, parse_graph
 from .errors import BudgetExceededError, HypermatchError, StepFailureError
 from .harness import (
     DEFAULT_NODE_BUDGET,
@@ -49,11 +49,11 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a fraction p/q, got {text!r}") from None
 
 
-def _read_graph(args) -> KGraph:
+def _read_input(args) -> str:
     if args.input and args.input != "-":
         with open(args.input, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read())
-    return parse_graph(sys.stdin.read())
+            return fh.read()
+    return sys.stdin.read()
 
 
 def _write(args, text: str) -> None:
@@ -75,7 +75,7 @@ def _cmd_gen(args) -> int:
     elif fam == "complete":
         H = complete(args.n, args.k)
     elif fam == "join":
-        H = join_clique(_read_graph(args), args.r)
+        H = join_clique(parse_graph(_read_input(args)), args.r)
     elif fam == "parity":
         # A = {1..m}, B = {m+1..n}
         H = parity_construction(args.m, args.n - args.m, args.k)
@@ -90,7 +90,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_nu(args) -> int:
-    H = _read_graph(args)
+    H = parse_graph(_read_input(args))
     budget = args.budget if args.budget else node_budget()
     try:
         nu, M = exact_nu(H, node_budget=budget, use_lp_bound=args.lp_bound)
@@ -104,7 +104,7 @@ def _cmd_nu(args) -> int:
 
 
 def _cmd_frac(args) -> int:
-    H = _read_graph(args)
+    H = parse_graph(_read_input(args))
     _, phi, w = solve_fractional(H)
     lines = [f"nu' {phi.value()}", f"tau' {w.total()}"]
     if args.witness:
@@ -118,7 +118,7 @@ def _cmd_frac(args) -> int:
 
 
 def _cmd_contain(args) -> int:
-    H = _read_graph(args)
+    H = parse_graph(_read_input(args))
     rep = eps_contains(H, args.m, args.eps, mode=args.mode)
     out = {
         "m": args.m,
@@ -139,7 +139,7 @@ def _cmd_contain(args) -> int:
 
 
 def _cmd_nibble(args) -> int:
-    H = _read_graph(args)
+    H = parse_graph(_read_input(args))
     cfg = NibbleConfig(
         bite_fraction=args.bite,
         max_rounds=args.rounds,
@@ -166,11 +166,9 @@ def _cmd_nibble(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    H = _read_graph(args)
+    H = parse_graph(_read_input(args))
     cfg = PipelineConfig(eta=args.eta, rho=args.rho, eps=args.eps)
-    _, r = build_augmented(H, args.m, cfg.eta)
-    if args.r is not None:
-        r = args.r
+    r = args.r if args.r is not None else build_augmented(H, args.m, cfg.eta)[1]
     code = 0
     try:
         _, trace = fractional_pm_pipeline(H, args.m, r, cfg, route=args.route)
@@ -199,12 +197,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.input and args.input != "-":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    report = load_report(text)
+    report = load_report(_read_input(args))
     _write(args, emit_report(report, args.format))
     return 0
 

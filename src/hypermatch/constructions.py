@@ -218,13 +218,8 @@ def _draw_threshold(p) -> float:
     random() returns a / 2**53 for an integer a, and a < p * 2**53 holds
     exactly when a < ceil(p * 2**53). That ceiling over 2**53 is a float
     with no rounding, and a float compare is far cheaper than comparing a
-    float with a Fraction. p outside [0, 1] is clamped, which keeps every
-    draw, or none, as the direct compare does.
+    float with a Fraction. Callers check 0 <= p <= 1 first.
     """
-    if not p > 0:
-        return 0.0
-    if p >= 1:
-        return 1.0
     return ceil(Fraction(p) * _TWO53) / _TWO53
 
 

@@ -37,16 +37,20 @@ def _template_member(e, w_set, l: int) -> bool:
     return 1 <= c <= l
 
 
+def _check_template(H: KGraph, P: VertexPartition, l: int) -> None:
+    if P.n != H.n:
+        raise InvalidQueryError(f"partition covers {P.n} vertices, graph has {H.n}")
+    if not 1 <= l <= H.k:
+        raise InvalidQueryError(f"need 1 <= l <= k={H.k}, got l={l}")
+
+
 def deficiency(H: KGraph, P: VertexPartition, l: int) -> int:
     """Exact number of template edges missing from H, for the partition P.
 
     Counts by strata of |e & W|, so the template is never materialized:
     total template edges minus the edges of H that are template members.
     """
-    if P.n != H.n:
-        raise InvalidQueryError(f"partition covers {P.n} vertices, graph has {H.n}")
-    if not 1 <= l <= H.k:
-        raise InvalidQueryError(f"need 1 <= l <= k={H.k}, got l={l}")
+    _check_template(H, P, l)
     w_set = set(P.W)
     total = template_edge_count(len(P.U), len(P.W), H.k, l)
     present = sum(1 for e in H.edges if _template_member(e, w_set, l))
@@ -117,10 +121,7 @@ def vertex_template_deficits(H: KGraph, P: VertexPartition, l: int) -> dict[int,
     edge but not an edge of H. Missing template edges are counted once per
     endpoint, so the deficits sum to exactly k times the deficiency.
     """
-    if P.n != H.n:
-        raise InvalidQueryError(f"partition covers {P.n} vertices, graph has {H.n}")
-    if not 1 <= l <= H.k:
-        raise InvalidQueryError(f"need 1 <= l <= k={H.k}, got l={l}")
+    _check_template(H, P, l)
     w_set = set(P.W)
     k = H.k
     u_size, w_size = len(P.U), len(P.W)

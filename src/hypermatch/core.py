@@ -154,9 +154,6 @@ class KGraph:
         counts = np.unique(codes, return_counts=True)[1]
         return int(degs.min()), int(degs.max()), k * e / n, int(counts.max())
 
-    def has_edge(self, e: Sequence[int]) -> bool:
-        return tuple(sorted(e)) in self.edge_set
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, KGraph):
             return NotImplemented
@@ -264,13 +261,8 @@ def link(H: KGraph, v: int) -> KGraph:
     return KGraph._from_sorted(H.n - 1, H.k - 1, sorted(edges))
 
 
-def subset_label_map(S: Iterable[int]) -> dict[int, int]:
-    """Order-preserving relabeling used by induced/remove: new label -> old vertex."""
-    return {i + 1: v for i, v in enumerate(sorted(set(S)))}
-
-
 def induced(H: KGraph, S: Iterable[int]) -> KGraph:
-    """Subgraph on S with edges fully inside S, relabeled 1..|S| via subset_label_map."""
+    """Subgraph on S with edges fully inside S, relabeled 1..|S| in vertex order."""
     ss = sorted(set(S))
     _vertex_range_check(H, ss, "S")
     pos = {v: i + 1 for i, v in enumerate(ss)}
@@ -355,24 +347,25 @@ def independence_number(H: KGraph) -> int:
     return best
 
 
+def _decrements(e: EdgeT) -> Iterable[EdgeT]:
+    """The sorted k-sets made from e by lowering one vertex by 1 into an
+    unoccupied value: the covering relations of the dominance order."""
+    prev = 0
+    for i, v in enumerate(e):
+        if v - 1 > prev:
+            yield e[:i] + (v - 1,) + e[i + 1 :]
+        prev = v
+
+
 def is_stable(H: KGraph) -> bool:
     """Whether the edge set is closed downward under coordinatewise dominance.
 
-    Checks, for every edge, all single-coordinate decrements into unoccupied
-    values; these are exactly the covering relations of the dominance order
-    on sorted k-sets, so closure under them is closure under the full order.
+    Checks, for every edge, all single-coordinate decrements; closure under
+    the covering relations of the dominance order is closure under the
+    full order.
     """
     es = H.edge_set
-    for e in H.edges:
-        members = set(e)
-        for i, v in enumerate(e):
-            t = v - 1
-            if t < 1 or t in members:
-                continue
-            dec = e[:i] + (t,) + e[i + 1 :]
-            if dec not in es:
-                return False
-    return True
+    return all(dec in es for e in H.edges for dec in _decrements(e))
 
 
 def stable_closure(H: KGraph) -> KGraph:
@@ -380,13 +373,7 @@ def stable_closure(H: KGraph) -> KGraph:
     seen = set(H.edges)
     stack = list(H.edges)
     while stack:
-        e = stack.pop()
-        members = set(e)
-        for i, v in enumerate(e):
-            t = v - 1
-            if t < 1 or t in members:
-                continue
-            dec = e[:i] + (t,) + e[i + 1 :]
+        for dec in _decrements(stack.pop()):
             if dec not in seen:
                 seen.add(dec)
                 stack.append(dec)
@@ -458,12 +445,3 @@ def parse_graph(text: str) -> KGraph:
     k, n = header
     return KGraph(n, k, edges)
 
-
-def load_graph(path) -> KGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
-
-
-def dump_graph(H: KGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(H))

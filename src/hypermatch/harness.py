@@ -101,37 +101,18 @@ def emit_report(report: ExperimentReport, fmt: str = "records", include_timings:
     instances. Identical inputs yield byte-identical output.
     """
     if fmt == "records":
-        lines = [
-            json.dumps(
-                {
-                    "record": "report",
-                    "experiment": report.experiment,
-                    "params": _plain(report.params),
-                    "seed": report.seed,
-                    "version": report.version,
-                    "incomplete": report.incomplete,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        ]
-        for inst in report.instances:
-            lines.append(
-                json.dumps(
-                    {"record": "instance", **_clean(inst, include_timings)},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        for ce in report.counterexamples:
-            lines.append(
-                json.dumps(
-                    {"record": "counterexample", **_clean(ce, include_timings)},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        return "\n".join(lines) + "\n"
+        head = {
+            "record": "report",
+            "experiment": report.experiment,
+            "params": _plain(report.params),
+            "seed": report.seed,
+            "version": report.version,
+            "incomplete": report.incomplete,
+        }
+        tagged = [("instance", r) for r in report.instances]
+        tagged += [("counterexample", r) for r in report.counterexamples]
+        records = [head] + [{"record": kind, **_clean(r, include_timings)} for kind, r in tagged]
+        return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
     if fmt == "rows":
         keys = sorted({k for inst in report.instances for k in _clean(inst, include_timings)})
         out = io.StringIO()
@@ -152,11 +133,6 @@ def _csv_cell(v) -> str:
     if "," in s or '"' in s or "\n" in s:
         s = '"' + s.replace('"', '""') + '"'
     return s
-
-
-def write_report(report: ExperimentReport, path, fmt: str = "records") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(emit_report(report, fmt))
 
 
 def load_report(text: str) -> ExperimentReport:

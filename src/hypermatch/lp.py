@@ -17,7 +17,7 @@ relabeling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -58,9 +58,6 @@ class FractionalAssignment:
     def value(self) -> Fraction:
         return sum(self.phi.values(), ZERO)
 
-    def load(self, v: int) -> Fraction:
-        return sum((val for e, val in self.phi.items() if v in e), ZERO)
-
     def loads(self) -> dict[int, Fraction]:
         out = {v: ZERO for v in self.host.vertices()}
         for e, val in self.phi.items():
@@ -89,7 +86,6 @@ class VertexWeights:
     """Vertex weights in [0,1]; weights[v-1] is the weight of vertex v."""
 
     weights: tuple[Fraction, ...]
-    host: KGraph | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if any(not 0 <= w <= 1 for w in self.weights):
@@ -108,9 +104,6 @@ class VertexWeights:
     def is_cover_of(self, H: KGraph) -> bool:
         den, nums = _common_denominator(self.weights)
         return all(sum(map(nums.__getitem__, e)) >= den for e in H.edges)
-
-    def is_sorted_nonincreasing(self) -> bool:
-        return all(self.weights[i] >= self.weights[i + 1] for i in range(len(self.weights) - 1))
 
 
 def _solve_incidence_lp(H: KGraph) -> tuple[Fraction, dict[EdgeT, Fraction], tuple[Fraction, ...]]:
@@ -198,7 +191,7 @@ def solve_fractional(H: KGraph) -> tuple[Fraction, FractionalAssignment, VertexW
         raise InternalContradictionError(
             "primal witness value disagrees with simplex objective", check="lp-primal-value"
         )
-    cover = VertexWeights(duals, host=H)
+    cover = VertexWeights(duals)
     if not cover.is_cover_of(H):
         raise InternalContradictionError(
             "extracted dual vector is not a fractional cover", check="lp-dual-feasible"
@@ -284,4 +277,4 @@ def permute_weights(w: VertexWeights, old_to_new: tuple[int, ...]) -> VertexWeig
     out = [ZERO] * len(old_to_new)
     for old, new in enumerate(old_to_new, start=1):
         out[new - 1] = w[old]
-    return VertexWeights(tuple(out), host=w.host)
+    return VertexWeights(tuple(out))

@@ -242,20 +242,9 @@ def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
                 arr = np.compress(_rows_within(alive, arr), arr, axis=0)
         rounds.append(NibbleRound(rnd, n_cur, e_cur, d_cur, len(cand), kept))
 
-    # greedy cleanup on whatever survived
-    used = 0
-    for v in range(1, n + 1):
-        if not alive[v]:
-            used |= 1 << v
-    remainder = sorted(map(tuple, arr.tolist()))
-    for e in remainder:
-        m = 0
-        for v in e:
-            m |= 1 << v
-        if not m & used:
-            matched.append(e)
-            used |= m
-
+    # greedy cleanup on whatever survived: every row lies on alive vertices,
+    # still in the host's lexicographic order
+    matched.extend(greedy_matching(KGraph._from_array(n, k, arr)).edges)
     matching = Matching.from_edges(matched)
     covered = Fraction(k * len(matching.edges), n)
     return NibbleReport(matching, covered, tuple(rounds), deg_ok, cod_ok, D0, max_cod)

@@ -22,8 +22,10 @@ import math
 import random
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import ceil, comb
 from .constructions import VertexPartition, join_clique
@@ -56,23 +58,25 @@ from .lp import (
 from .matching import exact_nu
 
 
+# asymptotic shape of the first-round vertex sampler: keep probability
+# n^(-P_EXPONENT) and ceil(n^COPY_EXPONENT) copies
+P_EXPONENT = Fraction(9, 10)
+COPY_EXPONENT = Fraction(11, 10)
+
+
 @dataclass(frozen=True)
 class SamplerSettings:
-    """Vertex-sampler shape: keep probability n^(-p_exponent), copy count
-    ceil(n^copy_exponent). The asymptotic exponents only produce meaningful
-    copies at astronomical n, so both can be overridden directly.
+    """Vertex-sampler settings. keep_probability and copy_count default to
+    the asymptotic shape n^(-P_EXPONENT) and ceil(n^COPY_EXPONENT), which
+    only produces meaningful copies at astronomical n, so desk-scale callers
+    set them directly; seed fixes the copies.
     """
 
-    p_exponent: Fraction = Fraction(9, 10)
-    copy_exponent: Fraction = Fraction(11, 10)
     keep_probability: Fraction | float | None = None
     copy_count: int | None = None
+    seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.p_exponent < 1:
-            raise InvalidQueryError(f"p_exponent must be in (0,1), got {self.p_exponent}")
-        if not 1 < self.copy_exponent < 2:
-            raise InvalidQueryError(f"copy_exponent must be in (1,2), got {self.copy_exponent}")
         if self.keep_probability is not None and not 0 <= self.keep_probability <= 1:
             raise InvalidQueryError("keep_probability must be in [0,1]")
         if self.copy_count is not None and self.copy_count < 0:
@@ -81,18 +85,15 @@ class SamplerSettings:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs of the constructive route and its samplers.
+    """Knobs of the constructive route.
 
     eta is the padding fraction of the augmentation rule; rho the degree
-    slack; eps the containment scale. sampler and seed shape the
-    first-round vertex sampler.
+    slack; eps the containment scale.
     """
 
     eta: Fraction = Fraction(1, 10)
     rho: Fraction = Fraction(1, 10000)
     eps: Fraction = Fraction(1, 10)
-    sampler: SamplerSettings = field(default_factory=SamplerSettings)
-    seed: int = 0
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -108,10 +109,10 @@ def build_augmented(H: KGraph, m: int, eta) -> tuple[KGraph, int]:
 
     Raises InfeasibleAugmentationError when n - km - eta*n < 0. The rounding
     residual r(k-1) - (n - km - eta*n) is available via
-    augmentation_residual. When eta*n >= k(k-1) the clique-size hypothesis
-    (r-k)(k-1) >= n-km is checked; with this rounding rule it cannot hold,
-    so a violation warns rather than aborts (see the pipeline's precondition
-    report for the enforced form).
+    augmentation_residual. With this rounding rule the clique-size
+    hypothesis (r-k)(k-1) >= n-km never holds, so when eta*n >= k(k-1) it
+    warns rather than aborts (see the pipeline's precondition report for
+    the enforced form).
     """
     eta = Fraction(eta)
     n, k = H.n, H.k
@@ -121,7 +122,7 @@ def build_augmented(H: KGraph, m: int, eta) -> tuple[KGraph, int]:
             f"n - km - eta*n = {slack} < 0 (n={n}, k={k}, m={m}, eta={eta})"
         )
     r = ceil(slack / (k - 1))
-    if eta * n >= k * (k - 1) and (r - k) * (k - 1) < n - k * m:
+    if eta * n >= k * (k - 1):
         warnings.warn(
             f"clique-size hypothesis (r-k)(k-1) >= n-km fails at r={r} "
             f"(n={n}, k={k}, m={m}, eta={eta})",
@@ -657,85 +658,74 @@ class SampleFamily:
     """Independent vertex samples of a host graph, trimmed to size in kZ.
 
     Incidence statistics (vertex counts, pairwise co-occurrence, per-edge
-    containment) are computed lazily since the pair counts are quadratic in
-    copy size.
+    containment) are computed on first read and kept, since the pair counts
+    are quadratic in copy size.
     """
 
     host: KGraph
     copies: tuple[tuple[int, ...], ...]
-    seed: int
-    keep_probability: float
-    _vertex_counts: dict | None = None
-    _pair_max: int | None = None
-    _edge_counts: dict | None = None
 
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.copies)
 
+    @cached_property
     def vertex_counts(self) -> dict[int, int]:
-        if self._vertex_counts is None:
-            counts = {v: 0 for v in self.host.vertices()}
-            for c in self.copies:
-                for v in c:
-                    counts[v] += 1
-            self._vertex_counts = counts
-        return self._vertex_counts
+        counts = {v: 0 for v in self.host.vertices()}
+        for c in self.copies:
+            for v in c:
+                counts[v] += 1
+        return counts
 
+    @cached_property
     def max_pair_incidence(self) -> int:
-        if self._pair_max is None:
-            from collections import Counter
+        pair_counts: Counter = Counter()
+        for c in self.copies:
+            pair_counts.update(combinations(c, 2))
+        return max(pair_counts.values()) if pair_counts else 0
 
-            pair_counts: Counter = Counter()
-            for c in self.copies:
-                pair_counts.update(combinations(c, 2))
-            self._pair_max = max(pair_counts.values()) if pair_counts else 0
-        return self._pair_max
-
+    @cached_property
     def edge_containment_counts(self) -> dict[EdgeT, int]:
-        if self._edge_counts is None:
-            member: dict[int, set[int]] = {}
-            for i, c in enumerate(self.copies):
-                for v in c:
-                    member.setdefault(v, set()).add(i)
-            out = {}
-            for e in self.host.edges:
-                hit = member.get(e[0], set())
-                for v in e[1:]:
-                    hit = hit & member.get(v, set())
-                    if not hit:
-                        break
-                out[e] = len(hit)
-            self._edge_counts = out
-        return self._edge_counts
+        member: dict[int, set[int]] = {}
+        for i, c in enumerate(self.copies):
+            for v in c:
+                member.setdefault(v, set()).add(i)
+        out = {}
+        for e in self.host.edges:
+            hit = member.get(e[0], set())
+            for v in e[1:]:
+                hit = hit & member.get(v, set())
+                if not hit:
+                    break
+            out[e] = len(hit)
+        return out
 
 
-def first_round_sampler(H: KGraph, cfg: PipelineConfig) -> SampleFamily:
+def first_round_sampler(H: KGraph, settings: SamplerSettings) -> SampleFamily:
     """Draw independent vertex samples, trimmed so each size is divisible by k.
 
-    Copy count and keep probability default to the asymptotic shapes
-    ceil(n^copy_exponent) and n^(-p_exponent); at desk scale callers override
-    them through SamplerSettings. Copies use sub-seeds derived from
-    (cfg.seed, copy index), so they are reproducible and order-independent.
+    Keep probability and copy count come from settings, or default to the
+    asymptotic shapes n^(-P_EXPONENT) and ceil(n^COPY_EXPONENT). Copies use
+    sub-seeds derived from (settings.seed, copy index), so they are
+    reproducible and order-independent.
     """
     n, k = H.n, H.k
-    st = cfg.sampler
-    keep = st.keep_probability
+    keep = settings.keep_probability
     if keep is None:
-        keep = n ** (-float(st.p_exponent)) if n else 0.0
-    count = st.copy_count
+        keep = n ** (-float(P_EXPONENT)) if n else 0.0
+    count = settings.copy_count
     if count is None:
-        count = ceil(n ** float(st.copy_exponent)) if n else 0
+        count = ceil(n ** float(COPY_EXPONENT)) if n else 0
     copies = []
     for i in range(count):
-        rng = random.Random(f"{cfg.seed}:{i}")
+        rng = random.Random(f"{settings.seed}:{i}")
         picked = [v for v in range(1, n + 1) if rng.random() < keep]
         t = len(picked) % k
         if t:
             drop = set(rng.sample(picked, t))
             picked = [v for v in picked if v not in drop]
         copies.append(tuple(picked))
-    return SampleFamily(host=H, copies=tuple(copies), seed=cfg.seed, keep_probability=float(keep))
+    return SampleFamily(host=H, copies=tuple(copies))
 
 
 @dataclass(frozen=True)
@@ -782,7 +772,7 @@ def check_sampler_properties(
 
     if vertex_count_band is not None:
         lo, hi = vertex_count_band
-        counts = family.vertex_counts()
+        counts = family.vertex_counts
         inside = sum(1 for c in counts.values() if lo <= c <= hi)
         frac = inside / len(counts) if counts else 1.0
         checks.append(
@@ -792,13 +782,13 @@ def check_sampler_properties(
     if pair_limit is not None:
         checks.append(
             PropertyCheck(
-                "pair_overlap", family.max_pair_incidence() <= pair_limit,
-                family.max_pair_incidence(), pair_limit,
+                "pair_overlap", family.max_pair_incidence <= pair_limit,
+                family.max_pair_incidence, pair_limit,
             )
         )
 
     if edge_limit is not None:
-        edge_max = max(family.edge_containment_counts().values(), default=0)
+        edge_max = max(family.edge_containment_counts.values(), default=0)
         checks.append(PropertyCheck("edge_overlap", edge_max <= edge_limit, edge_max, edge_limit))
 
     if size_band is not None:

@@ -200,11 +200,8 @@ def test_c06_nibble_coverage():
 def test_c07_sampler_concentration():
     n, copies, keep = 4000, 500, 0.05
     host = KGraph(n, 3, [])
-    cfg = PipelineConfig(
-        seed=20240907,
-        sampler=SamplerSettings(keep_probability=keep, copy_count=copies),
-    )
-    family = first_round_sampler(host, cfg)
+    settings = SamplerSettings(keep_probability=keep, copy_count=copies, seed=20240907)
+    family = first_round_sampler(host, settings)
 
     size_lo, size_hi = chernoff_band(n, Fraction(1, 20), 1e-3)
     count_lo, count_hi = chernoff_band(copies, Fraction(1, 20), 1e-3)

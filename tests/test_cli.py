@@ -157,6 +157,15 @@ class TestSolvers:
         assert code == 1
         assert any(json.loads(l)["status"] == "failed" for l in out.splitlines())
 
+    def test_pipeline_r_needs_no_eta_rule(self, capsys, monkeypatch):
+        # the eta rule is infeasible here (n - km - eta*n = -6/5); --r skips it
+        text = format_graph(complete(12, 3))
+        code, out = run(
+            capsys, "pipeline", "--m", "4", "--r", "7", stdin=text, monkeypatch=monkeypatch
+        )
+        summary = json.loads(out.splitlines()[0])
+        assert code == 0 and summary["r"] == 7 and summary["value"] == "19/3"
+
 
 # records printed by the README example and by the edgeless failure case;
 # the trace records carry no timings, so these bytes are fixed

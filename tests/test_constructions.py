@@ -235,6 +235,10 @@ class TestThresholds:
             ThresholdSpec(12, 3, 3, beta=beta_upper_bound(3))
 
 
+# both generators reject these before drawing, so _draw_threshold never sees them
+OUT_OF_RANGE_P = [Fraction(-1, 2), Fraction(3, 2), 2, float("inf"), float("nan")]
+
+
 class TestRandomGraphs:
     def test_p_extremes(self):
         assert random_kgraph(6, 3, 1, seed=1) == complete(6, 3)
@@ -251,10 +255,15 @@ class TestRandomGraphs:
         H = random_kgraph_conditioned(9, 3, 2, tries=200, seed=5)
         assert min_l_degree(H, 1) >= vertex_degree_threshold(9, 3, 2) + 1
 
-    @pytest.mark.parametrize("p", [Fraction(-1, 2), Fraction(3, 2), 2, float("inf"), float("nan")])
+    @pytest.mark.parametrize("p", OUT_OF_RANGE_P)
     def test_conditioned_rejects_p_outside_unit_interval(self, p):
         with pytest.raises(InvalidQueryError, match="need 0 <= p <= 1"):
             random_kgraph_conditioned(7, 3, 2, tries=3, seed=0, p=p)
+
+    @pytest.mark.parametrize("p", OUT_OF_RANGE_P)
+    def test_random_kgraph_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(InvalidQueryError, match="need 0 <= p <= 1"):
+            random_kgraph(7, 3, p, seed=0)
 
     def test_conditioned_exhaustion_is_distinct(self):
         with pytest.raises(SamplingExhaustedError):
@@ -296,12 +305,6 @@ class TestDrawThreshold:
         c = ceil(Fraction(p) * TWO53)
         for a in (c - 1, c, c + 1):
             assert (a / TWO53 < t) == (Fraction(a, TWO53) < p), (p, a)
-
-    @pytest.mark.parametrize("p", [Fraction(-1, 2), -3, Fraction(3, 2), 7, float("inf"), float("nan")])
-    def test_out_of_range_keeps_all_or_nothing(self, p):
-        t = _draw_threshold(p)
-        for a in (0, 1, TWO53 // 2, TWO53 - 1):
-            assert (a / TWO53 < t) == (a / TWO53 < p)
 
 
 class TestGeneratorsMatchOracle:

@@ -235,6 +235,16 @@ class TestStability:
             assert is_stable(C)
             assert set(edges) <= set(C.edges)
 
+    @settings(max_examples=80, deadline=None)
+    @given(small_kgraphs())
+    def test_closure_against_pairwise_oracle(self, H):
+        assert is_stable(H) == oracles.brute_is_stable(H.edges)
+        C = stable_closure(H)
+        assert oracles.brute_is_stable(C.edges) and set(H.edges) <= set(C.edges)
+        # minimal: every closure edge lies below some edge of H
+        for f in C.edges:
+            assert any(all(a <= b for a, b in zip(f, e)) for e in H.edges)
+
 
 class TestVerifyMatching:
     def test_good(self):

@@ -198,50 +198,44 @@ def trace_relabel(H, trace):
 class TestSampler:
     def test_keep_one_trims_to_multiple_of_k(self):
         H = KGraph(10, 3, [])
-        cfg = PipelineConfig(sampler=SamplerSettings(keep_probability=1.0, copy_count=5))
-        fam = first_round_sampler(H, cfg)
+        fam = first_round_sampler(H, SamplerSettings(keep_probability=1.0, copy_count=5))
         assert all(sz == 9 for sz in fam.sizes)  # 10 mod 3 = 1 vertex trimmed
 
     def test_keep_zero_gives_empty_copies(self):
         H = KGraph(10, 3, [])
-        cfg = PipelineConfig(sampler=SamplerSettings(keep_probability=0.0, copy_count=4))
-        fam = first_round_sampler(H, cfg)
+        fam = first_round_sampler(H, SamplerSettings(keep_probability=0.0, copy_count=4))
         assert fam.sizes == (0, 0, 0, 0)
-        assert set(fam.vertex_counts().values()) == {0}
+        assert set(fam.vertex_counts.values()) == {0}
 
     def test_seed_reproducible(self):
         H = KGraph(30, 3, [])
-        cfg = PipelineConfig(seed=5, sampler=SamplerSettings(keep_probability=0.5, copy_count=6))
-        a = first_round_sampler(H, cfg)
-        b = first_round_sampler(H, cfg)
+        settings = SamplerSettings(keep_probability=0.5, copy_count=6, seed=5)
+        a = first_round_sampler(H, settings)
+        b = first_round_sampler(H, settings)
         assert a.copies == b.copies
 
     def test_single_full_copy_overlap_counts(self):
         H = complete(9, 3)
-        cfg = PipelineConfig(sampler=SamplerSettings(keep_probability=1.0, copy_count=1))
-        fam = first_round_sampler(H, cfg)
+        fam = first_round_sampler(H, SamplerSettings(keep_probability=1.0, copy_count=1))
         assert fam.copies[0] == tuple(range(1, 10))
         rep = check_sampler_properties(fam, H, pair_limit=2, edge_limit=1)
         assert rep.passed("pair_overlap") and rep.passed("edge_overlap")
 
     def test_disjoint_copies_pair_incidence(self):
         H = KGraph(12, 3, [])
-        fam = first_round_sampler(
-            H, PipelineConfig(sampler=SamplerSettings(keep_probability=0.0, copy_count=0))
-        )
+        fam = first_round_sampler(H, SamplerSettings(keep_probability=0.0, copy_count=0))
         fam.copies = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
-        assert fam.max_pair_incidence() <= 1
+        assert fam.max_pair_incidence <= 1
 
     def test_complete_host_min_degree_property(self):
         H = complete(20, 3)
-        cfg = PipelineConfig(sampler=SamplerSettings(keep_probability=0.6, copy_count=3), seed=9)
-        fam = first_round_sampler(H, cfg)
+        fam = first_round_sampler(H, SamplerSettings(keep_probability=0.6, copy_count=3, seed=9))
         rep = check_sampler_properties(fam, H, rho_prime=Fraction(1), edge_limit=len(fam.copies))
         assert rep.passed("copy_min_degree")  # induced complete graphs beat the bound at rho'=1
 
     def test_paper_default_shapes(self):
         H = KGraph(50, 3, [])
-        fam = first_round_sampler(H, PipelineConfig(seed=2))
+        fam = first_round_sampler(H, SamplerSettings(seed=2))
         assert len(fam.copies) == math.ceil(50**1.1)
         assert all(sz % 3 == 0 for sz in fam.sizes)
 
