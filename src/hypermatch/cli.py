@@ -4,7 +4,10 @@ Subcommands: gen, nu, frac, contain, nibble, pipeline, verify, search,
 report. Graphs travel in the plain text format (header "k n", one ascending
 edge per line, '#' comments). Exit codes: 0 all assertions passed, 1
 assertion failure, malformed input or a malformed command line, 2
-indeterminate (a search hit its node budget).
+indeterminate (a search hit its node budget). The budget is set only by the
+environment variable HYPERMATCH_NODE_BUDGET and caps every exponential
+search: exact_nu, independence_number and exhaustive containment, so it
+covers nu, pipeline, verify, search and contain.
 """
 
 from __future__ import annotations
@@ -25,18 +28,9 @@ from .constructions import (
     space_barrier,
 )
 from .containment import classify_good_bad, eps_contains
-from .core import format_graph, parse_graph
+from .core import DEFAULT_NODE_BUDGET, NODE_BUDGET_ENV, format_graph, parse_graph
 from .errors import BudgetExceededError, HypermatchError, StepFailureError
-from .harness import (
-    DEFAULT_NODE_BUDGET,
-    NODE_BUDGET_ENV,
-    conjecture_search,
-    emit_report,
-    load_report,
-    node_budget,
-    tightness_grid,
-    verify_tightness,
-)
+from .harness import conjecture_search, emit_report, load_report, tightness_grid, verify_tightness
 from .lp import solve_fractional
 from .matching import NibbleConfig, exact_nu, nibble_matching_report
 from .pipeline import PipelineConfig, build_augmented, fractional_pm_pipeline
@@ -90,13 +84,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_nu(args) -> int:
-    H = parse_graph(_read_input(args))
-    budget = args.budget if args.budget else node_budget()
-    try:
-        nu, M = exact_nu(H, node_budget=budget, use_lp_bound=args.lp_bound)
-    except BudgetExceededError as ex:
-        _write(args, f"indeterminate after {ex.nodes} nodes\n")
-        return 2
+    nu, M = exact_nu(parse_graph(_read_input(args)))
     lines = [f"nu {nu}"]
     lines.extend(" ".join(str(v) for v in e) for e in M.edges)
     _write(args, "\n".join(lines) + "\n")
@@ -216,8 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Desk-scale laboratory for matchings in k-uniform hypergraphs.",
         epilog=(
             f"The environment variable {NODE_BUDGET_ENV} caps the branch nodes of each "
-            f"exact matching search (default {DEFAULT_NODE_BUDGET}); instances that "
-            "exceed it are reported indeterminate (exit code 2)."
+            f"exponential search (default {DEFAULT_NODE_BUDGET}): exact matching, "
+            "independence number and exhaustive containment, in nu, pipeline, verify, "
+            "search and contain; instances that exceed it are reported indeterminate "
+            "(exit code 2)."
         ),
     )
     top.add_argument("--version", action="version", version=__version__)
@@ -245,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("nu", help="exact maximum matching")
-    p.add_argument("--budget", type=int, default=None, help="branch-node budget")
-    p.add_argument("--lp-bound", action="store_true", help="prune with the exact LP bound")
     common(p)
     p.set_defaults(func=_cmd_nu)
 
@@ -314,8 +302,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError:
-        print("indeterminate: node budget exhausted", file=sys.stderr)
+    except BudgetExceededError as ex:
+        print(f"indeterminate after {ex.nodes} nodes", file=sys.stderr)
         return 2
     except (HypermatchError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)

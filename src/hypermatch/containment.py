@@ -14,8 +14,8 @@ from itertools import combinations
 from math import ceil, comb
 
 from .constructions import VertexPartition, template_edge_count, vertex_degree_threshold
-from .core import KGraph
-from .errors import InvalidQueryError
+from .core import KGraph, node_budget
+from .errors import BudgetExceededError, InvalidQueryError
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
 
@@ -65,9 +65,11 @@ def _partition_for_w(n: int, W) -> VertexPartition:
 def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentReport:
     """Minimum template deficiency over partitions with |W| = m - 1.
 
-    Exhaustive over all C(n, m-1) choices of W while that count stays within
-    the subset budget; otherwise greedy seeding (the m-1 highest-degree
-    vertices) followed by first-improving swap local search. The report
+    Exhaustive over all C(n, m-1) choices of W, or greedy seeding (the m-1
+    highest-degree vertices) followed by first-improving swap local search.
+    Mode "auto" is exhaustive while C(n, m-1) is within both the subset cap
+    and node_budget(); mode "exhaustive" raises BudgetExceededError, before
+    any subset is examined, when C(n, m-1) exceeds node_budget(). The report
     labels which mode ran; satisfied means min deficiency <= eps * n^k.
     """
     if m < 1:
@@ -79,11 +81,14 @@ def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentRepor
     eps = Fraction(eps)
     n, k = H.n, H.k
     bound = eps * Fraction(n) ** k
+    subsets, budget = comb(n, m - 1), node_budget()
 
     if mode == "auto":
-        mode = "exhaustive" if comb(n, m - 1) <= EXHAUSTIVE_SUBSET_BUDGET else "local"
+        mode = "exhaustive" if subsets <= min(EXHAUSTIVE_SUBSET_BUDGET, budget) else "local"
 
     if mode == "exhaustive":
+        if subsets > budget:
+            raise BudgetExceededError(f"exhaustive containment needs {subsets} subsets", nodes=0)
         best_W = None
         best_def = None
         for W in combinations(range(1, n + 1), m - 1):

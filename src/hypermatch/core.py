@@ -1,23 +1,37 @@
 """k-uniform hypergraph kernel.
 
 Representation, degrees, links, induced subgraphs, exact independence
-number, the stability (downward-closure) test, and the plain-text graph
-format used by the CLI.
+number, the stability (downward-closure) test, the plain-text graph format
+used by the CLI, and the node budget that every exponential search obeys.
 
 Vertices are the integers 1..n throughout. Edges are sorted k-tuples.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import InvalidQueryError
+from .errors import BudgetExceededError, InvalidQueryError
 
 EdgeT = tuple[int, ...]
+
+NODE_BUDGET_ENV = "HYPERMATCH_NODE_BUDGET"
+DEFAULT_NODE_BUDGET = 10**8
+
+
+def node_budget() -> int:
+    """Branch-node budget per exponential search, from the environment."""
+    raw = os.environ.get(NODE_BUDGET_ENV)
+    if not raw:
+        return DEFAULT_NODE_BUDGET
+    if not (raw.isdecimal() and int(raw) > 0):
+        raise InvalidQueryError(f"{NODE_BUDGET_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_shape(n: int, k: int) -> None:
@@ -313,8 +327,10 @@ def independence_number(H: KGraph) -> int:
     Branch and bound over vertices in ascending order, pruned by a greedy
     complete-block cover bound precomputed for every suffix. Runtime is
     exponential in the worst case; intended for n up to about 40 at k = 3.
+    Raises BudgetExceededError once the search passes node_budget() nodes.
     """
     n = H.n
+    budget = node_budget()
     if not H.edges:
         return n
     # edge masks restricted to "other vertices" per highest vertex of the edge,
@@ -328,9 +344,13 @@ def independence_number(H: KGraph) -> int:
         suffix_bound[start] = _greedy_block_cover_bound(H, range(start, n + 1))
 
     best = 0
+    nodes = 0
 
     def walk(idx: int, chosen_mask: int, count: int) -> None:
-        nonlocal best
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError("independence_number node budget exceeded", nodes=nodes)
         if count > best:
             best = count
         if idx > n:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +26,7 @@ from .constructions import (
     vertex_degree_threshold,
 )
 from .containment import ContainmentReport, eps_contains
-from .core import KGraph, Matching, format_graph, min_l_degree, parse_graph, verify_matching
+from .core import KGraph, Matching, format_graph, induced, min_l_degree, parse_graph, verify_matching
 from .errors import (
     BudgetExceededError,
     HypermatchError,
@@ -43,16 +42,6 @@ from .pipeline import (
     build_augmented,
     fractional_pm_pipeline,
 )
-
-NODE_BUDGET_ENV = "HYPERMATCH_NODE_BUDGET"
-DEFAULT_NODE_BUDGET = 10**8
-
-
-def node_budget() -> int:
-    """Branch-node budget per exact search, from the environment."""
-    raw = os.environ.get(NODE_BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_NODE_BUDGET
-
 
 class TightnessFailure(HypermatchError, AssertionError):
     """An exact tightness assertion failed; carries the offending instance."""
@@ -201,14 +190,13 @@ def verify_tightness(grid: Iterable[tuple[int, int, int]]) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     report = ExperimentReport("tightness", params={"grid_size": 0})
-    budget = node_budget()
     count = 0
     for (n, k, m) in grid:
         count += 1
         H, _ = build_Hknm(n, k, m)
         thr = vertex_degree_threshold(n, k, m)
         delta1 = min_l_degree(H, 1)
-        nu, _ = exact_nu(H, node_budget=budget)
+        nu, _ = exact_nu(H)
         rec = {
             "n": n,
             "k": k,
@@ -225,7 +213,7 @@ def verify_tightness(grid: Iterable[tuple[int, int, int]]) -> ExperimentReport:
         if m + k <= n:
             H2, _ = build_Hknm(n, k, m + 1)
             delta1_next = min_l_degree(H2, 1)
-            nu_next, _ = exact_nu(H2, node_budget=budget)
+            nu_next, _ = exact_nu(H2)
             rec.update({"next_delta1": delta1_next, "next_nu": nu_next, "next_checked": True})
             if not delta1_next > thr:
                 raise TightnessFailure(
@@ -283,7 +271,6 @@ def conjecture_search(
         raise InvalidQueryError(f"need m < n/k, got n={n}, k={k}, m={m}")
     t0 = time.perf_counter()
     thr = vertex_degree_threshold(n, k, m)
-    budget = node_budget()
     report = ExperimentReport(
         "conjecture-search",
         params={"n": n, "k": k, "m": m, "model": model, "trials": trials, "p": _plain(p),
@@ -306,7 +293,7 @@ def conjecture_search(
             continue
         accepted += 1
         try:
-            nu, _ = exact_nu(H, node_budget=budget)
+            nu, _ = exact_nu(H)
         except BudgetExceededError:
             report.instances.append(
                 {"trial": t, "delta1": delta1, "nu": None, "status": "indeterminate"}
@@ -315,7 +302,7 @@ def conjecture_search(
             continue
         report.instances.append({"trial": t, "delta1": delta1, "nu": nu, "status": "ok"})
         if nu < m:
-            confirmed = _reverify_counterexample(H, m, thr, budget)
+            confirmed = _reverify_counterexample(H, m, thr)
             if confirmed:
                 report.counterexamples.append(
                     {
@@ -333,12 +320,12 @@ def conjecture_search(
     return report
 
 
-def _reverify_counterexample(H: KGraph, m: int, thr: int, budget: int) -> bool:
+def _reverify_counterexample(H: KGraph, m: int, thr: int) -> bool:
     """Recompute everything from a re-parsed copy of the serialized graph."""
     G = parse_graph(format_graph(H))
     if min_l_degree(G, 1) <= thr:
         return False
-    nu, M = exact_nu(G, node_budget=budget)
+    nu, M = exact_nu(G)
     return nu < m and verify_matching(G, M)
 
 
@@ -376,7 +363,6 @@ def case_split_demo(
     integral matching of size m + r in the augmented graph, which yields
     nu(H) >= m by stripping the at-most-r clique-touching edges.
     """
-    budget = node_budget()
     containment = eps_contains(H, m, eps)
     notes: list[str] = []
     if containment.satisfied:
@@ -386,13 +372,11 @@ def case_split_demo(
             e for e in H.edges if 1 <= sum(1 for v in e if v in w_set) <= l
         ]
         sub = KGraph(H.n, H.k, template_edges)
-        nu_t, M_t = exact_nu(sub, node_budget=budget)
+        nu_t, M_t = exact_nu(sub)
         used = M_t.vertices()
         rest = sorted(v for v in H.vertices() if v not in used)
         back = {i + 1: v for i, v in enumerate(rest)}
-        from .core import induced
-
-        nu_r, M_r = exact_nu(induced(H, rest), node_budget=budget)
+        nu_r, M_r = exact_nu(induced(H, rest))
         extended = [tuple(sorted(back[x] for x in e)) for e in M_r.edges]
         combined = Matching.from_edges(list(M_t.edges) + extended)
         if not verify_matching(H, combined):
@@ -421,7 +405,7 @@ def case_split_demo(
     size = None
     concludes = None
     try:
-        aug_nu, M_aug = exact_nu(aug, node_budget=budget)
+        aug_nu, M_aug = exact_nu(aug)
         if aug_nu >= m + r:
             inside = [e for e in M_aug.edges if all(v <= H.n for v in e)]
             size = len(inside)
@@ -434,7 +418,7 @@ def case_split_demo(
                 f"augmented matching {aug_nu} below m+r={m + r}; no integral conclusion"
             )
     except BudgetExceededError:
-        notes.append("augmented matching search hit the node budget")
+        notes.append("augmented matching search is indeterminate")
     return CaseSplitReport(
         branch="non-contains",
         containment=containment,

@@ -215,17 +215,6 @@ def min_fractional_cover(H: KGraph) -> tuple[Fraction, VertexWeights]:
     return value, cover
 
 
-def check_duality(H: KGraph) -> bool:
-    """True iff the exact matching and cover optima coincide.
-
-    Strong duality guarantees this for every input; a False (or an exception
-    from witness verification) indicates an implementation bug, never a
-    property of the graph.
-    """
-    _, assignment, cover = solve_fractional(H)
-    return assignment.value() == cover.total()
-
-
 def clique_window_matching(n: int, k: int) -> FractionalAssignment:
     """Weight 1/k on the n cyclic windows {i, ..., i+k-1} (mod n) of K_n^k.
 

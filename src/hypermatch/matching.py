@@ -7,10 +7,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 from typing import Iterable, Sequence
 
-from .core import EdgeT, KGraph, Matching
+from .core import EdgeT, KGraph, Matching, node_budget
 from .errors import BudgetExceededError, InvalidQueryError, PreconditionError
 from .lp import FractionalAssignment
 
@@ -78,22 +77,17 @@ def _greedy_cover_bound(edge_masks: list[int], cap: int) -> int:
     return size if not live else cap
 
 
-def exact_nu(
-    H: KGraph,
-    *,
-    node_budget: int | None = None,
-    use_lp_bound: bool = False,
-) -> tuple[int, Matching]:
+def exact_nu(H: KGraph) -> tuple[int, Matching]:
     """Exact maximum matching by branch and bound, with a witness.
 
     Branches on the lowest-indexed vertex still covered by a live edge:
     either one of its live edges joins the matching, or the vertex is set
-    aside uncovered. Pruning uses the floor((free vertices)/k) bound, a
-    greedy vertex-cover bound on the live edges, and optionally the exact
-    fractional optimum (use_lp_bound; off by default, it costs an LP solve
-    per node). Worst case is exponential; intended for n up to about 30 at
-    k = 3. node_budget limits the search and raises BudgetExceededError.
+    aside uncovered. Pruning uses the floor((free vertices)/k) bound and a
+    greedy vertex-cover bound on the live edges. Worst case is exponential;
+    intended for n up to about 30 at k = 3. Raises BudgetExceededError once
+    the search passes node_budget() nodes.
     """
+    budget = node_budget()
     n, k = H.n, H.k
     masks = H.edge_masks
     edges = H.edges
@@ -115,18 +109,10 @@ def exact_nu(
 
     nodes = 0
 
-    def lp_bound(live_mask_blocked: int) -> Fraction:
-        from .lp import max_fractional_matching
-
-        live_edges = [e for e, m in zip(edges, masks) if not m & live_mask_blocked]
-        sub = KGraph._from_sorted(n, k, live_edges)
-        val, _ = max_fractional_matching(sub)
-        return val
-
     def walk(used: int, excluded: int, count: int, chosen: list[EdgeT]) -> None:
         nonlocal nodes, best, best_edges
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if nodes > budget:
             raise BudgetExceededError("exact_nu node budget exceeded", nodes=nodes)
         if count > best:
             best = count
@@ -151,8 +137,6 @@ def exact_nu(
         live_masks = [m for m in masks if not m & blocked]
         cover = _greedy_cover_bound(live_masks, cap)
         if count + min(cap, cover) <= best:
-            return
-        if use_lp_bound and count + floor(lp_bound(blocked)) <= best:
             return
         for i in live_of_v:
             chosen.append(edges[i])

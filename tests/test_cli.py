@@ -59,9 +59,11 @@ class TestSolvers:
     def test_nu_budget_exit_code(self, capsys, monkeypatch):
         from hypermatch import build_Hknm
 
-        text = format_graph(build_Hknm(12, 3, 4)[0])
-        code, out = run(capsys, "nu", "--budget", "2", stdin=text, monkeypatch=monkeypatch)
-        assert code == 2 and "indeterminate" in out
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "2")
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(build_Hknm(12, 3, 4)[0])))
+        code = main(["nu"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "indeterminate after 3 nodes\n")
 
     def test_frac(self, capsys, monkeypatch):
         text = format_graph(complete(5, 3))
@@ -250,3 +252,42 @@ class TestVerifySearchReport:
             main(["--help"])
         out = capsys.readouterr().out
         assert "HYPERMATCH_NODE_BUDGET" in out
+
+
+BUDGETED_COMMANDS = {
+    "nu": ["nu"],
+    "pipeline": ["pipeline", "--m", "2", "--r", "5"],
+    "verify": ["verify", "--ks", "3", "--n-max", "6"],
+    "contain": ["contain", "--m", "3", "--eps", "1/100", "--mode", "exhaustive"],
+}
+
+
+class TestNodeBudget:
+    """HYPERMATCH_NODE_BUDGET is the one budget; main reports a hit or a bad value."""
+
+    def _main(self, capsys, monkeypatch, budget, argv):
+        from hypermatch import build_Hknm
+
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", budget)
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(build_Hknm(12, 3, 4)[0])))
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(BUDGETED_COMMANDS))
+    def test_budget_hit_exits_2(self, capsys, monkeypatch, command):
+        code, err = self._main(capsys, monkeypatch, "1", BUDGETED_COMMANDS[command])
+        assert code == 2
+        assert err.startswith("indeterminate after ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("budget", ["abc", "0", "-5", "1.5", " 7"])
+    @pytest.mark.parametrize("command", list(BUDGETED_COMMANDS))
+    def test_malformed_budget_is_a_clean_error(self, capsys, monkeypatch, command, budget):
+        code, err = self._main(capsys, monkeypatch, budget, BUDGETED_COMMANDS[command])
+        assert code == 1
+        assert err.startswith("error: HYPERMATCH_NODE_BUDGET") and err.count("\n") == 1
+
+    def test_nu_has_no_budget_flags(self, capsys):
+        for flag in ("--budget", "--lp-bound"):
+            with pytest.raises(SystemExit) as info:
+                main(["nu", flag])
+            assert info.value.code == 1

@@ -13,7 +13,7 @@ from hypermatch.containment import (
     subset_density_check,
     vertex_template_deficits,
 )
-from hypermatch.errors import InvalidQueryError
+from hypermatch.errors import BudgetExceededError, InvalidQueryError
 
 
 def part_for(n, W):
@@ -91,6 +91,16 @@ class TestEpsContains:
             loc = eps_contains(H, 3, 0, mode="local")
             assert loc.deficiency >= exh.deficiency
             assert loc.search_mode == "local-search"
+
+    def test_exhaustive_obeys_node_budget(self, monkeypatch):
+        H = complete(9, 3)  # C(9, 2) = 36 choices of W
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "35")
+        with pytest.raises(BudgetExceededError):
+            eps_contains(H, 3, 0, mode="exhaustive")
+        assert eps_contains(H, 3, 0).search_mode == "local-search"
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "36")
+        assert eps_contains(H, 3, 0, mode="exhaustive").deficiency == 0
+        assert eps_contains(H, 3, 0).search_mode == "exhaustive"
 
     def test_bound_comparison_is_exact(self):
         H, _ = build_Hknm(9, 3, 3)

@@ -23,8 +23,8 @@ from hypermatch import (
     stable_closure,
     verify_matching,
 )
-from hypermatch.core import handshake_bound
-from hypermatch.errors import InvalidQueryError
+from hypermatch.core import DEFAULT_NODE_BUDGET, handshake_bound, node_budget
+from hypermatch.errors import BudgetExceededError, InvalidQueryError
 from hypermatch.matching import NibbleConfig, nibble_matching_report
 
 
@@ -202,6 +202,24 @@ class TestIndependence:
         for _ in range(5):
             S = rng.sample(range(1, 10), rng.randint(3, 8))
             assert independence_number(induced(H, S)) <= independence_number(H)
+
+    def test_budget_raises(self, monkeypatch):
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
+        with pytest.raises(BudgetExceededError) as info:
+            independence_number(h933())
+        assert info.value.nodes == 2
+
+
+class TestNodeBudget:
+    def test_default_when_unset_or_empty(self, monkeypatch):
+        monkeypatch.delenv("HYPERMATCH_NODE_BUDGET", raising=False)
+        assert node_budget() == DEFAULT_NODE_BUDGET
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "")
+        assert node_budget() == DEFAULT_NODE_BUDGET
+
+    def test_reads_positive_integer(self, monkeypatch):
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "250")
+        assert node_budget() == 250
 
 
 class TestStability:

@@ -75,9 +75,9 @@ class TestConjectureSearch:
         from hypermatch.harness import _reverify_counterexample
 
         H, _ = build_Hknm(9, 3, 3)  # delta1 = 13, nu = 2
-        assert _reverify_counterexample(H, 3, 12, budget=10**6)  # 13 > 12 and 2 < 3
-        assert not _reverify_counterexample(H, 3, 13, budget=10**6)  # filter fails
-        assert not _reverify_counterexample(H, 2, 12, budget=10**6)  # nu not below m
+        assert _reverify_counterexample(H, 3, 12)  # 13 > 12 and 2 < 3
+        assert not _reverify_counterexample(H, 3, 13)  # filter fails
+        assert not _reverify_counterexample(H, 2, 12)  # nu not below m
 
     def test_deterministic_reports(self):
         a = conjecture_search(9, 3, 2, trials=25, seed=9)

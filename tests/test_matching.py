@@ -64,11 +64,6 @@ class TestExactNu:
             assert nu == oracles.brute_nu(H.edges)
             assert verify_matching(H, M) and len(M) == nu
 
-    def test_lp_bound_mode_agrees(self, rng):
-        for trial in range(5):
-            H = random_kgraph(8, 3, 0.3, seed=trial)
-            assert exact_nu(H)[0] == exact_nu(H, use_lp_bound=True)[0]
-
     def test_vertex_deletion_drops_nu_by_at_most_one(self, rng):
         for trial in range(8):
             H = random_kgraph(8, 3, 0.4, seed=50 + trial)
@@ -85,11 +80,13 @@ class TestExactNu:
             assert nu_aug >= nu
             assert nu >= nu_aug - r
 
-    def test_budget_raises(self):
+    def test_budget_raises(self, monkeypatch):
         # greedy seeds 2 here but nu = 3, so the search must expand
         H, _ = build_Hknm(12, 3, 4)
-        with pytest.raises(BudgetExceededError):
-            exact_nu(H, node_budget=2)
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "2")
+        with pytest.raises(BudgetExceededError) as info:
+            exact_nu(H)
+        assert info.value.nodes == 3
 
     def test_fractional_upper_bound(self, rng):
         for trial in range(6):
