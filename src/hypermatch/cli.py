@@ -4,7 +4,9 @@ Subcommands: gen, nu, frac, contain, nibble, pipeline, verify, search,
 report. Graphs travel in the plain text format (header "k n", one ascending
 edge per line, '#' comments). Exit codes: 0 all assertions passed, 1
 assertion failure, malformed input or a malformed command line, 2
-indeterminate (a search hit its node budget). The budget is set only by the
+indeterminate (a search hit its node budget). main alone maps package errors
+to these codes, with one line on stderr; a pipeline run that fails or hits
+the budget first writes its partial trace. The budget is set only by the
 environment variable HYPERMATCH_NODE_BUDGET and caps every exponential
 search: exact_nu, independence_number and exhaustive containment, so it
 covers nu, pipeline, verify, search and contain.
@@ -29,7 +31,7 @@ from .constructions import (
 )
 from .containment import classify_good_bad, eps_contains
 from .core import DEFAULT_NODE_BUDGET, NODE_BUDGET_ENV, format_graph, parse_graph
-from .errors import BudgetExceededError, HypermatchError, StepFailureError
+from .errors import BudgetExceededError, HypermatchError
 from .harness import conjecture_search, emit_report, load_report, tightness_grid, verify_tightness
 from .lp import solve_fractional
 from .matching import NibbleConfig, exact_nu, nibble_matching_report
@@ -153,17 +155,16 @@ def _cmd_nibble(args) -> int:
     return 0
 
 
+def _write_trace(args, trace) -> None:
+    _write(args, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in trace.records()))
+
+
 def _cmd_pipeline(args) -> int:
     H = parse_graph(_read_input(args))
     cfg = PipelineConfig(eta=args.eta, rho=args.rho, eps=args.eps)
     r = args.r if args.r is not None else build_augmented(H, args.m, cfg.eta)[1]
-    code = 0
-    try:
-        _, trace = fractional_pm_pipeline(H, args.m, r, cfg, route=args.route)
-    except StepFailureError as ex:  # the pipeline attaches its partial trace
-        trace, code = ex.trace, 1
-    _write(args, "\n".join(json.dumps(rec, sort_keys=True) for rec in trace.records()) + "\n")
-    return code
+    _write_trace(args, fractional_pm_pipeline(H, args.m, r, cfg, route=args.route)[1])
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -301,7 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except HypermatchError as ex:
+            if ex.trace is not None:  # a pipeline run writes its partial trace
+                _write_trace(args, ex.trace)
+            raise
     except BudgetExceededError as ex:
         print(f"indeterminate after {ex.nodes} nodes", file=sys.stderr)
         return 2

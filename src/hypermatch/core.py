@@ -58,23 +58,19 @@ class KGraph:
     n: int
     k: int
 
-    def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]], validate: bool = True):
+    def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]]):
         _check_shape(n, k)
-        if validate:
-            canon = set()
-            for e in edges:
-                t = tuple(sorted(e))
-                if len(t) != k or len(set(t)) != k:
-                    raise InvalidQueryError(f"edge {t!r} is not a set of {k} distinct vertices")
-                if t[0] < 1 or t[-1] > n:
-                    raise InvalidQueryError(f"edge {t!r} out of vertex range 1..{n}")
-                canon.add(t)
-            edges = tuple(sorted(canon))
-        else:
-            edges = tuple(tuple(e) for e in edges)
+        canon = set()
+        for e in edges:
+            t = tuple(sorted(e))
+            if len(t) != k or len(set(t)) != k:
+                raise InvalidQueryError(f"edge {t!r} is not a set of {k} distinct vertices")
+            if t[0] < 1 or t[-1] > n:
+                raise InvalidQueryError(f"edge {t!r} out of vertex range 1..{n}")
+            canon.add(t)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"KGraph is immutable; cannot set {name!r}")
@@ -83,19 +79,23 @@ class KGraph:
         raise AttributeError(f"KGraph is immutable; cannot delete {name!r}")
 
     @classmethod
-    def _from_sorted(cls, n: int, k: int, edges: Iterable[Sequence[int]]) -> "KGraph":
+    def _from_sorted(cls, n: int, k: int, edges: Iterable[EdgeT]) -> "KGraph":
         """Trusted constructor: edges must already be canonical (sorted, unique)."""
-        return cls(n, k, edges, validate=False)
+        return cls._trusted(n, k, "edges", tuple(edges))
 
     @classmethod
     def _from_array(cls, n: int, k: int, arr) -> "KGraph":
         """Trusted constructor: arr must be a canonical (lexicographically
         sorted, unique rows) C-contiguous int32 (e, k) array of vertices."""
+        return cls._trusted(n, k, "edge_array", arr)
+
+    @classmethod
+    def _trusted(cls, n: int, k: int, form: str, edges) -> "KGraph":
         _check_shape(n, k)
         H = cls.__new__(cls)
         object.__setattr__(H, "n", n)
         object.__setattr__(H, "k", k)
-        object.__setattr__(H, "edge_array", arr)
+        object.__setattr__(H, form, edges)
         return H
 
     @property

@@ -2,7 +2,10 @@
 
 
 class HypermatchError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package. An error raised inside a
+    pipeline step carries the trace so far as `trace`."""
+
+    trace = None
 
 
 class InvalidQueryError(HypermatchError, ValueError):
@@ -30,11 +33,7 @@ class BudgetExceededError(HypermatchError, RuntimeError):
 
 
 class StepFailureError(HypermatchError, RuntimeError):
-    """A constructive pipeline step could not be completed; carries the trace so far."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """A constructive pipeline step could not be completed."""
 
 
 class InternalContradictionError(HypermatchError, RuntimeError):
@@ -43,7 +42,6 @@ class InternalContradictionError(HypermatchError, RuntimeError):
     This indicates a bug in the implementation, never a property of the input.
     """
 
-    def __init__(self, message: str, check: str = "", trace=None):
+    def __init__(self, message: str, check: str = ""):
         super().__init__(message)
         self.check = check
-        self.trace = trace

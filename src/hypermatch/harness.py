@@ -56,9 +56,9 @@ class TightnessFailure(HypermatchError, AssertionError):
 class ExperimentReport:
     """Structured record of a verification run.
 
-    runtime_s is kept in memory for operators but excluded from serialized
-    output by default so that (inputs, seed, version) fully determine the
-    emitted bytes.
+    runtime_s is kept in memory for operators and serialized only on request
+    (emit_report's include_timings), so that by default (inputs, seed,
+    version) fully determine the emitted bytes.
     """
 
     experiment: str
@@ -87,7 +87,8 @@ def emit_report(report: ExperimentReport, fmt: str = "records", include_timings:
 
     records: one JSON object per line (header, instances, counterexamples),
     parsed back by load_report. rows: a comma-separated table of the
-    instances. Identical inputs yield byte-identical output.
+    instances. Identical inputs yield byte-identical output. include_timings
+    adds runtime_s to the records header and keeps timing keys in instances.
     """
     if fmt == "records":
         head = {
@@ -98,6 +99,8 @@ def emit_report(report: ExperimentReport, fmt: str = "records", include_timings:
             "version": report.version,
             "incomplete": report.incomplete,
         }
+        if include_timings:
+            head["runtime_s"] = report.runtime_s
         tagged = [("instance", r) for r in report.instances]
         tagged += [("counterexample", r) for r in report.counterexamples]
         records = [head] + [{"record": kind, **_clean(r, include_timings)} for kind, r in tagged]
@@ -361,7 +364,9 @@ def case_split_demo(
     at this scale. Non-contains branch: pad with a clique, run the
     fractional pipeline for the fractional certificate, and look for an
     integral matching of size m + r in the augmented graph, which yields
-    nu(H) >= m by stripping the at-most-r clique-touching edges.
+    nu(H) >= m by stripping the at-most-r clique-touching edges. A node
+    budget hit in either branch propagates as BudgetExceededError, with the
+    pipeline's trace when the pipeline raised it.
     """
     containment = eps_contains(H, m, eps)
     notes: list[str] = []
@@ -394,31 +399,23 @@ def case_split_demo(
     aug, r = build_augmented(H, m, cfg.eta)
     value = None
     error = None
-    trace = None
     try:
         phi, trace = fractional_pm_pipeline(H, m, r, cfg, route=route)
         value = trace.value
     except StepFailureError as ex:
         error = str(ex)
         trace = ex.trace
-    aug_nu = None
     size = None
     concludes = None
-    try:
-        aug_nu, M_aug = exact_nu(aug)
-        if aug_nu >= m + r:
-            inside = [e for e in M_aug.edges if all(v <= H.n for v in e)]
-            size = len(inside)
-            concludes = size >= m
-            if concludes and not verify_matching(H, Matching.from_edges(inside)):
-                raise HypermatchError("stripped matching is invalid in the base graph")
-        else:
-            concludes = None
-            notes.append(
-                f"augmented matching {aug_nu} below m+r={m + r}; no integral conclusion"
-            )
-    except BudgetExceededError:
-        notes.append("augmented matching search is indeterminate")
+    aug_nu, M_aug = exact_nu(aug)
+    if aug_nu >= m + r:
+        inside = [e for e in M_aug.edges if all(v <= H.n for v in e)]
+        size = len(inside)
+        concludes = size >= m
+        if concludes and not verify_matching(H, Matching.from_edges(inside)):
+            raise HypermatchError("stripped matching is invalid in the base graph")
+    else:
+        notes.append(f"augmented matching {aug_nu} below m+r={m + r}; no integral conclusion")
     return CaseSplitReport(
         branch="non-contains",
         containment=containment,

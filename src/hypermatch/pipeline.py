@@ -42,6 +42,8 @@ from .core import (
     verify_matching,
 )
 from .errors import (
+    BudgetExceededError,
+    HypermatchError,
     InfeasibleAugmentationError,
     InternalContradictionError,
     InvalidQueryError,
@@ -141,12 +143,54 @@ def minimal_feasible_r(n: int, k: int, m: int) -> int:
     return k + max(0, ceil(Fraction(n - k * m, k - 1)))
 
 
-@dataclass
 class TraceStep:
-    name: str
-    status: str  # "ok" | "failed" | "skipped"
-    seconds: float
-    details: dict
+    """One pipeline step, timed from its creation; use as
+    ``with trace.step(name) as st:``.
+
+    status is "ok", "failed", "skipped" or "indeterminate". The block may set
+    name, status and details. The step is appended to its trace however the
+    block ends: as the block left it when no exception is raised;
+    "indeterminate" with the message and node count on a budget hit; and
+    "failed" with the message for any other exception that fail or
+    contradict did not already mark. A HypermatchError leaving the block
+    carries the trace.
+    """
+
+    def __init__(self, trace: PipelineTrace, name: str):
+        self.trace = trace
+        self.name = name
+        self.status = "ok"
+        self.details: dict = {}
+        self.seconds = 0.0
+        self.t0 = time.perf_counter()
+
+    def __enter__(self) -> TraceStep:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if isinstance(exc, BudgetExceededError):
+            self.status = "indeterminate"
+            self.details = {"message": str(exc), "nodes": exc.nodes}
+        elif exc is not None and self.status != "failed":
+            self.status = "failed"
+            self.details = {"message": str(exc)}
+        self.seconds = time.perf_counter() - self.t0
+        self.trace.steps.append(self)
+        if isinstance(exc, HypermatchError) and exc.trace is None:
+            exc.trace = self.trace
+
+    def fail(self, message: str, step: str | None = None, **details):
+        """Mark the step failed, with the message and details (under the name
+        ``step`` if given), and raise StepFailureError."""
+        self.name, self.status = step or self.name, "failed"
+        self.details = {"message": message, **details}
+        raise StepFailureError(message)
+
+    def contradict(self, message: str, step: str | None = None, **details):
+        """Mark the step failed like fail, and raise InternalContradictionError."""
+        self.name, self.status = step or self.name, "failed"
+        self.details = {"message": message, **details}
+        raise InternalContradictionError(message, check=self.name)
 
     def record(self) -> dict:
         return {"step": self.name, "status": self.status, **_plain(self.details)}
@@ -177,9 +221,9 @@ class PipelineTrace:
     relabel_old_to_new: tuple[int, ...] = ()
     constants: dict = field(default_factory=dict)
 
-    def step(self, name: str) -> _Step:
+    def step(self, name: str) -> TraceStep:
         """Start timing a step; use as ``with trace.step(name) as st:``."""
-        return _Step(self, name)
+        return TraceStep(self, name)
 
     def records(self) -> list[dict]:
         head = {
@@ -196,50 +240,6 @@ class PipelineTrace:
             "constants": _plain(self.constants),
         }
         return [head] + [st.record() for st in self.steps]
-
-
-class _Step:
-    """A pipeline step in progress, timed from its creation.
-
-    The block may set name, status and details. The step is appended to the
-    trace when the block ends without an exception; fail and contradict
-    append it as failed, with only the message and the given details (under
-    the name ``step`` if given), and raise with the trace attached.
-    """
-
-    def __init__(self, trace: PipelineTrace, name: str):
-        self.trace = trace
-        self.name = name
-        self.status = "ok"
-        self.details: dict = {}
-        self.t0 = time.perf_counter()
-
-    def __enter__(self) -> _Step:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self._end()
-
-    def _end(self) -> None:
-        seconds = time.perf_counter() - self.t0
-        self.trace.steps.append(TraceStep(self.name, self.status, seconds, self.details))
-
-    def _end_with(self, message: str, step: str | None, details: dict) -> None:
-        self.name = step or self.name
-        self.status = "failed"
-        self.details = {"message": message, **details}
-        self._end()
-
-    def fail(self, message: str, step: str | None = None, **details):
-        """Append the step as failed and raise StepFailureError."""
-        self._end_with(message, step, details)
-        raise StepFailureError(message, trace=self.trace)
-
-    def contradict(self, message: str, step: str | None = None, **details):
-        """Append the step as failed and raise InternalContradictionError."""
-        self._end_with(message, step, details)
-        raise InternalContradictionError(message, check=self.name, trace=self.trace)
 
 
 def _complete_block_size(m: int, eps: Fraction, n: int) -> int:
@@ -294,8 +294,9 @@ def fractional_pm_pipeline(
     (on the weight-sorted labels; the trace carries the relabeling) plus the
     step trace. Structural certificates that hold unconditionally (stable
     link, neighborhood transfer) raise InternalContradictionError on failure;
-    steps whose guarantees are only asymptotic raise StepFailureError with
-    the trace attached.
+    steps whose guarantees are only asymptotic raise StepFailureError. Every
+    error raised inside a step, a node budget hit included, carries the
+    trace so far.
     """
     if route not in ("auto", "exact", "greedy"):
         raise InvalidQueryError(f"route must be auto|exact|greedy, got {route!r}")
@@ -325,11 +326,12 @@ def fractional_pm_pipeline(
         tau_value, matching, cover = solve_fractional(H_aug)
         st.details = {"tau": tau_value, "target": target}
     if tau_value < target:
-        trace.step("cover_certificate").fail(
-            "cover below (n+r)/k certifies that no perfect fractional matching exists",
-            tau=tau_value,
-            target=target,
-        )
+        with trace.step("cover_certificate") as st:
+            st.fail(
+                "cover below (n+r)/k certifies that no perfect fractional matching exists",
+                tau=tau_value,
+                target=target,
+            )
 
     # sort the original vertices by weight; clique labels stay on top
     with trace.step("relabel") as st:
@@ -422,7 +424,7 @@ def fractional_pm_pipeline(
         M_used = {v for e in M for v in e}
         leftover = [v for v in range(1, n + 1) if v not in M_used]
         q_free = list(range(n + s + 1, n + r + 1))
-        completion = _complete_through_clique(closure, leftover, q_free, k)
+        completion = _complete_through_clique(leftover, q_free, k)
         if completion is None:
             live = leftover + q_free
             completion = _exact_perfect_matching(closure, live)
@@ -590,7 +592,7 @@ def _block_route_matching(
 
 
 def _transfer(
-    st: _Step, link_edges, blocked: set[int], core_graph: KGraph, n: int, step: str | None = None
+    st: TraceStep, link_edges, blocked: set[int], core_graph: KGraph, n: int, step: str | None = None
 ) -> list[EdgeT]:
     """Extend each link edge of vertex n by its own unblocked vertex of [n].
 
@@ -607,11 +609,10 @@ def _transfer(
     return out
 
 
-def _complete_through_clique(
-    closure: KGraph, leftover: list[int], q_free: list[int], k: int
-) -> list[EdgeT] | None:
+def _complete_through_clique(leftover: list[int], q_free: list[int], k: int) -> list[EdgeT] | None:
     """Greedy perfect matching: k-1 leftover vertices plus one clique vertex
     per edge, then pure clique edges. Returns None when the clique runs dry.
+    Every edge meets the clique, so it lies in the closure.
     """
     edges: list[EdgeT] = []
     q = list(q_free)
@@ -629,9 +630,6 @@ def _complete_through_clique(
         return None
     for j in range(0, len(q), k):
         edges.append(tuple(q[j : j + k]))
-    for e in edges:
-        if e not in closure.edge_set:
-            return None
     return edges
 
 

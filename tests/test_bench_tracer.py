@@ -4,17 +4,24 @@ show when `perfbench/run.py --trace 1` runs."""
 
 import functools
 import importlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from hypermatch import complete
 from hypermatch.core import KGraph
+from hypermatch.pipeline import PipelineConfig, build_augmented, fractional_pm_pipeline
+
+
+def _perfbench_module(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module(name)
 
 
 @pytest.fixture
 def tracing(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    return importlib.import_module("tracing")
+    return _perfbench_module(monkeypatch, "tracing")
 
 
 def test_traced_functions_resolve(tracing):
@@ -26,3 +33,14 @@ def test_traced_functions_resolve(tracing):
 def test_lazy_indexes_are_cached_properties(tracing):
     for attr in tracing.LAZY_INDEXES:
         assert isinstance(KGraph.__dict__.get(attr), functools.cached_property), attr
+
+
+def test_pipeline_steps_are_the_ones_the_worker_sums(monkeypatch):
+    # the worker adds st.seconds per st.name over trace.steps, keyed on
+    # PIPELINE_STEPS; the README pipeline example must fill those rows
+    worker = _perfbench_module(monkeypatch, "worker")
+    H, cfg = complete(12, 3), PipelineConfig(eta=Fraction(1, 12))
+    _, trace = fractional_pm_pipeline(H, 3, build_augmented(H, 3, cfg.eta)[1], cfg)
+    for st in trace.steps:
+        assert st.name in worker.PIPELINE_STEPS, st.name
+        assert isinstance(st.seconds, float) and st.seconds >= 0, st.name

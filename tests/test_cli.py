@@ -123,6 +123,13 @@ class TestSolvers:
         assert code == 1
         assert err.startswith("error: ") and "missing.txt" in err and err.count("\n") == 1
 
+    def test_unwritable_trace_output_is_a_clean_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 12\n"))  # the pipeline fails
+        code = main(["pipeline", "--m", "3", "--out", str(tmp_path / "no-dir" / "trace.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "trace.jsonl" in err and err.count("\n") == 1
+
     def test_contain(self, capsys, monkeypatch):
         from hypermatch import build_Hknm
 
@@ -207,6 +214,14 @@ def test_pipeline_records_golden(capsys, monkeypatch, graph, argv, code, golden)
     assert got == (code, "\n".join(golden) + "\n")
 
 
+def test_pipeline_failure_writes_its_trace_then_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 12\n"))
+    code = main(["pipeline", "--m", "3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "\n".join(GOLDEN_EDGELESS_12) + "\n")
+    assert err == "error: cover below (n+r)/k certifies that no perfect fractional matching exists\n"
+
+
 class TestVerifySearchReport:
     def test_verify_small_grid(self, capsys):
         code, out = run(capsys, "verify", "--ks", "3", "--n-max", "7")
@@ -285,6 +300,32 @@ class TestNodeBudget:
         code, err = self._main(capsys, monkeypatch, budget, BUDGETED_COMMANDS[command])
         assert code == 1
         assert err.startswith("error: HYPERMATCH_NODE_BUDGET") and err.count("\n") == 1
+
+    def test_pipeline_budget_hit_writes_its_partial_trace(self, capsys, monkeypatch):
+        from hypermatch import build_Hknm
+
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(build_Hknm(12, 3, 4)[0])))
+        code = main(BUDGETED_COMMANDS["pipeline"])
+        out, err = capsys.readouterr()
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 2
+        assert [(r["step"], r["status"]) for r in records] == [
+            ("summary", "incomplete"),
+            ("preconditions", "indeterminate"),
+        ]
+        assert records[1]["message"] == "independence_number node budget exceeded"
+        assert err == f"indeterminate after {records[1]['nodes']} nodes\n"
+
+    def test_search_budget_hit_marks_the_report_incomplete(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
+        argv = ["search", "--n", "10", "--k", "3", "--m", "2", "--trials", "5", "--seed", "0"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        records = [json.loads(line) for line in out.splitlines()]
+        assert (code, err) == (2, "")
+        assert records[0]["record"] == "report" and records[0]["incomplete"] is True
+        assert any(r.get("status") == "indeterminate" for r in records[1:])
 
     def test_nu_has_no_budget_flags(self, capsys):
         for flag in ("--budget", "--lp-bound"):

@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from hypermatch import KGraph, build_Hknm, complete, min_l_degree, vertex_degree_threshold
+from hypermatch.errors import BudgetExceededError
 from hypermatch.harness import (
     ExperimentReport,
     TightnessFailure,
@@ -109,6 +111,14 @@ class TestReports:
         assert "runtime" not in emit_report(rep, "records")
         assert "0.123" in emit_report(rep, "records", include_timings=True)
 
+    def test_timings_put_the_runtime_in_the_header(self):
+        rep = verify_tightness([(6, 3, 2)])
+        plain = json.loads(emit_report(rep).splitlines()[0])
+        timed = json.loads(emit_report(rep, include_timings=True).splitlines()[0])
+        assert "runtime_s" not in plain
+        assert timed.pop("runtime_s") == rep.runtime_s > 0
+        assert timed == plain
+
     def test_rows_header_and_blanks(self):
         text = emit_report(self._sample(), "rows")
         lines = text.splitlines()
@@ -153,6 +163,26 @@ class TestCaseSplit:
         assert rep.pipeline_error is not None
         assert rep.pipeline_trace.preconditions["degree_ok"] is False
         assert rep.concludes is None
+
+    def test_budget_hit_propagates_from_the_contains_branch(self, monkeypatch):
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
+        with pytest.raises(BudgetExceededError):
+            case_split_demo(build_Hknm(9, 3, 3)[0], 3, Fraction(1, 100), Fraction(1, 10000))
+
+    def test_budget_hit_in_the_pipeline_propagates_with_its_trace(self, monkeypatch):
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
+        with pytest.raises(BudgetExceededError) as exc:
+            case_split_demo(build_Hknm(12, 3, 4)[0], 2, Fraction(1, 10**9), Fraction(1, 10000))
+        last = exc.value.trace.steps[-1]
+        assert (last.name, last.status) == ("preconditions", "indeterminate")
+
+    def test_budget_hit_in_the_augmented_matching_propagates(self, monkeypatch):
+        def out_of_budget(H):
+            raise BudgetExceededError("exact_nu node budget exceeded", nodes=3)
+
+        monkeypatch.setattr("hypermatch.harness.exact_nu", out_of_budget)
+        with pytest.raises(BudgetExceededError):
+            case_split_demo(KGraph(12, 3, []), 3, Fraction(1, 10**6), Fraction(1, 10000))
 
     def test_dense_random_non_contains_concludes_integrally(self):
         from hypermatch import random_kgraph

@@ -16,8 +16,11 @@ from hypermatch import (
     random_kgraph,
 )
 from hypermatch.errors import (
+    BudgetExceededError,
     InfeasibleAugmentationError,
+    InternalContradictionError,
     InvalidQueryError,
+    PreconditionError,
     StepFailureError,
 )
 from hypermatch.matching import exact_nu
@@ -142,6 +145,43 @@ class TestPipeline:
         last = exc.value.trace.steps[-1]
         assert (last.name, last.status) == ("clique_completion", "failed")
         assert last.details["leftover"] == 4 and last.details["clique_free"] == 0
+
+    def test_budget_hit_inside_a_step_is_indeterminate(self, monkeypatch):
+        def out_of_budget(H):
+            raise BudgetExceededError("exact_nu node budget exceeded", nodes=7)
+
+        monkeypatch.setattr("hypermatch.pipeline.exact_nu", out_of_budget)
+        with pytest.raises(BudgetExceededError) as exc:
+            fractional_pm_pipeline(complete(12, 3), 3, 1, PipelineConfig(eta=Fraction(1, 12)))
+        last = exc.value.trace.steps[-1]
+        assert (last.name, last.status) == ("find_matching", "indeterminate")
+        assert last.record() == {
+            "step": "find_matching",
+            "status": "indeterminate",
+            "message": "exact_nu node budget exceeded",
+            "nodes": 7,
+        }
+        assert [s.status for s in exc.value.trace.steps[:-1]] == ["ok"] * 7
+
+    def test_unmarked_package_error_inside_a_step_is_failed(self, monkeypatch):
+        def broken(H):
+            raise PreconditionError("link graph rejected")
+
+        monkeypatch.setattr("hypermatch.pipeline.exact_nu", broken)
+        with pytest.raises(PreconditionError) as exc:
+            fractional_pm_pipeline(complete(12, 3), 3, 1, PipelineConfig(eta=Fraction(1, 12)))
+        last = exc.value.trace.steps[-1]
+        assert (last.name, last.status) == ("find_matching", "failed")
+        assert last.details == {"message": "link graph rejected"}
+
+    def test_contradiction_names_its_step_and_carries_the_trace(self, monkeypatch):
+        monkeypatch.setattr("hypermatch.pipeline.is_stable", lambda H: False)
+        with pytest.raises(InternalContradictionError) as exc:
+            fractional_pm_pipeline(complete(12, 3), 3, 1, PipelineConfig(eta=Fraction(1, 12)))
+        assert exc.value.check == "link_stability"
+        last = exc.value.trace.steps[-1]
+        assert (last.name, last.status) == ("link_stability", "failed")
+        assert last.details == {"message": "link of the closure is not stable"}
 
     def test_value_matches_lp_on_random_dense(self):
         from hypermatch.lp import max_fractional_matching
