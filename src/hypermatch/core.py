@@ -223,13 +223,21 @@ def degree(H: KGraph, T: Iterable[int]) -> int:
     return sum(1 for m in H.edge_masks if m & mask == mask)
 
 
+def _vertex_degrees(H: KGraph) -> list[int]:
+    """deg[v] for each vertex v (deg[0] = 0), counted from H.edges alone."""
+    deg = [0] * (H.n + 1)
+    for e in H.edges:
+        for v in e:
+            deg[v] += 1
+    return deg
+
+
 def _l_degrees(H: KGraph, l: int) -> Iterable[int]:
     if l == 0:
         yield H.num_edges
         return
     if l == 1:
-        for v in H.vertices():
-            yield len(H.vertex_edges[v - 1])
+        yield from _vertex_degrees(H)[1:]
         return
     masks = H.edge_masks
     for T in combinations(H.vertices(), l):
@@ -433,9 +441,13 @@ def handshake_bound(H: KGraph, l: int):
 
 
 def format_graph(H: KGraph) -> str:
-    lines = [f"{H.k} {H.n}"]
-    lines.extend(" ".join(str(v) for v in e) for e in H.edges)
-    return "\n".join(lines) + "\n"
+    edges = H.edges
+    row = " ".join(["%d"] * H.k) + "\n"
+    parts = [f"{H.k} {H.n}\n"]
+    for i in range(0, len(edges), 4096):
+        blk = edges[i : i + 4096]
+        parts.append(row * len(blk) % tuple(chain.from_iterable(blk)))
+    return "".join(parts)
 
 
 def parse_graph(text: str) -> KGraph:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import EdgeT, KGraph, Matching, node_budget
+from .core import EdgeT, KGraph, Matching, _vertex_degrees, node_budget
 from .errors import BudgetExceededError, InvalidQueryError, PreconditionError
 from .lp import FractionalAssignment
 
@@ -82,10 +82,12 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
 
     Branches on the lowest-indexed vertex still covered by a live edge:
     either one of its live edges joins the matching, or the vertex is set
-    aside uncovered. Pruning uses the floor((free vertices)/k) bound and a
-    greedy vertex-cover bound on the live edges. Worst case is exponential;
-    intended for n up to about 30 at k = 3. Raises BudgetExceededError once
-    the search passes node_budget() nodes.
+    aside uncovered. Every vertex tries its edges in one order: by the
+    edge's total vertex degree, ties by index. Pruning uses the
+    floor((free vertices)/k) bound and a greedy vertex-cover bound on the
+    live edges, and a greedy seed with floor(n/k) edges is returned at once.
+    Worst case is exponential; intended for n up to about 30 at k = 3.
+    Raises BudgetExceededError once the search passes node_budget() nodes.
     """
     budget = node_budget()
     n, k = H.n, H.k
@@ -94,18 +96,17 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
 
     seed_matching = greedy_matching(H)
     best = len(seed_matching)
+    if best == n // k:
+        return best, seed_matching
     best_edges = list(seed_matching.edges)
 
-    # deterministic edge order per vertex: prefer edges whose other endpoints
-    # have small total degree (they consume scarce vertices first)
-    static_deg = [len(H.vertex_edges[v - 1]) for v in range(1, n + 1)]
-    by_vertex: list[list[int]] = []
-    for v in range(1, n + 1):
-        idxs = sorted(
-            H.vertex_edges[v - 1],
-            key=lambda i: (sum(static_deg[u - 1] for u in edges[i] if u != v), i),
-        )
-        by_vertex.append(idxs)
+    # in v's list, other endpoints' degree w(e) - deg v orders like w(e)
+    deg = _vertex_degrees(H).__getitem__
+    weight = [sum(map(deg, e)) for e in edges]
+    by_vertex: list[list[int]] = [[] for _ in range(n)]
+    for i in sorted(range(len(edges)), key=weight.__getitem__):
+        for v in edges[i]:
+            by_vertex[v - 1].append(i)
 
     nodes = 0
 

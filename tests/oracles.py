@@ -4,7 +4,8 @@ Everything here enumerates; nothing shares code paths with the package
 implementations it is used to check. The exceptions are verbatim copies of
 code the package replaced with faster equivalents (the Fraction simplex,
 the Fraction-compare generators, the uncached nibble report, the
-tuple-built complete graph); the fast versions must reproduce them exactly.
+tuple-built complete graph, exact_nu with per-vertex edge sorts, the
+line-by-line format_graph); the fast versions must reproduce them exactly.
 """
 
 import random
@@ -13,13 +14,20 @@ from itertools import combinations
 from math import comb
 
 from hypermatch.constructions import vertex_degree_threshold
-from hypermatch.core import EdgeT, KGraph, Matching
+from hypermatch.core import EdgeT, KGraph, Matching, node_budget
 from hypermatch.errors import (
+    BudgetExceededError,
     InternalContradictionError,
     InvalidQueryError,
     SamplingExhaustedError,
 )
-from hypermatch.matching import NibbleConfig, NibbleReport, NibbleRound
+from hypermatch.matching import (
+    NibbleConfig,
+    NibbleReport,
+    NibbleRound,
+    _greedy_cover_bound,
+    greedy_matching,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -357,3 +365,91 @@ def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
     matching = Matching.from_edges(matched)
     covered = Fraction(k * len(matching.edges), n)
     return NibbleReport(matching, covered, tuple(rounds), deg_ok, cod_ok, D0, max_cod)
+
+
+# -- exact_nu before its one global edge sort and its early exit -------------
+#
+# Each vertex sorts its own edges by the other endpoints' total degree, and
+# the walk runs even when the greedy seed is already perfect. The package
+# version must return the same nu and the same witness.
+
+
+def exact_nu(H: KGraph) -> tuple[int, Matching]:
+    """Exact maximum matching by branch and bound, with a witness.
+
+    Branches on the lowest-indexed vertex still covered by a live edge:
+    either one of its live edges joins the matching, or the vertex is set
+    aside uncovered. Pruning uses the floor((free vertices)/k) bound and a
+    greedy vertex-cover bound on the live edges. Worst case is exponential;
+    intended for n up to about 30 at k = 3. Raises BudgetExceededError once
+    the search passes node_budget() nodes.
+    """
+    budget = node_budget()
+    n, k = H.n, H.k
+    masks = H.edge_masks
+    edges = H.edges
+
+    seed_matching = greedy_matching(H)
+    best = len(seed_matching)
+    best_edges = list(seed_matching.edges)
+
+    # deterministic edge order per vertex: prefer edges whose other endpoints
+    # have small total degree (they consume scarce vertices first)
+    static_deg = [len(H.vertex_edges[v - 1]) for v in range(1, n + 1)]
+    by_vertex: list[list[int]] = []
+    for v in range(1, n + 1):
+        idxs = sorted(
+            H.vertex_edges[v - 1],
+            key=lambda i: (sum(static_deg[u - 1] for u in edges[i] if u != v), i),
+        )
+        by_vertex.append(idxs)
+
+    nodes = 0
+
+    def walk(used: int, excluded: int, count: int, chosen: list[EdgeT]) -> None:
+        nonlocal nodes, best, best_edges
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError("exact_nu node budget exceeded", nodes=nodes)
+        if count > best:
+            best = count
+            best_edges = list(chosen)
+        blocked = used | excluded
+        branch_v = None
+        live_of_v: list[int] = []
+        for v in range(1, n + 1):
+            if blocked & (1 << v):
+                continue
+            live = [i for i in by_vertex[v - 1] if not masks[i] & blocked]
+            if live:
+                branch_v = v
+                live_of_v = live
+                break
+        if branch_v is None:
+            return
+        free = n - bin(blocked).count("1")
+        cap = free // k
+        if count + cap <= best:
+            return
+        live_masks = [m for m in masks if not m & blocked]
+        cover = _greedy_cover_bound(live_masks, cap)
+        if count + min(cap, cover) <= best:
+            return
+        for i in live_of_v:
+            chosen.append(edges[i])
+            walk(used | masks[i], excluded, count + 1, chosen)
+            chosen.pop()
+        walk(used, excluded | (1 << branch_v), count, chosen)
+
+    if edges:
+        walk(0, 0, 0, [])
+    return best, Matching.from_edges(best_edges)
+
+
+# -- format_graph before it wrote rows in blocks ------------------------------
+
+
+def format_graph(H: KGraph) -> str:
+    lines = [f"{H.k} {H.n}"]
+    lines.extend(" ".join(str(v) for v in e) for e in H.edges)
+    return "\n".join(lines) + "\n"

@@ -4,6 +4,9 @@ show when `perfbench/run.py --trace 1` runs."""
 
 import functools
 import importlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,3 +47,32 @@ def test_pipeline_steps_are_the_ones_the_worker_sums(monkeypatch):
     for st in trace.steps:
         assert st.name in worker.PIPELINE_STEPS, st.name
         assert isinstance(st.seconds, float) and st.seconds >= 0, st.name
+
+
+NUMPY_FREE_PATHS = """
+import sys
+from fractions import Fraction
+from hypermatch import KGraph, format_graph, random_kgraph
+from hypermatch.harness import conjecture_search
+from hypermatch.pipeline import PipelineConfig, fractional_pm_pipeline, minimal_feasible_r
+
+conjecture_search(9, 3, 2, trials=5)
+format_graph(KGraph(5, 3, [(1, 2, 3), (2, 4, 5)]))
+H = random_kgraph(9, 3, Fraction(17, 20), seed=1)
+fractional_pm_pipeline(H, 2, minimal_feasible_r(9, 3, 2), PipelineConfig())
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_search_format_and_pipeline_do_not_import_numpy():
+    # the pipeline, search and corpus workers measure peak RSS with numpy
+    # never loaded; importing it alone adds about 27 MB
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_PATHS],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

@@ -126,6 +126,7 @@ class TestComplete:
         assert np.array_equal(H.edge_array, ref.edge_array)
         assert H.edges == ref.edges
         assert format_graph(H).encode() == format_graph(ref).encode()
+        assert format_graph(H).encode() == oracles.format_graph(ref).encode()
         fresh = complete(n, k)
         assert fresh == ref and hash(fresh) == hash(ref)
         assert ref == complete(n, k)

@@ -29,10 +29,12 @@ from hypermatch.matching import NibbleConfig, nibble_matching_report
 
 
 @st.composite
-def small_kgraphs(draw, max_n=8, ks=(2, 3), max_edges=25):
+def small_kgraphs(draw, max_n=8, ks=(2, 3), max_edges=25, min_n=None):
     k = draw(st.sampled_from(ks))
-    n = draw(st.integers(min_value=k, max_value=max_n))
+    n = draw(st.integers(min_value=k if min_n is None else min_n, max_value=max_n))
     all_edges = list(combinations(range(1, n + 1), k))
+    if not all_edges:
+        return KGraph(n, k, [])
     edges = draw(st.lists(st.sampled_from(all_edges), max_size=max_edges))
     return KGraph(n, k, edges)
 
@@ -299,6 +301,11 @@ class TestInvariants:
 
 
 class TestTextFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(small_kgraphs(max_n=13, ks=(2, 3, 4), max_edges=60, min_n=0))
+    def test_matches_line_by_line_oracle(self, H):
+        assert format_graph(H).encode() == oracles.format_graph(H).encode()
+
     def test_round_trip_bit_exact(self):
         H = h933()
         text = format_graph(H)

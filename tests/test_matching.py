@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from hypermatch import (
@@ -15,7 +17,9 @@ from hypermatch import (
     space_barrier,
     verify_matching,
 )
+from hypermatch.core import min_l_degree
 from hypermatch.errors import BudgetExceededError, PreconditionError
+from hypermatch.harness import _sample_for_model
 from hypermatch.lp import FractionalAssignment, clique_window_matching, max_fractional_matching
 from hypermatch.matching import (
     NibbleConfig,
@@ -26,6 +30,14 @@ from hypermatch.matching import (
     nibble_matching_report,
     sparsify_by_fractional,
 )
+from test_core import small_kgraphs
+
+
+def search_pool_graphs():
+    """The 200 conditioned graphs of the first item of the seed-0 `search`
+    benchmark pool: conjecture_search(9, 3, 2, trials=200) at that item's seed."""
+    item_seed = random.Random("search:0").getrandbits(32)
+    return [_sample_for_model("conditioned", 9, 3, 2, None, f"{item_seed}:{t}") for t in range(200)]
 
 
 class TestExactNu:
@@ -87,6 +99,26 @@ class TestExactNu:
         with pytest.raises(BudgetExceededError) as info:
             exact_nu(H)
         assert info.value.nodes == 3
+        # a perfect greedy seed is returned before the walk, even at budget 1
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
+        G = complete(9, 3)
+        assert exact_nu(G) == (3, greedy_matching(G))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_kgraphs(max_n=13, ks=(2, 3, 4), max_edges=60, min_n=0))
+    def test_matches_oracle_with_witness(self, H):
+        assert exact_nu(H) == oracles.exact_nu(H)
+
+    def test_matches_oracle_on_search_pool(self):
+        graphs = search_pool_graphs()
+        assert [exact_nu(H) for H in graphs] == [oracles.exact_nu(H) for H in graphs]
+
+    def test_search_path_never_builds_vertex_edges(self):
+        # greedy seeds 2 but nu = 3, so the edge order is built and walked
+        H = KGraph(12, 3, build_Hknm(12, 3, 4)[0].edges)
+        min_l_degree(H, 1)
+        assert exact_nu(H)[0] == 3
+        assert "vertex_edges" not in vars(H)
 
     def test_fractional_upper_bound(self, rng):
         for trial in range(6):
