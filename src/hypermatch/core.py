@@ -49,10 +49,10 @@ class KGraph:
     graph keeps the form it was built from (the tuple, or the array for
     `_from_array`) and builds the other on first use; `num_edges` reads
     whichever is present. A hash-set membership index, per-edge vertex
-    bitmasks and per-vertex incidence lists are built lazily too and shared
-    by every operation, so instances are cheap to pass around and safe to
-    share across concurrent readers. Assigning or deleting any attribute
-    raises AttributeError.
+    bitmasks, per-vertex incidence lists and the independence number are
+    built lazily too and shared by every operation, so instances are cheap
+    to pass around and safe to share across concurrent readers. Assigning
+    or deleting any attribute raises AttributeError.
     """
 
     n: int
@@ -167,6 +167,12 @@ class KGraph:
         )
         counts = np.unique(codes, return_counts=True)[1]
         return int(degs.min()), int(degs.max()), k * e / n, int(counts.max())
+
+    @cached_property
+    def _alpha(self) -> int:
+        """The independence number, searched on first use; a search that
+        raises caches nothing."""
+        return _independence_search(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KGraph):
@@ -336,7 +342,12 @@ def independence_number(H: KGraph) -> int:
     complete-block cover bound precomputed for every suffix. Runtime is
     exponential in the worst case; intended for n up to about 40 at k = 3.
     Raises BudgetExceededError once the search passes node_budget() nodes.
+    The value is cached on H, so later calls on the same graph do no search.
     """
+    return H._alpha
+
+
+def _independence_search(H: KGraph) -> int:
     n = H.n
     budget = node_budget()
     if not H.edges:

@@ -1,14 +1,15 @@
 """Exact rational linear programming for fractional matchings and covers.
 
-One simplex solve (revised simplex, Bland's anti-cycling rule) yields both
-optima: the fractional matching from the primal basis and the fractional
-vertex cover from the duals of the final basis. The pivot loop is
-fraction-free: it runs on Python ints, keeping D = det B > 0 and the
-integer adjugate A = adj B of the basis matrix B, so B^-1 = A / D; every
-update divides exactly by the old D, and Fraction appears only in the
-returned values. solve_fractional returns both witnesses after
-re-verifying them by direct exact arithmetic, so their equal values certify
-optimality of both via weak duality independently of the pivoting path.
+One simplex solve (revised simplex, Dantzig pricing, Bland's rule after a
+run of degenerate pivots) yields both optima: the fractional matching from
+the primal basis and the fractional vertex cover from the duals of the
+final basis. The pivot loop is fraction-free: it runs on Python ints,
+keeping D = det B > 0 and the integer adjugate A = adj B of the basis
+matrix B, so B^-1 = A / D; every update divides exactly by the old D, and
+Fraction appears only in the returned values. solve_fractional returns both
+witnesses after re-verifying them by direct exact arithmetic, so their
+equal values certify optimality of both via weak duality independently of
+the pivoting path.
 
 Also: the cyclic-window perfect fractional matching of complete graphs, the
 weight-closure hypergraph of a vertex weighting, and weight-sorted vertex
@@ -21,13 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import itemgetter
 from typing import Mapping
 
 from .core import EdgeT, KGraph
 from .errors import InternalContradictionError, InvalidQueryError
 
 ZERO = Fraction(0)
+DEGENERATE_RUN = 8  # consecutive degenerate pivots before Bland's rule takes over
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,12 @@ def _solve_incidence_lp(H: KGraph) -> tuple[Fraction, dict[EdgeT, Fraction], tup
     a 0/1 incidence matrix with k ones per edge column, so reduced costs are
     priced in O(k) per column and only the m x m inverse is updated per
     pivot. The slack basis is feasible (all right-hand sides are 1), so no
-    phase 1 is needed. Deterministic: Bland's rule (lowest eligible column;
-    ratio ties broken by lowest basic variable) over the canonical edge
-    order, edges first, then slacks.
+    phase 1 is needed. Deterministic: Dantzig's rule enters the edge column
+    of largest reduced cost (lowest index on ties), else the first slack
+    with a negative dual; after DEGENERATE_RUN degenerate pivots in a row,
+    Bland's rule (lowest eligible column, edges first, then slacks; it
+    cannot cycle) prices until the next nondegenerate pivot. Ratio ties go
+    to the lowest basic variable.
 
     Fraction-free: the loop runs on ints. For the basis matrix B it keeps
     det = D = det B > 0 and adj = A = adj B, so B^-1 = A / D, plus the
@@ -123,26 +127,31 @@ def _solve_incidence_lp(H: KGraph) -> tuple[Fraction, dict[EdgeT, Fraction], tup
     over D. A pivot on d = A a_enter with p = d[leave] > 0 keeps the leaving
     row, maps every other row to (p row - d[i] prow) // D and sets D := p;
     the division is exact because the result is adj B' with det B' = p.
-    Signs and ratios are compared over the positive common denominators, so
-    every pivot is the one Bland's rule picks over Fraction, and the witness
-    is the same. Fraction appears only in the returned values.
+    Signs, reduced costs and ratios are compared over the positive common
+    denominators, so every pivot is the one the same rule picks over
+    Fraction. Fraction appears only in the returned values.
     """
     m = H.n
     ncols = len(H.edges)
-    # edge columns as 0-based row index tuples; k >= 2, so each getter returns a tuple
+    # edge columns as 0-based row index tuples; positions[t][j] is the t-th row of column j
     cols = [tuple(v - 1 for v in e) for e in H.edges]
-    col_getters = [itemgetter(*c) for c in cols]
+    positions = list(zip(*cols))
     adj = [[int(i == t) for t in range(m)] for i in range(m)]
     xb = [1] * m
     det = 1
     basis = list(range(ncols, ncols + m))  # slack of row i has index ncols + i
     edge_basic = [False] * m  # whether basis[i] is an edge column (cost 1)
+    degenerate = 0  # consecutive pivots with xb[leave] == 0
 
     while True:
         # y = cB^T adj, summing only edge (cost 1) basis rows
         y = list(map(sum, zip([0] * m, *(adj[i] for i in range(m) if edge_basic[i]))))
-        # Bland pricing: first column with positive reduced cost (det - y a_j) / det
-        enter = next((j for j, col in enumerate(col_getters) if sum(col(y)) < det), None)
+        # s[j] = y a_j, so the reduced cost of edge column j is (det - s[j]) / det
+        s = list(map(sum, zip(*(map(y.__getitem__, rows) for rows in positions))))
+        if degenerate < DEGENERATE_RUN:
+            enter = s.index(low) if (low := min(s, default=det)) < det else None
+        else:
+            enter = next((j for j, sj in enumerate(s) if sj < det), None)
         if enter is None:
             enter = next((ncols + i for i in range(m) if y[i] < 0), None)
             if enter is None:
@@ -168,6 +177,7 @@ def _solve_incidence_lp(H: KGraph) -> tuple[Fraction, dict[EdgeT, Fraction], tup
                 adj[i] = [(a * p - f * b) // det for a, b in zip(adj[i], prow)]
                 xb[i] = (xb[i] * p - f * pval) // det
         det = p
+        degenerate = degenerate + 1 if pval == 0 else 0
         basis[leave] = enter
         edge_basic[leave] = enter < ncols
 

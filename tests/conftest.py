@@ -2,15 +2,7 @@ import random
 
 import pytest
 
-from hypermatch import KGraph
-
 
 @pytest.fixture
 def rng():
     return random.Random(20240901)
-
-
-def random_small_kgraph(rng, n, k, p):
-    from itertools import combinations
-
-    return KGraph(n, k, [e for e in combinations(range(1, n + 1), k) if rng.random() < p])

@@ -1,11 +1,12 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here enumerates; nothing shares code paths with the package
-implementations it is used to check. The exceptions are verbatim copies of
-code the package replaced with faster equivalents (the Fraction simplex,
-the Fraction-compare generators, the uncached nibble report, the
-tuple-built complete graph, exact_nu with per-vertex edge sorts, the
-line-by-line format_graph); the fast versions must reproduce them exactly.
+implementations it is used to check. The exceptions are copies of code
+the package replaced with faster equivalents (the Fraction simplex, under
+Bland's rule and under the current pricing, the Fraction-compare
+generators, the uncached nibble report, the tuple-built complete graph,
+exact_nu with per-vertex edge sorts, the line-by-line format_graph); the
+fast versions must reproduce them exactly.
 """
 
 import random
@@ -21,6 +22,7 @@ from hypermatch.errors import (
     InvalidQueryError,
     SamplingExhaustedError,
 )
+from hypermatch.lp import DEGENERATE_RUN
 from hypermatch.matching import (
     NibbleConfig,
     NibbleReport,
@@ -128,8 +130,8 @@ def vertex_loads(n, phi):
     return loads
 
 
-def fraction_simplex(H):
-    """The exact simplex over Fraction that lp._solve_incidence_lp replaced.
+def fraction_simplex(H, stats=None):
+    """The Fraction simplex that lp._solve_incidence_lp must follow pivot for pivot.
 
     Maximize total edge weight subject to unit vertex loads.
 
@@ -137,10 +139,32 @@ def fraction_simplex(H):
     a 0/1 incidence matrix with k ones per edge column, so reduced costs are
     priced in O(k) per column and only the m x m inverse is updated per
     pivot. The slack basis is feasible (all right-hand sides are 1), so no
-    phase 1 is needed. Deterministic: Bland's rule (lowest eligible column;
-    ratio ties broken by lowest basic variable) over the canonical edge
-    order, edges first, then slacks.
+    phase 1 is needed. Dantzig's rule enters the edge column of largest
+    reduced cost (lowest index on ties), else the first slack with a
+    negative dual; after lp.DEGENERATE_RUN degenerate pivots in a row,
+    Bland's rule prices until the next nondegenerate pivot. Ratio ties go to
+    the lowest basic variable.
+
+    If stats is a dict, it receives "pivots" (all pivots) and "bland_pivots"
+    (those priced by Bland's rule).
     """
+    return _fraction_simplex(H, DEGENERATE_RUN, stats)
+
+
+def bland_fraction_simplex(H, stats=None):
+    """The Bland-rule Fraction simplex that lp._solve_incidence_lp replaced.
+
+    Deterministic: Bland's rule (lowest eligible column; ratio ties broken
+    by lowest basic variable) over the canonical edge order, edges first,
+    then slacks. stats as for fraction_simplex.
+    """
+    return _fraction_simplex(H, 0, stats)
+
+
+def _fraction_simplex(H, degenerate_run, stats):
+    """Dantzig pricing until degenerate_run degenerate pivots in a row, then
+    Bland's rule until the next nondegenerate pivot (degenerate_run=0: Bland
+    throughout)."""
     m = H.n
     ncols = len(H.edges)
     # edge columns as 0-based row index tuples
@@ -151,6 +175,7 @@ def fraction_simplex(H):
     xb = [ONE] * m
     basis = list(range(ncols, ncols + m))  # slack of row i has index ncols + i
     edge_basic = [False] * m  # whether basis[i] is an edge column (cost 1)
+    degenerate = pivots = bland_pivots = 0
 
     while True:
         # y = cB^T Binv, skipping zero-cost (slack) basis rows
@@ -161,16 +186,19 @@ def fraction_simplex(H):
                 for t in range(m):
                     if row[t]:
                         y[t] += row[t]
-        # Bland pricing: first column with positive reduced cost
+        bland = degenerate >= degenerate_run
+        # Dantzig: largest positive reduced cost, first on ties; Bland: first positive
         enter = None
         enter_rows: tuple[int, ...] = ()
+        best_rc = ZERO
         for j in range(ncols):
             rc = ONE
             for t in cols[j]:
                 rc -= y[t]
-            if rc > 0:
-                enter, enter_rows = j, cols[j]
-                break
+            if rc > best_rc:
+                enter, enter_rows, best_rc = j, cols[j], rc
+                if bland:
+                    break
         if enter is None:
             for i in range(m):
                 if -y[i] > 0:
@@ -198,6 +226,9 @@ def fraction_simplex(H):
                     leave = i
         if leave is None:
             raise InternalContradictionError("packing LP reported unbounded", check="lp-bounded")
+        pivots += 1
+        bland_pivots += bland
+        degenerate = degenerate + 1 if xb[leave] == 0 else 0
         piv = d[leave]
         if piv != 1:
             inv = ONE / piv
@@ -219,6 +250,8 @@ def fraction_simplex(H):
 
     value = sum((xb[i] for i in range(m) if edge_basic[i]), ZERO)
     phi = {H.edges[basis[i]]: xb[i] for i in range(m) if edge_basic[i]}
+    if stats is not None:
+        stats.update(pivots=pivots, bland_pivots=bland_pivots)
     # y was priced from the final basis, so it is the optimal dual vector
     return value, phi, tuple(y)
 

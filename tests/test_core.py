@@ -211,6 +211,20 @@ class TestIndependence:
             independence_number(h933())
         assert info.value.nodes == 2
 
+    def test_second_call_does_no_search(self, monkeypatch):
+        H = h933()
+        assert independence_number(H) == 7
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")  # a search would raise at node 2
+        assert independence_number(H) == 7
+
+    def test_budget_hit_caches_nothing(self, monkeypatch):
+        H = h933()
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
+        with pytest.raises(BudgetExceededError):
+            independence_number(H)
+        monkeypatch.delenv("HYPERMATCH_NODE_BUDGET")
+        assert independence_number(H) == 7
+
 
 class TestNodeBudget:
     def test_default_when_unset_or_empty(self, monkeypatch):

@@ -42,8 +42,24 @@ mixed_weights = st.lists(
 )
 
 
+def augmented_18(n, seed):
+    """A pipeline-sized LP: a random 3-graph joined with a clique to 18 vertices."""
+    return join_clique(random_kgraph(n, 3, Fraction(7, 10), seed=seed), 18 - n)
+
+
+# graphs on which Dantzig's rule meets DEGENERATE_RUN degenerate pivots in a
+# row, so that Bland's rule prices some pivots (found by scanning small
+# random graphs; H_3(n, m) and complete(n, 3) for n <= 12 never get there)
+FALLBACK_GRAPHS = [
+    random_kgraph(9, 3, Fraction(1, 2), seed=257),
+    random_kgraph(9, 3, Fraction(7, 10), seed=86),
+    random_kgraph(8, 4, Fraction(1, 2), seed=49),
+    random_kgraph(9, 4, Fraction(1, 2), seed=183),
+]
+
+
 class TestFractionFreeSimplex:
-    """The integer pivot loop against the Fraction simplex it replaced."""
+    """The integer pivot loop against the Fraction simplex of the same pricing rule."""
 
     @settings(max_examples=80, deadline=None)
     @given(lp_graphs())
@@ -55,9 +71,31 @@ class TestFractionFreeSimplex:
 
     def test_pipeline_sized_augmented_graphs(self):
         for n, seed in [(12, 0), (13, 1), (14, 2)]:
-            G = join_clique(random_kgraph(n, 3, Fraction(7, 10), seed=seed), 18 - n)
+            G = augmented_18(n, seed)
             assert G.n == 18
             assert lp._solve_incidence_lp(G) == oracles.fraction_simplex(G)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lp_graphs())
+    def test_value_equals_bland_optimum(self, H):
+        assert lp._solve_incidence_lp(H)[0] == oracles.bland_fraction_simplex(H)[0]
+
+    @pytest.mark.parametrize("H", FALLBACK_GRAPHS, ids=lambda H: f"n{H.n}k{H.k}e{H.num_edges}")
+    def test_same_pivots_through_bland_fallback(self, H):
+        stats = {}
+        want = oracles.fraction_simplex(H, stats)
+        assert stats["bland_pivots"] > 0
+        got = lp._solve_incidence_lp(H)
+        assert got == want
+        assert list(got[1]) == list(want[1])
+        assert got[0] == oracles.bland_fraction_simplex(H)[0]
+
+    def test_dantzig_pivots_at_most_a_third_of_bland(self):
+        for n, seed in [(12, 0), (13, 1), (14, 2)]:
+            G = augmented_18(n, seed)
+            dantzig, bland = {}, {}
+            assert oracles.fraction_simplex(G, dantzig)[0] == oracles.bland_fraction_simplex(G, bland)[0]
+            assert 3 * dantzig["pivots"] <= bland["pivots"], (n, dantzig, bland)
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_weights, st.integers(min_value=2, max_value=3))
