@@ -31,11 +31,11 @@ from .constructions import (
 )
 from .containment import classify_good_bad, eps_contains
 from .core import DEFAULT_NODE_BUDGET, NODE_BUDGET_ENV, format_graph, parse_graph
-from .errors import BudgetExceededError, HypermatchError
+from .errors import BudgetExceededError, HypermatchError, InvalidQueryError
 from .harness import conjecture_search, emit_report, load_report, tightness_grid, verify_tightness
 from .lp import solve_fractional
 from .matching import NibbleConfig, exact_nu, nibble_matching_report
-from .pipeline import PipelineConfig, build_augmented, fractional_pm_pipeline
+from .pipeline import PipelineConfig, _plain, build_augmented, fractional_pm_pipeline
 
 
 def _frac(text: str) -> Fraction:
@@ -45,11 +45,21 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"expected a fraction p/q, got {text!r}") from None
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _read_input(args) -> str:
-    if args.input and args.input != "-":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return sys.stdin.read()
+    try:
+        if args.input and args.input != "-":
+            with open(args.input, "r", encoding="utf-8") as fh:
+                return fh.read()
+        return sys.stdin.read()
+    except UnicodeDecodeError as ex:
+        raise InvalidQueryError(f"input {args.input!r} is not UTF-8 text ({ex.reason})") from None
 
 
 def _write(args, text: str) -> None:
@@ -112,19 +122,17 @@ def _cmd_contain(args) -> int:
     rep = eps_contains(H, args.m, args.eps, mode=args.mode)
     out = {
         "m": args.m,
-        "eps": str(rep.eps),
+        "eps": rep.eps,
         "deficiency": rep.deficiency,
-        "bound": str(rep.epsilon_bound),
+        "bound": rep.epsilon_bound,
         "satisfied": rep.satisfied,
         "mode": rep.search_mode,
-        "W": list(rep.partition.W),
+        "W": rep.partition.W,
     }
     if args.theta is not None:
         good, bad = classify_good_bad(H, rep.partition, H.k - 1, args.theta)
-        out["theta"] = str(Fraction(args.theta))
-        out["bad"] = list(bad)
-        out["good_count"] = len(good)
-    _write(args, json.dumps(out, sort_keys=True) + "\n")
+        out.update(theta=args.theta, bad=bad, good_count=len(good))
+    _write(args, json.dumps(_plain(out), sort_keys=True) + "\n")
     return 0
 
 
@@ -168,8 +176,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ks = tuple(int(x) for x in args.ks.split(","))
-    grid = tightness_grid(ks=ks, n_max=args.n_max)
+    grid = tightness_grid(ks=args.ks, n_max=args.n_max)
     report = verify_tightness(grid)
     _write(args, emit_report(report, args.format))
     return 0
@@ -272,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser("verify", help="tightness suite over a grid")
-    p.add_argument("--ks", default="3,4", help="comma-separated uniformities")
+    p.add_argument("--ks", type=_ints, default="3,4", help="comma-separated uniformities")
     p.add_argument("--n-max", type=int, default=14)
     p.add_argument("--format", choices=["records", "rows"], default="records")
     common(p, graph_input=False)

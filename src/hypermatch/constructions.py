@@ -48,17 +48,15 @@ def beta_upper_bound(k: int) -> Fraction:
 class ThresholdSpec:
     """Parameters (n, k, m) with the two exact degree thresholds derived.
 
-    The optional rational fields hold the non-explicit bound parameters; a
-    beta at or above its admissible upper bound only warns, since the true
-    constant is not known explicitly.
+    The optional beta is the non-explicit range parameter; a beta at or
+    above its admissible upper bound only warns, since the true constant is
+    not known explicitly.
     """
 
     n: int
     k: int
     m: int
     beta: Fraction | None = None
-    rho: Fraction | None = None
-    eps: Fraction | None = None
 
     def __post_init__(self):
         if not (1 <= self.m and self.m * self.k <= self.n):
@@ -259,13 +257,9 @@ def random_kgraph_conditioned(
     draw, t = random.Random(seed).random, _draw_threshold(p)
     all_sets = list(combinations(range(1, n + 1), k))
     for _ in range(tries):
-        edges = [e for e in all_sets if draw() < t]
-        degs = [0] * (n + 1)
-        for e in edges:
-            for v in e:
-                degs[v] += 1
-        if min(degs[1:]) >= floor:
-            return KGraph._from_sorted(n, k, edges)
+        H = KGraph._from_sorted(n, k, [e for e in all_sets if draw() < t])
+        if min(H._vertex_degrees[1:]) >= floor:
+            return H
     raise SamplingExhaustedError(
         f"no sample with min degree >= {floor} in {tries} tries (n={n}, k={k}, p={p})"
     )

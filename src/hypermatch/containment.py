@@ -14,7 +14,7 @@ from itertools import combinations
 from math import ceil, comb
 
 from .constructions import VertexPartition, template_edge_count, vertex_degree_threshold
-from .core import KGraph, node_budget
+from .core import KGraph, _mask, node_budget
 from .errors import BudgetExceededError, InvalidQueryError
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
@@ -99,8 +99,8 @@ def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentRepor
         return ContainmentReport(part, best_def, bound, best_def <= bound, "exhaustive", eps)
 
     # greedy seed: highest degree first, ties by lowest index
-    degs = sorted(H.vertices(), key=lambda v: (-len(H.vertex_edges[v - 1]), v))
-    W = set(degs[: m - 1])
+    deg = H._vertex_degrees
+    W = set(sorted(H.vertices(), key=lambda v: (-deg[v], v))[: m - 1])
     cur = deficiency(H, _partition_for_w(n, W), k - 1)
     improved = True
     while improved:
@@ -229,9 +229,7 @@ def subset_density_check(
     dbound = eps * Fraction(n) ** k / (2 * k**2)
 
     def count_inside(subset) -> int:
-        smask = 0
-        for v in subset:
-            smask |= 1 << v
+        smask = _mask(subset)
         return sum(1 for em in H.edge_masks if em & smask == em)
 
     violations = []

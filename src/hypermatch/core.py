@@ -1,8 +1,9 @@
 """k-uniform hypergraph kernel.
 
-Representation, degrees, links, induced subgraphs, exact independence
-number, the stability (downward-closure) test, the plain-text graph format
-used by the CLI, and the node budget that every exponential search obeys.
+Representation, vertex-set masks, degrees, per-edge copy counts, links,
+induced subgraphs, exact independence number, the stability (downward-
+closure) test, the plain-text graph format used by the CLI, and the node
+budget that every exponential search obeys.
 
 Vertices are the integers 1..n throughout. Edges are sorted k-tuples.
 """
@@ -49,10 +50,10 @@ class KGraph:
     graph keeps the form it was built from (the tuple, or the array for
     `_from_array`) and builds the other on first use; `num_edges` reads
     whichever is present. A hash-set membership index, per-edge vertex
-    bitmasks, per-vertex incidence lists and the independence number are
-    built lazily too and shared by every operation, so instances are cheap
-    to pass around and safe to share across concurrent readers. Assigning
-    or deleting any attribute raises AttributeError.
+    bitmasks, per-vertex incidence lists and degrees, and the independence
+    number are built lazily too and shared by every operation, so instances
+    are cheap to pass around and safe to share across concurrent readers.
+    Assigning or deleting any attribute raises AttributeError.
     """
 
     n: int
@@ -122,6 +123,7 @@ class KGraph:
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
         """Bitmask per edge; bit v set iff vertex v is in the edge."""
+        # _mask inlined: a call per edge costs exact_nu and the pipeline 1-2 %
         masks = []
         for e in self.edges:
             m = 0
@@ -169,6 +171,15 @@ class KGraph:
         return int(degs.min()), int(degs.max()), k * e / n, int(counts.max())
 
     @cached_property
+    def _vertex_degrees(self) -> tuple[int, ...]:
+        """deg[v] for each vertex v (deg[0] = 0), counted from edges alone."""
+        deg = [0] * (self.n + 1)
+        for e in self.edges:
+            for v in e:
+                deg[v] += 1
+        return tuple(deg)
+
+    @cached_property
     def _alpha(self) -> int:
         """The independence number, searched on first use; a search that
         raises caches nothing."""
@@ -203,6 +214,14 @@ class Matching:
         return len(self.edges)
 
 
+def _mask(vs: Iterable[int]) -> int:
+    """Bitmask of a vertex set: bit v set iff v is in vs."""
+    m = 0
+    for v in vs:
+        m |= 1 << v
+    return m
+
+
 def _vertex_range_check(H: KGraph, vs: Iterable[int], what: str) -> None:
     for v in vs:
         if not 1 <= v <= H.n:
@@ -222,20 +241,24 @@ def degree(H: KGraph, T: Iterable[int]) -> int:
         return H.num_edges
     if len(ts) == 1:
         (v,) = ts
-        return len(H.vertex_edges[v - 1])
-    mask = 0
-    for v in ts:
-        mask |= 1 << v
+        return H._vertex_degrees[v]
+    mask = _mask(ts)
     return sum(1 for m in H.edge_masks if m & mask == mask)
 
 
-def _vertex_degrees(H: KGraph) -> list[int]:
-    """deg[v] for each vertex v (deg[0] = 0), counted from H.edges alone."""
-    deg = [0] * (H.n + 1)
+def _copies_per_edge(H: KGraph, copies: Iterable[Iterable[int]]) -> Iterable[tuple[EdgeT, int]]:
+    """(e, the number of vertex sets in copies holding all of e) per edge e of H, in order."""
+    member: dict[int, set[int]] = {}
+    for i, c in enumerate(copies):
+        for v in c:
+            member.setdefault(v, set()).add(i)
     for e in H.edges:
-        for v in e:
-            deg[v] += 1
-    return deg
+        hit = member.get(e[0], set())
+        for v in e[1:]:
+            hit = hit & member.get(v, set())
+            if not hit:
+                break
+        yield e, len(hit)
 
 
 def _l_degrees(H: KGraph, l: int) -> Iterable[int]:
@@ -243,13 +266,10 @@ def _l_degrees(H: KGraph, l: int) -> Iterable[int]:
         yield H.num_edges
         return
     if l == 1:
-        yield from _vertex_degrees(H)[1:]
+        yield from H._vertex_degrees[1:]
         return
     masks = H.edge_masks
-    for T in combinations(H.vertices(), l):
-        tmask = 0
-        for v in T:
-            tmask |= 1 << v
+    for tmask in map(_mask, combinations(H.vertices(), l)):
         yield sum(1 for m in masks if m & tmask == tmask)
 
 
@@ -294,9 +314,7 @@ def induced(H: KGraph, S: Iterable[int]) -> KGraph:
     ss = sorted(set(S))
     _vertex_range_check(H, ss, "S")
     pos = {v: i + 1 for i, v in enumerate(ss)}
-    smask = 0
-    for v in ss:
-        smask |= 1 << v
+    smask = _mask(ss)
     edges = []
     for e, m in zip(H.edges, H.edge_masks):
         if m & smask == m:
@@ -425,9 +443,7 @@ def verify_matching(H: KGraph, M: Matching) -> bool:
     for e in M.edges:
         if e not in H.edge_set:
             return False
-        m = 0
-        for v in e:
-            m |= 1 << v
+        m = _mask(e)
         if m & used:
             return False
         used |= m

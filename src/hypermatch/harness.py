@@ -25,8 +25,8 @@ from .constructions import (
     random_kgraph_conditioned,
     vertex_degree_threshold,
 )
-from .containment import ContainmentReport, eps_contains
-from .core import KGraph, Matching, format_graph, induced, min_l_degree, parse_graph, verify_matching
+from .containment import ContainmentReport, _template_member, eps_contains
+from .core import KGraph, Matching, format_graph, min_l_degree, parse_graph, verify_matching
 from .errors import (
     BudgetExceededError,
     HypermatchError,
@@ -34,7 +34,7 @@ from .errors import (
     SamplingExhaustedError,
     StepFailureError,
 )
-from .matching import exact_nu
+from .matching import exact_nu, exact_nu_within
 from .pipeline import (
     PipelineConfig,
     PipelineTrace,
@@ -175,6 +175,8 @@ def tightness_grid(ks: Sequence[int] = (3, 4), n_max: int = 14) -> list[tuple[in
     """Grid of (n, k, m) with k + m - 1 <= n <= n_max and 1 <= m <= n // k."""
     grid = []
     for k in ks:
+        if k < 2:
+            raise InvalidQueryError(f"uniformity k must be >= 2, got {k}")
         for n in range(k, n_max + 1):
             for m in range(1, n // k + 1):
                 if k + m - 1 <= n:
@@ -193,9 +195,7 @@ def verify_tightness(grid: Iterable[tuple[int, int, int]]) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     report = ExperimentReport("tightness", params={"grid_size": 0})
-    count = 0
     for (n, k, m) in grid:
-        count += 1
         H, _ = build_Hknm(n, k, m)
         thr = vertex_degree_threshold(n, k, m)
         delta1 = min_l_degree(H, 1)
@@ -229,7 +229,7 @@ def verify_tightness(grid: Iterable[tuple[int, int, int]]) -> ExperimentReport:
         else:
             rec.update({"next_delta1": None, "next_nu": None, "next_checked": False})
         report.instances.append(rec)
-    report.params["grid_size"] = count
+    report.params["grid_size"] = len(report.instances)
     report.runtime_s = time.perf_counter() - t0
     return report
 
@@ -372,18 +372,11 @@ def case_split_demo(
     notes: list[str] = []
     if containment.satisfied:
         w_set = set(containment.partition.W)
-        l = H.k - 1
-        template_edges = [
-            e for e in H.edges if 1 <= sum(1 for v in e if v in w_set) <= l
-        ]
-        sub = KGraph(H.n, H.k, template_edges)
-        nu_t, M_t = exact_nu(sub)
+        template_edges = [e for e in H.edges if _template_member(e, w_set, H.k - 1)]
+        nu_t, M_t = exact_nu(KGraph._from_sorted(H.n, H.k, template_edges))
         used = M_t.vertices()
-        rest = sorted(v for v in H.vertices() if v not in used)
-        back = {i + 1: v for i, v in enumerate(rest)}
-        nu_r, M_r = exact_nu(induced(H, rest))
-        extended = [tuple(sorted(back[x] for x in e)) for e in M_r.edges]
-        combined = Matching.from_edges(list(M_t.edges) + extended)
+        nu_r, M_r = exact_nu_within(H, (v for v in H.vertices() if v not in used))
+        combined = Matching.from_edges(M_t.edges + M_r.edges)
         if not verify_matching(H, combined):
             raise HypermatchError("case split assembled an invalid matching")
         notes.append(f"template part {nu_t}, remainder part {nu_r}")

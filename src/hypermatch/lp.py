@@ -11,9 +11,9 @@ witnesses after re-verifying them by direct exact arithmetic, so their
 equal values certify optimality of both via weak duality independently of
 the pivoting path.
 
-Also: the cyclic-window perfect fractional matching of complete graphs, the
-weight-closure hypergraph of a vertex weighting, and weight-sorted vertex
-relabeling.
+Also: cyclic windows and the cyclic-window perfect fractional matching of
+complete graphs, the weight-closure hypergraph of a vertex weighting, and
+weight-sorted vertex relabeling.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .core import EdgeT, KGraph
 from .errors import InternalContradictionError, InvalidQueryError
@@ -44,15 +44,12 @@ class FractionalAssignment:
     phi: Mapping[EdgeT, Fraction]
 
     def __post_init__(self):
-        loads: dict[int, Fraction] = {}
         for e, val in self.phi.items():
             if e not in self.host.edge_set:
                 raise InvalidQueryError(f"support edge {e} is not a host edge")
             if not 0 <= val <= 1:
                 raise InvalidQueryError(f"phi({e}) = {val} outside [0, 1]")
-            for v in e:
-                loads[v] = loads.get(v, ZERO) + val
-        bad = {v: l for v, l in loads.items() if l > 1}
+        bad = {v: l for v, l in self.loads().items() if l > 1}
         if bad:
             raise InvalidQueryError(f"vertex loads exceed 1: {bad}")
 
@@ -235,13 +232,15 @@ def clique_window_matching(n: int, k: int) -> FractionalAssignment:
         raise InvalidQueryError(f"need n > k, got n={n}, k={k}")
     from .constructions import complete
 
-    host = complete(n, k)
     wk = Fraction(1, k)
-    phi = {}
-    for i in range(n):
-        window = tuple(sorted((i + j) % n + 1 for j in range(k)))
-        phi[window] = wk
-    return FractionalAssignment(host, phi)
+    phi = {window: wk for window in cyclic_windows(range(1, n + 1), k)}
+    return FractionalAssignment(complete(n, k), phi)
+
+
+def cyclic_windows(verts: Sequence[int], k: int) -> list[EdgeT]:
+    """The cyclic windows of k consecutive entries of verts, sorted, by start entry."""
+    nn = len(verts)
+    return [tuple(sorted(verts[(i + j) % nn] for j in range(k))) for i in range(nn)]
 
 
 def weight_closure(n_total: int, k: int, w: VertexWeights) -> KGraph:
@@ -264,11 +263,11 @@ def relabel_by_weights(H: KGraph, w: VertexWeights) -> tuple[KGraph, tuple[int, 
     if w.n != H.n:
         raise InvalidQueryError(f"weights cover {w.n} vertices, expected {H.n}")
     order = sorted(H.vertices(), key=lambda v: (-w[v], v))
-    old_to_new = [0] * H.n
+    label = [0] * (H.n + 1)  # label[old vertex] = new label
     for new_label, old in enumerate(order, start=1):
-        old_to_new[old - 1] = new_label
-    edges = [tuple(sorted(old_to_new[v - 1] for v in e)) for e in H.edges]
-    return KGraph._from_sorted(H.n, H.k, sorted(edges)), tuple(old_to_new)
+        label[old] = new_label
+    edges = [tuple(sorted(map(label.__getitem__, e))) for e in H.edges]
+    return KGraph._from_sorted(H.n, H.k, sorted(edges)), tuple(label[1:])
 
 
 def permute_weights(w: VertexWeights, old_to_new: tuple[int, ...]) -> VertexWeights:

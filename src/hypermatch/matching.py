@@ -1,5 +1,5 @@
-"""Exact maximum matching, greedy matching, the semi-random nibble, and
-sparsification of a host graph by per-copy perfect fractional matchings.
+"""Exact maximum matching (also within a vertex subset), greedy matching, the
+semi-random nibble, and sparsification by per-copy perfect fractional matchings.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core import EdgeT, KGraph, Matching, _vertex_degrees, node_budget
+from .core import EdgeT, KGraph, Matching, _copies_per_edge, induced, node_budget
 from .errors import BudgetExceededError, InvalidQueryError, PreconditionError
 from .lp import FractionalAssignment
 
@@ -101,7 +101,7 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
     best_edges = list(seed_matching.edges)
 
     # in v's list, other endpoints' degree w(e) - deg v orders like w(e)
-    deg = _vertex_degrees(H).__getitem__
+    deg = H._vertex_degrees.__getitem__
     weight = [sum(map(deg, e)) for e in edges]
     by_vertex: list[list[int]] = [[] for _ in range(n)]
     for i in sorted(range(len(edges)), key=weight.__getitem__):
@@ -148,6 +148,13 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
     if edges:
         walk(0, 0, 0, [])
     return best, Matching.from_edges(best_edges)
+
+
+def exact_nu_within(H: KGraph, S: Iterable[int]) -> tuple[int, Matching]:
+    """exact_nu of the subgraph of H induced on S, with the witness in H's labels."""
+    live = sorted(set(S))
+    nu, M = exact_nu(induced(H, live))
+    return nu, Matching.from_edges(tuple(live[x - 1] for x in e) for e in M.edges)
 
 
 @dataclass(frozen=True)
@@ -268,34 +275,20 @@ def sparsify_by_fractional(
             raise PreconditionError("copy subset contains vertices outside the host")
         if len(rs) % k != 0:
             raise PreconditionError(f"copy size {len(rs)} is not divisible by k={k}")
-        loads = {v: Fraction(0) for v in rs}
-        total = Fraction(0)
-        for e, val in phi.phi.items():
+        for e in phi.phi:
             if not set(e) <= rs:
                 raise PreconditionError(f"support edge {e} leaves its copy")
             if e not in H.edge_set:
                 raise PreconditionError(f"support edge {e} is not a host edge")
-            total += val
-            for v in e:
-                loads[v] += val
-        if total != Fraction(len(rs), k) or any(l != 1 for l in loads.values()):
+        loads = phi.loads()
+        if phi.value() != Fraction(len(rs), k) or any(loads.get(v) != 1 for v in rs):
             raise PreconditionError("copy assignment is not a perfect fractional matching")
         copy_sets.append(rs)
         assignments.append(phi)
 
-    # every host edge in at most one copy
-    vertex_to_copies: dict[int, list[int]] = {}
-    for i, rs in enumerate(copy_sets):
-        for v in rs:
-            vertex_to_copies.setdefault(v, []).append(i)
-    for e in H.edges:
-        hits = set(vertex_to_copies.get(e[0], []))
-        for v in e[1:]:
-            hits &= set(vertex_to_copies.get(v, []))
-            if not hits:
-                break
-        if len(hits) > 1:
-            raise PreconditionError(f"edge {e} lies in {len(hits)} copies; at most one allowed")
+    for e, hits in _copies_per_edge(H, copy_sets):
+        if hits > 1:
+            raise PreconditionError(f"edge {e} lies in {hits} copies; at most one allowed")
 
     rng = random.Random(seed)
     included = []

@@ -34,6 +34,7 @@ from .core import (
     EdgeT,
     KGraph,
     Matching,
+    _copies_per_edge,
     independence_number,
     induced,
     is_stable,
@@ -52,12 +53,13 @@ from .errors import (
 from .lp import (
     FractionalAssignment,
     VertexWeights,
+    cyclic_windows,
     permute_weights,
     relabel_by_weights,
     solve_fractional,
     weight_closure,
 )
-from .matching import exact_nu
+from .matching import exact_nu, exact_nu_within
 
 
 # asymptotic shape of the first-round vertex sampler: keep probability
@@ -333,13 +335,13 @@ def fractional_pm_pipeline(
                 target=target,
             )
 
-    # sort the original vertices by weight; clique labels stay on top
+    # sort the original vertices by weight; weight 0 on the clique keeps its
+    # labels on top, since ties go by index
     with trace.step("relabel") as st:
-        base_weights = VertexWeights(cover.weights[:n])
-        H_sorted, old_to_new = relabel_by_weights(H, base_weights)
-        full_map = old_to_new + tuple(range(n + 1, n + r + 1))
+        sort_weights = VertexWeights(cover.weights[:n] + (Fraction(0),) * r)
+        H_aug_sorted, full_map = relabel_by_weights(H_aug, sort_weights)
+        old_to_new = full_map[:n]
         w = permute_weights(cover, full_map)
-        H_aug_sorted = join_clique(H_sorted, r)
         if not w.is_cover_of(H_aug_sorted):
             st.contradict("cover broken by relabeling")
         trace.relabel_old_to_new = old_to_new
@@ -348,7 +350,7 @@ def fractional_pm_pipeline(
     # weight closure and its core/link
     with trace.step("closure") as st:
         closure = weight_closure(n + r, k, w)
-        if not set(H_aug_sorted.edges) <= set(closure.edges):
+        if not closure.edge_set.issuperset(H_aug_sorted.edges):
             st.contradict("augmented graph escapes its weight closure")
         core_graph = induced(closure, range(1, n + 1))  # clique labels are on top
         link_graph = link(core_graph, n)
@@ -366,11 +368,10 @@ def fractional_pm_pipeline(
     block_top = _complete_block_size(m, cfg.eps, n)
     with trace.step("complete_block") as st:
         missing = None
-        if block_top >= k:
-            for e in combinations(range(1, min(block_top, n) + 1), k):
-                if e not in core_graph.edge_set:
-                    missing = e
-                    break
+        for e in combinations(range(1, min(block_top, n) + 1), k):
+            if e not in core_graph.edge_set:
+                missing = e
+                break
         if missing is not None:
             if pre["alpha_ok"]:
                 st.contradict(
@@ -426,8 +427,10 @@ def fractional_pm_pipeline(
         q_free = list(range(n + s + 1, n + r + 1))
         completion = _complete_through_clique(leftover, q_free, k)
         if completion is None:
-            live = leftover + q_free
-            completion = _exact_perfect_matching(closure, live)
+            # exact fallback: a perfect matching of the closure on what is left
+            nu_live, live_matching = exact_nu_within(closure, leftover + q_free)
+            if nu_live * k == len(leftover) + len(q_free):
+                completion = list(live_matching.edges)
         if completion is None:
             st.fail(
                 "no perfect matching of the closure minus the residue class and V(M)",
@@ -456,11 +459,9 @@ def fractional_pm_pipeline(
             else:
                 f, ones = M[-1], M[:-1]
             residue = list(range(n + 1, n + s + 1))
-            window_verts = sorted(set(f) | set(residue))
-            nn = len(window_verts)  # k + s, and nn > k since s >= 1
+            window_verts = sorted(set(f) | set(residue))  # k + s > k vertices
             wk = Fraction(1, k)
-            for i in range(nn):
-                window = tuple(sorted(window_verts[(i + j) % nn] for j in range(k)))
+            for window in cyclic_windows(window_verts, k):
                 if window not in closure.edge_set:
                     st.contradict("window is not a closure edge", edge=window)
                 phi[window] = wk
@@ -626,26 +627,9 @@ def _complete_through_clique(leftover: list[int], q_free: list[int], k: int) -> 
             return None
         qs = [q.pop(0) for _ in range(need)]
         edges.append(tuple(sorted(take + qs)))
-    if len(q) % k != 0:
-        return None
     for j in range(0, len(q), k):
         edges.append(tuple(q[j : j + k]))
     return edges
-
-
-def _exact_perfect_matching(closure: KGraph, live: list[int]) -> list[EdgeT] | None:
-    """Exact fallback: perfect matching of the closure induced on live vertices."""
-    live = sorted(live)
-    if not live:
-        return []
-    if len(live) % closure.k != 0:
-        return None
-    sub = induced(closure, live)
-    nu, matching = exact_nu(sub)
-    if nu * closure.k != len(live):
-        return None
-    back = {i + 1: v for i, v in enumerate(live)}
-    return [tuple(sorted(back[x] for x in e)) for e in matching.edges]
 
 
 # -- first-round vertex sampler ----------------------------------------------
@@ -684,19 +668,7 @@ class SampleFamily:
 
     @cached_property
     def edge_containment_counts(self) -> dict[EdgeT, int]:
-        member: dict[int, set[int]] = {}
-        for i, c in enumerate(self.copies):
-            for v in c:
-                member.setdefault(v, set()).add(i)
-        out = {}
-        for e in self.host.edges:
-            hit = member.get(e[0], set())
-            for v in e[1:]:
-                hit = hit & member.get(v, set())
-                if not hit:
-                    break
-            out[e] = len(hit)
-        return out
+        return dict(_copies_per_edge(self.host, self.copies))
 
 
 def first_round_sampler(H: KGraph, settings: SamplerSettings) -> SampleFamily:
@@ -768,14 +740,13 @@ def check_sampler_properties(
     checks: list[PropertyCheck] = []
     k = H.k
 
+    def band_check(name: str, values, band: tuple[float, float]) -> None:
+        lo, hi = band
+        frac = sum(1 for x in values if lo <= x <= hi) / len(values) if values else 1.0
+        checks.append(PropertyCheck(name, frac >= min_inside_fraction, frac, band))
+
     if vertex_count_band is not None:
-        lo, hi = vertex_count_band
-        counts = family.vertex_counts
-        inside = sum(1 for c in counts.values() if lo <= c <= hi)
-        frac = inside / len(counts) if counts else 1.0
-        checks.append(
-            PropertyCheck("vertex_counts", frac >= min_inside_fraction, frac, vertex_count_band)
-        )
+        band_check("vertex_counts", family.vertex_counts.values(), vertex_count_band)
 
     if pair_limit is not None:
         checks.append(
@@ -790,11 +761,7 @@ def check_sampler_properties(
         checks.append(PropertyCheck("edge_overlap", edge_max <= edge_limit, edge_max, edge_limit))
 
     if size_band is not None:
-        lo, hi = size_band
-        sizes = family.sizes
-        inside = sum(1 for sz in sizes if lo <= sz <= hi)
-        frac = inside / len(sizes) if sizes else 1.0
-        checks.append(PropertyCheck("copy_sizes", frac >= min_inside_fraction, frac, size_band))
+        band_check("copy_sizes", family.sizes, size_band)
 
     if rho_prime is not None:
         worst = None

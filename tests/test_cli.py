@@ -108,7 +108,9 @@ class TestSolvers:
         assert "expected a fraction p/q" in err
 
     @pytest.mark.parametrize(
-        "argv", [[], ["nu", "--bogus"], ["search", "--n", "9"]], ids=["no-command", "unknown", "missing"]
+        "argv",
+        [[], ["nu", "--bogus"], ["search", "--n", "9"], ["verify", "--ks", "3,x"], ["verify", "--ks", ""]],
+        ids=["no-command", "unknown", "missing", "verify-ks-word", "verify-ks-empty"],
     )
     def test_usage_errors_exit_1_not_indeterminate(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -248,10 +250,11 @@ class TestVerifySearchReport:
             (["report"], "\n"),
             (["report"], "x\n"),
             (["report"], '{"record": "report"}\n'),
+            (["verify", "--ks", "0"], None),
         ],
         ids=[
             "search-m-too-large", "search-p-out-of-range",
-            "report-empty", "report-not-json", "report-header-incomplete",
+            "report-empty", "report-not-json", "report-header-incomplete", "verify-ks-zero",
         ],
     )
     def test_bad_query_is_a_clean_error(self, capsys, monkeypatch, argv, stdin):
@@ -261,6 +264,23 @@ class TestVerifySearchReport:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["nu", "report"])
+    def test_input_that_is_not_utf8_is_a_clean_error(self, capsys, tmp_path, command):
+        path = tmp_path / "f"
+        path.write_bytes(b"\xff\xfe\n")
+        code = main([command, "-i", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "not UTF-8" in err and err.count("\n") == 1
+
+    def test_stdin_that_is_not_utf8_is_a_clean_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe\n"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(["nu"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "not UTF-8" in err and err.count("\n") == 1
 
     def test_help_documents_budget_env(self, capsys):
         with pytest.raises(SystemExit):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hypermatch import (
@@ -25,6 +26,7 @@ from hypermatch.matching import (
     NibbleConfig,
     _regularity_gate,
     exact_nu,
+    exact_nu_within,
     greedy_matching,
     nibble_matching,
     nibble_matching_report,
@@ -108,6 +110,14 @@ class TestExactNu:
     @given(small_kgraphs(max_n=13, ks=(2, 3, 4), max_edges=60, min_n=0))
     def test_matches_oracle_with_witness(self, H):
         assert exact_nu(H) == oracles.exact_nu(H)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_kgraphs(max_n=10, ks=(2, 3, 4), max_edges=40), st.data())
+    def test_within_matches_oracle_on_the_induced_graph(self, H, data):
+        S = data.draw(st.sets(st.integers(1, H.n)))
+        nu, M = exact_nu_within(H, S)
+        assert nu == len(M) == oracles.brute_nu(e for e in H.edges if set(e) <= S)
+        assert verify_matching(H, M) and M.vertices() <= S
 
     def test_matches_oracle_on_search_pool(self):
         graphs = search_pool_graphs()

@@ -129,6 +129,29 @@ class TestPipeline:
         assert trace.route_used == "exact"
         assert phi.is_perfect()
 
+    def test_auto_route_falls_back_to_the_block_route(self):
+        # the closure's link has nu = 1 < m, so the exact attempt is skipped
+        H, _ = build_Hknm(9, 3, 2)
+        with pytest.raises(StepFailureError, match="block of 2 vertices cannot hold 1 disjoint edges") as exc:
+            fractional_pm_pipeline(H, 2, 3, PipelineConfig(), route="auto")
+        steps = exc.value.trace.steps
+        assert [(st.name, st.status) for st in steps] == [
+            ("preconditions", "ok"),
+            ("cover", "ok"),
+            ("relabel", "ok"),
+            ("closure", "ok"),
+            ("link_stability", "ok"),
+            ("complete_block", "ok"),
+            ("neighborhood_transfer", "ok"),
+            ("find_matching_exact_attempt", "skipped"),
+            ("block_route_classify", "ok"),
+            ("block_route_block_matching", "failed"),
+        ]
+        assert steps[7].details["link_nu"] == 1
+        assert steps[-1].details == {
+            "message": "block of 2 vertices cannot hold 1 disjoint edges", "block": 2, "needed": 3
+        }
+
     def test_edgeless_fails_at_cover_certificate(self):
         H = KGraph(12, 3, [])
         r = minimal_feasible_r(12, 3, 3)
