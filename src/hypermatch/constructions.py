@@ -83,9 +83,7 @@ def build_Hkl(U, W, k: int, l: int) -> KGraph:
         raise InvalidQueryError(f"need 1 <= l <= k, got l={l}, k={k}")
     part = VertexPartition(tuple(U), tuple(W))
     edges = []
-    for j in range(1, min(l, len(part.W), k) + 1):
-        if k - j > len(part.U):
-            continue
+    for j in range(1, min(l, len(part.W)) + 1):
         for ws in combinations(part.W, j):
             for us in combinations(part.U, k - j):
                 edges.append(tuple(sorted(ws + us)))
@@ -151,8 +149,6 @@ def join_clique(H: KGraph, r: int) -> KGraph:
     Q = range(n + 1, n + r + 1)
     base = range(1, n + 1)
     for j in range(1, min(k, r) + 1):
-        if k - j > n:
-            continue
         for qs in combinations(Q, j):
             for vs in combinations(base, k - j):
                 edges.append(vs + qs)

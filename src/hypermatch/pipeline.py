@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import ceil, comb
-from .constructions import VertexPartition, join_clique
+from math import ceil
+from .constructions import VertexPartition, join_clique, vertex_degree_threshold
 from .containment import deficiency, vertex_template_deficits
 from .core import (
     EdgeT,
@@ -248,32 +248,22 @@ def _complete_block_size(m: int, eps: Fraction, n: int) -> int:
     return m + ceil(eps * n)
 
 
-def check_pipeline_preconditions(
-    H: KGraph, m: int, r: int, cfg: PipelineConfig, check_alpha: bool = True
-) -> dict:
+def check_pipeline_preconditions(H: KGraph, m: int, r: int, cfg: PipelineConfig) -> dict:
     """Report (never enforce) the hypotheses of the constructive route.
 
     The independence margin is checked in the integer form
     alpha(H) < n - m - ceil(eps*n), which is what the complete-block
-    certificate needs at finite n. Skipping the exponential alpha
-    computation (check_alpha=False) records None and warns.
+    certificate needs at finite n.
     """
     n, k = H.n, H.k
-    degree_floor = (
-        Fraction(comb(n - 1, k - 1) - comb(n - m, k - 1)) - cfg.rho * Fraction(n) ** (k - 1)
-    )
+    degree_floor = vertex_degree_threshold(n, k, m) - cfg.rho * Fraction(n) ** (k - 1)
     delta1 = min_l_degree(H, 1) if H.n else 0
-    alpha = None
-    alpha_ok = None
-    if check_alpha:
-        alpha = independence_number(H)
-        alpha_ok = alpha < n - m - ceil(cfg.eps * n)
-    else:
-        warnings.warn("independence precondition not checked (check_alpha=False)", stacklevel=2)
+    alpha = independence_number(H)
+    alpha_bound = n - _complete_block_size(m, cfg.eps, n)
     return {
         "alpha": alpha,
-        "alpha_bound": n - m - ceil(cfg.eps * n),
-        "alpha_ok": alpha_ok,
+        "alpha_bound": alpha_bound,
+        "alpha_ok": alpha < alpha_bound,
         "delta1": delta1,
         "degree_floor": degree_floor,
         "degree_ok": delta1 > degree_floor,
@@ -288,7 +278,6 @@ def fractional_pm_pipeline(
     r: int,
     cfg: PipelineConfig,
     route: str = "auto",
-    check_alpha: bool = True,
 ) -> tuple[FractionalAssignment, PipelineTrace]:
     """Run the constructive proof as an algorithm; see the module docstring.
 
@@ -305,6 +294,8 @@ def fractional_pm_pipeline(
     n, k = H.n, H.k
     if m < 1 or n < k * m:
         raise InvalidQueryError(f"need 1 <= m <= n/k, got n={n}, m={m}")
+    if k < 3:
+        raise InvalidQueryError(f"the route needs k >= 3, got k={k}")
     s = (n + r) % k
     trace = PipelineTrace(n=n, k=k, m=m, r=r, s=s)
     trace.constants = {
@@ -317,7 +308,7 @@ def fractional_pm_pipeline(
     }
 
     with trace.step("preconditions") as st:
-        pre = check_pipeline_preconditions(H, m, r, cfg, check_alpha=check_alpha)
+        pre = check_pipeline_preconditions(H, m, r, cfg)
         trace.preconditions = pre
         st.details = pre
 
@@ -379,8 +370,7 @@ def fractional_pm_pipeline(
                     missing=missing,
                 )
             st.fail(
-                f"low-index block [{block_top}] is not complete "
-                "(independence precondition unmet or unchecked)",
+                f"low-index block [{block_top}] is not complete (independence precondition unmet)",
                 missing=missing,
             )
         st.details = {"block_top": block_top}
@@ -521,15 +511,12 @@ def _block_route_matching(
         U = tuple(range(m, n))
         part = VertexPartition(U, W)
         n_link = n - 1
-        if k >= 3 and m >= 2:
-            deficits = vertex_template_deficits(link_graph, part, k - 2)
-        else:
-            deficits = {v: 0 for v in link_graph.vertices()}
+        deficits = vertex_template_deficits(link_graph, part, k - 2)
         quart_bound = cfg.rho * Fraction(n_link) ** (4 * (k - 2))
         v_bad = {v for v, d in deficits.items() if Fraction(d) ** 4 > quart_bound}
         b_bad = sorted(v_bad & set(W))
         b = len(b_bad)
-        link_def = deficiency(link_graph, part, k - 1) if m >= 2 else 0
+        link_def = deficiency(link_graph, part, k - 1)
         close_ok = Fraction(link_def) ** 2 <= cfg.rho * Fraction(n_link) ** (2 * (k - 1))
         st.details = {
             "bad_total": len(v_bad),
@@ -772,10 +759,7 @@ def check_sampler_properties(
                 continue
             sub = induced(H, c)
             d = min_l_degree(sub, 1)
-            bound = (
-                Fraction(comb(sz - 1, k - 1) - comb(sz - sz // k, k - 1))
-                - rho_prime * Fraction(sz) ** (k - 1)
-            )
+            bound = vertex_degree_threshold(sz, k, sz // k) - rho_prime * Fraction(sz) ** (k - 1)
             if not d > bound:
                 ok = False
                 worst = (idx, d, bound)

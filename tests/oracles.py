@@ -5,8 +5,9 @@ implementations it is used to check. The exceptions are copies of code
 the package replaced with faster equivalents (the Fraction simplex, under
 Bland's rule and under the current pricing, the Fraction-compare
 generators, the uncached nibble report, the tuple-built complete graph,
-exact_nu with per-vertex edge sorts, the line-by-line format_graph); the
-fast versions must reproduce them exactly.
+exact_nu with per-vertex edge sorts, the independence search that scans
+edges at every node, the line-by-line format_graph); the fast versions
+must reproduce them exactly.
 """
 
 import random
@@ -15,7 +16,7 @@ from itertools import combinations
 from math import comb
 
 from hypermatch.constructions import vertex_degree_threshold
-from hypermatch.core import EdgeT, KGraph, Matching, node_budget
+from hypermatch.core import EdgeT, KGraph, Matching, _greedy_block_cover_bound, node_budget
 from hypermatch.errors import (
     BudgetExceededError,
     InternalContradictionError,
@@ -477,6 +478,47 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
     if edges:
         walk(0, 0, 0, [])
     return best, Matching.from_edges(best_edges)
+
+
+# -- the independence search before forbidden-vertex masks -------------------
+#
+# Each node scans every edge whose top vertex is the next vertex, to see if
+# the chosen vertices hold the rest of it. The package search must return
+# the same alpha after the same number of nodes.
+
+
+def independence_search(H: KGraph) -> tuple[int, int]:
+    """(alpha, branch nodes visited); an edgeless graph visits no node."""
+    n = H.n
+    if not H.edges:
+        return n, 0
+    completing: list[list[int]] = [[] for _ in range(n + 1)]
+    for e, m in zip(H.edges, H.edge_masks):
+        top = e[-1]
+        completing[top].append(m & ~(1 << top))
+    suffix_bound = [0] * (n + 2)
+    for start in range(n, 0, -1):
+        suffix_bound[start] = _greedy_block_cover_bound(H, range(start, n + 1))
+
+    best = 0
+    nodes = 0
+
+    def walk(idx: int, chosen_mask: int, count: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if count > best:
+            best = count
+        if idx > n:
+            return
+        if count + min(n - idx + 1, suffix_bound[idx]) <= best:
+            return
+        blocked = any(m & chosen_mask == m for m in completing[idx])
+        if not blocked:
+            walk(idx + 1, chosen_mask | (1 << idx), count + 1)
+        walk(idx + 1, chosen_mask, count)
+
+    walk(1, 0, 0)
+    return best, nodes
 
 
 # -- format_graph before it wrote rows in blocks ------------------------------

@@ -231,6 +231,11 @@ class TestVerifySearchReport:
         header = json.loads(out.splitlines()[0])
         assert header["record"] == "report" and header["experiment"] == "tightness"
 
+    def test_verify_repeated_k_checks_each_point_once(self, capsys):
+        once = run(capsys, "verify", "--ks", "3", "--n-max", "5")
+        assert run(capsys, "verify", "--ks", "3,3", "--n-max", "5") == once
+        assert json.loads(once[1].splitlines()[0])["params"]["grid_size"] == 3
+
     def test_search_and_reformat(self, capsys, monkeypatch, tmp_path):
         code, out = run(
             capsys, "search", "--n", "9", "--k", "3", "--m", "2", "--trials", "10", "--seed", "1"
@@ -251,18 +256,20 @@ class TestVerifySearchReport:
             (["report"], "x\n"),
             (["report"], '{"record": "report"}\n'),
             (["verify", "--ks", "0"], None),
+            (["pipeline", "--m", "2"], "2 6\n1 2\n3 4\n5 6\n"),
         ],
         ids=[
             "search-m-too-large", "search-p-out-of-range",
             "report-empty", "report-not-json", "report-header-incomplete", "verify-ks-zero",
+            "pipeline-k-2",
         ],
     )
     def test_bad_query_is_a_clean_error(self, capsys, monkeypatch, argv, stdin):
         if stdin is not None:
             monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         code = main(argv)
-        err = capsys.readouterr().err
-        assert code == 1
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["nu", "report"])

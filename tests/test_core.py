@@ -205,6 +205,21 @@ class TestIndependence:
             S = rng.sample(range(1, 10), rng.randint(3, 8))
             assert independence_number(induced(H, S)) <= independence_number(H)
 
+    @given(small_kgraphs(max_n=10, ks=(2, 3, 4), max_edges=40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scanning_oracle_and_its_node_count(self, H):
+        alpha, nodes = oracles.independence_search(H)
+        assert independence_number(KGraph(H.n, H.k, H.edges)) == alpha
+        assert alpha == oracles.brute_independence(H.n, H.edges)
+        if nodes:  # a search visits at least two nodes, so nodes - 1 is a valid budget
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("HYPERMATCH_NODE_BUDGET", str(nodes))
+                assert independence_number(KGraph(H.n, H.k, H.edges)) == alpha
+                mp.setenv("HYPERMATCH_NODE_BUDGET", str(nodes - 1))
+                with pytest.raises(BudgetExceededError) as info:
+                    independence_number(KGraph(H.n, H.k, H.edges))
+                assert info.value.nodes == nodes
+
     def test_budget_raises(self, monkeypatch):
         monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
         with pytest.raises(BudgetExceededError) as info:

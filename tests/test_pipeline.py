@@ -80,12 +80,6 @@ class TestPreconditions:
         assert pre["alpha_ok"] is False
         assert pre["clique_ok"] is True
 
-    def test_alpha_skip_warns(self):
-        H = complete(12, 3)
-        with pytest.warns(UserWarning):
-            pre = check_pipeline_preconditions(H, 3, 6, PipelineConfig(), check_alpha=False)
-        assert pre["alpha"] is None and pre["alpha_ok"] is None
-
 
 class TestPipeline:
     def test_complete_12_with_minimal_padding(self):
