@@ -257,11 +257,12 @@ class TestVerifySearchReport:
             (["report"], '{"record": "report"}\n'),
             (["verify", "--ks", "0"], None),
             (["pipeline", "--m", "2"], "2 6\n1 2\n3 4\n5 6\n"),
+            (["pipeline", "--m", "3", "--r", "-2"], "3 12\n"),
         ],
         ids=[
             "search-m-too-large", "search-p-out-of-range",
             "report-empty", "report-not-json", "report-header-incomplete", "verify-ks-zero",
-            "pipeline-k-2",
+            "pipeline-k-2", "pipeline-r-negative",
         ],
     )
     def test_bad_query_is_a_clean_error(self, capsys, monkeypatch, argv, stdin):

@@ -177,3 +177,19 @@ class TestSubsetDensity:
         rep = subset_density_check(H, 3, Fraction(1, 2), samples=1, seed=0, rho=Fraction(1, 2))
         assert any("eps" in f for f in rep.parameter_flags)
         assert any("rho" in f for f in rep.parameter_flags)
+
+    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+    def test_sampled_mode(self, sparse):
+        # C(30, 21) > 10^6 subsets of the binding size, so the check samples
+        H = random_kgraph(30, 3, 0.003, seed=2) if sparse else random_kgraph(30, 3, 0.5, seed=2)
+        rep = subset_density_check(H, 9, Fraction(1, 100), samples=40, seed=3)
+        assert (rep.mode, rep.checked, rep.subset_size) == ("sampled", 40, 21)
+        assert rep == subset_density_check(H, 9, Fraction(1, 100), samples=40, seed=3)
+        if sparse:
+            assert len(H.edges) < rep.density_bound  # so every subset violates
+            assert len(rep.violations) == 40
+        else:
+            assert rep.violations == ()
+        for v in rep.violations:
+            assert len(v.subset) == rep.subset_size
+            assert v.edge_count == sum(1 for e in H.edges if set(e) <= set(v.subset))

@@ -13,6 +13,7 @@ from hypermatch import (
     degree,
     join_clique,
     lp,
+    pipeline,
     random_kgraph,
 )
 from hypermatch.errors import (
@@ -199,6 +200,45 @@ class TestPipeline:
         last = exc.value.trace.steps[-1]
         assert (last.name, last.status) == ("link_stability", "failed")
         assert last.details == {"message": "link of the closure is not stable"}
+
+    def test_cover_broken_by_relabeling_is_caught_at_closure(self, monkeypatch):
+        real = pipeline.permute_weights
+
+        def zero_one_weight(w, old_to_new):
+            weights = list(real(w, old_to_new).weights)
+            weights[next(i for i, x in enumerate(weights) if x > 0)] = Fraction(0)
+            return lp.VertexWeights(tuple(weights))
+
+        monkeypatch.setattr(pipeline, "permute_weights", zero_one_weight)
+        with pytest.raises(InternalContradictionError) as exc:
+            fractional_pm_pipeline(complete(12, 3), 3, 1, PipelineConfig(eta=Fraction(1, 12)))
+        assert exc.value.check == "closure"
+        last = exc.value.trace.steps[-1]
+        assert (last.name, last.status) == ("closure", "failed")
+
+    def test_completion_outside_the_closure_is_caught_by_the_witness(self, monkeypatch):
+        closures = []
+        real_closure = pipeline.weight_closure
+        real_complete = pipeline._complete_through_clique
+
+        def recorded_closure(*args):
+            closures.append(real_closure(*args))
+            return closures[-1]
+
+        def with_a_non_edge(leftover, q_free, k):
+            closure = closures[-1]
+            outside = next(
+                e for e in combinations(range(1, closure.n + 1), k) if e not in closure.edge_set
+            )
+            return real_complete(leftover, q_free, k) + [outside]
+
+        monkeypatch.setattr(pipeline, "weight_closure", recorded_closure)
+        monkeypatch.setattr(pipeline, "_complete_through_clique", with_a_non_edge)
+        H, _ = build_Hknm(9, 3, 2)  # its weight closure is not complete
+        with pytest.raises(InvalidQueryError, match="is not a host edge") as exc:
+            fractional_pm_pipeline(H, 1, 3, PipelineConfig())
+        last = exc.value.trace.steps[-1]
+        assert (last.name, last.status) == ("assemble", "failed")
 
     def test_value_matches_lp_on_random_dense(self):
         from hypermatch.lp import max_fractional_matching
