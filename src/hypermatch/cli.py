@@ -73,6 +73,8 @@ def _write(args, text: str) -> None:
 def _cmd_gen(args) -> int:
     fam = args.family
     if fam == "hkl":
+        if not 1 <= args.m <= args.n + 1:
+            raise InvalidQueryError(f"need 1 <= m <= n+1 (|W| = m-1), got n={args.n}, m={args.m}")
         W = tuple(range(1, args.m))
         U = tuple(range(args.m, args.n + 1))
         H = build_Hkl(U, W, args.k, args.l)

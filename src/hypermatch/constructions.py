@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, factorial
 
-from .core import KGraph
+from .core import KGraph, _check_shape
 from .errors import InvalidQueryError, SamplingExhaustedError
 
 
@@ -105,8 +105,6 @@ def build_Hknm(n: int, k: int, m: int) -> tuple[KGraph, VertexPartition]:
         raise InvalidQueryError(f"need m >= 1 and m-1+k <= n, got n={n}, k={k}, m={m}")
     W = tuple(range(1, m))
     U = tuple(range(m, n + 1))
-    if m == 1:
-        return KGraph(n, k, []), VertexPartition(U, W)
     return build_Hkl(U, W, k, k - 1), VertexPartition(U, W)
 
 
@@ -162,8 +160,8 @@ def parity_construction(a: int, b: int, k: int) -> KGraph:
     accepted with a warning.
     """
     n = a + b
-    if n < k:
-        raise InvalidQueryError(f"need a+b >= k, got a={a}, b={b}, k={k}")
+    if a < 0 or b < 0 or n < k:
+        raise InvalidQueryError(f"need a, b >= 0 and a+b >= k, got a={a}, b={b}, k={k}")
     if a % 2 == 0 or abs(a - b) > 2:
         warnings.warn(
             f"parity construction intended for odd a with |a-b| <= 2, got a={a}, b={b}",
@@ -174,12 +172,15 @@ def parity_construction(a: int, b: int, k: int) -> KGraph:
 
 
 def space_barrier(n: int, k: int) -> KGraph:
-    """Complete k-graph minus all edges inside {1..n-n/k+1}; requires k | n."""
+    """Complete k-graph minus all edges inside {1..n-n/k+1}; requires k | n.
+
+    That is the template H_{k,k}(U, W) with W the top n/k - 1 vertices.
+    """
+    _check_shape(n, k)
     if n % k != 0:
         raise InvalidQueryError(f"need k | n, got n={n}, k={k}")
-    cutoff = n - n // k + 1
-    edges = [e for e in combinations(range(1, n + 1), k) if e[-1] > cutoff]
-    return KGraph._from_sorted(n, k, edges)
+    cutoff = min(n, n - n // k + 1)  # n = 0 has no W and no U
+    return build_Hkl(range(1, cutoff + 1), range(cutoff + 1, n + 1), k, k)
 
 
 def vertex_degree_threshold(n: int, k: int, m: int) -> int:

@@ -1,8 +1,11 @@
 """Template-containment distance, good/bad vertex classification, and the
 subset edge-density check.
 
-All comparisons against eps * n^k and theta * n^(k-1) use exact rationals;
-n^k is computed in arbitrary precision.
+The template H_{k,l}(U, W) is the k-sets e with 1 <= |e & W| <= l. Its
+membership test is made once, on vertex masks, in _template_edges; its edge
+and vertex-degree counts come from template_edge_count, so the template is
+never materialized. All comparisons against eps * n^k and theta * n^(k-1)
+use exact rationals; n^k is computed in arbitrary precision.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from itertools import combinations
 from math import ceil, comb
 
 from .constructions import VertexPartition, template_edge_count, vertex_degree_threshold
-from .core import KGraph, _mask, node_budget
+from .core import EdgeT, KGraph, _mask, node_budget
 from .errors import BudgetExceededError, InvalidQueryError
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
@@ -32,9 +35,10 @@ class ContainmentReport:
     eps: Fraction
 
 
-def _template_member(e, w_set, l: int) -> bool:
-    c = sum(1 for v in e if v in w_set)
-    return 1 <= c <= l
+def _template_edges(H: KGraph, W, l: int) -> list[EdgeT]:
+    """The edges e of H with 1 <= |e & W| <= l, in edge order."""
+    wm = _mask(W)
+    return [e for e, em in zip(H.edges, H.edge_masks) if 0 < (em & wm).bit_count() <= l]
 
 
 def _check_template(H: KGraph, P: VertexPartition, l: int) -> None:
@@ -45,16 +49,10 @@ def _check_template(H: KGraph, P: VertexPartition, l: int) -> None:
 
 
 def deficiency(H: KGraph, P: VertexPartition, l: int) -> int:
-    """Exact number of template edges missing from H, for the partition P.
-
-    Counts by strata of |e & W|, so the template is never materialized:
-    total template edges minus the edges of H that are template members.
-    """
+    """Exact number of template edges missing from H, for the partition P:
+    total template edges minus the edges of H that are template members."""
     _check_template(H, P, l)
-    w_set = set(P.W)
-    total = template_edge_count(len(P.U), len(P.W), H.k, l)
-    present = sum(1 for e in H.edges if _template_member(e, w_set, l))
-    return total - present
+    return template_edge_count(len(P.U), len(P.W), H.k, l) - len(_template_edges(H, P.W, l))
 
 
 def _partition_for_w(n: int, W) -> VertexPartition:
@@ -82,6 +80,11 @@ def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentRepor
     n, k = H.n, H.k
     bound = eps * Fraction(n) ** k
     subsets, budget = comb(n, m - 1), node_budget()
+    # every candidate W has m - 1 vertices, so the template size is one constant
+    size = template_edge_count(n - m + 1, m - 1, k, k - 1)
+
+    def score(W) -> int:
+        return size - len(_template_edges(H, W, k - 1))
 
     if mode == "auto":
         mode = "exhaustive" if subsets <= min(EXHAUSTIVE_SUBSET_BUDGET, budget) else "local"
@@ -89,34 +92,29 @@ def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentRepor
     if mode == "exhaustive":
         if subsets > budget:
             raise BudgetExceededError(f"exhaustive containment needs {subsets} subsets", nodes=0)
-        best_W = None
-        best_def = None
-        for W in combinations(range(1, n + 1), m - 1):
-            d = deficiency(H, _partition_for_w(n, W), k - 1)
-            if best_def is None or d < best_def:
-                best_def, best_W = d, W
-        part = _partition_for_w(n, best_W)
-        return ContainmentReport(part, best_def, bound, best_def <= bound, "exhaustive", eps)
-
-    # greedy seed: highest degree first, ties by lowest index
-    deg = H._vertex_degrees
-    W = set(sorted(H.vertices(), key=lambda v: (-deg[v], v))[: m - 1])
-    cur = deficiency(H, _partition_for_w(n, W), k - 1)
-    improved = True
-    while improved:
-        improved = False
-        for u in sorted(set(H.vertices()) - W):
-            for w in sorted(W):
-                cand = (W - {w}) | {u}
-                d = deficiency(H, _partition_for_w(n, cand), k - 1)
-                if d < cur:
-                    W, cur = cand, d
-                    improved = True
+        # min keeps the first W of least deficiency
+        W = min(combinations(range(1, n + 1), m - 1), key=score)
+        cur = score(W)
+    else:
+        # greedy seed: highest degree first, ties by lowest index
+        deg = H._vertex_degrees
+        W = set(sorted(H.vertices(), key=lambda v: (-deg[v], v))[: m - 1])
+        cur = score(W)
+        improved = True
+        while improved:
+            improved = False
+            for u in sorted(set(H.vertices()) - W):
+                for w in sorted(W):
+                    cand = (W - {w}) | {u}
+                    d = score(cand)
+                    if d < cur:
+                        W, cur = cand, d
+                        improved = True
+                        break
+                if improved:
                     break
-            if improved:
-                break
-    part = _partition_for_w(n, W)
-    return ContainmentReport(part, cur, bound, cur <= bound, "local-search", eps)
+        mode = "local-search"
+    return ContainmentReport(_partition_for_w(n, W), cur, bound, cur <= bound, mode, eps)
 
 
 def vertex_template_deficits(H: KGraph, P: VertexPartition, l: int) -> dict[int, int]:
@@ -127,24 +125,18 @@ def vertex_template_deficits(H: KGraph, P: VertexPartition, l: int) -> dict[int,
     endpoint, so the deficits sum to exactly k times the deficiency.
     """
     _check_template(H, P, l)
+    k, u, w = H.k, len(P.U), len(P.W)
+    # a vertex's template degree: the template minus its part on the other
+    # n - 1 vertices (U - v only when U is nonempty: comb rejects a negative size)
+    total = template_edge_count(u, w, k, l)
+    in_w = total - template_edge_count(u, w - 1, k, l)
+    in_u = total - template_edge_count(u - 1, w, k, l) if u else 0
+    present = [0] * (H.n + 1)
+    for e in _template_edges(H, P.W, l):
+        for v in e:
+            present[v] += 1
     w_set = set(P.W)
-    k = H.k
-    u_size, w_size = len(P.U), len(P.W)
-    lcap = min(l, w_size)
-
-    def template_degree(v: int) -> int:
-        if v in w_set:
-            return sum(
-                comb(w_size - 1, j - 1) * comb(u_size, k - j) for j in range(1, lcap + 1)
-            )
-        return sum(comb(w_size, j) * comb(u_size - 1, k - 1 - j) for j in range(1, lcap + 1))
-
-    present = {v: 0 for v in H.vertices()}
-    for e in H.edges:
-        if _template_member(e, w_set, l):
-            for v in e:
-                present[v] += 1
-    return {v: template_degree(v) - present[v] for v in H.vertices()}
+    return {v: (in_w if v in w_set else in_u) - present[v] for v in H.vertices()}
 
 
 def classify_good_bad(

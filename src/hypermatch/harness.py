@@ -25,7 +25,7 @@ from .constructions import (
     random_kgraph_conditioned,
     vertex_degree_threshold,
 )
-from .containment import ContainmentReport, _template_member, eps_contains
+from .containment import ContainmentReport, _template_edges, eps_contains
 from .core import KGraph, Matching, format_graph, min_l_degree, parse_graph, verify_matching
 from .errors import (
     BudgetExceededError,
@@ -271,8 +271,8 @@ def conjecture_search(
     before being reported as a counterexample, with its fingerprint.
     Budget exhaustion marks the report incomplete instead of aborting.
     """
-    if not k * m < n:
-        raise InvalidQueryError(f"need m < n/k, got n={n}, k={k}, m={m}")
+    if k < 2 or not k * m < n:
+        raise InvalidQueryError(f"need k >= 2 and m < n/k, got n={n}, k={k}, m={m}")
     t0 = time.perf_counter()
     thr = vertex_degree_threshold(n, k, m)
     report = ExperimentReport(
@@ -365,8 +365,7 @@ def case_split_demo(H: KGraph, m: int, eps, rho, eta=Fraction(1, 10)) -> CaseSpl
     containment = eps_contains(H, m, eps)
     notes: list[str] = []
     if containment.satisfied:
-        w_set = set(containment.partition.W)
-        template_edges = [e for e in H.edges if _template_member(e, w_set, H.k - 1)]
+        template_edges = _template_edges(H, containment.partition.W, H.k - 1)
         nu_t, M_t = exact_nu(KGraph._from_sorted(H.n, H.k, template_edges))
         used = M_t.vertices()
         nu_r, M_r = exact_nu_within(H, (v for v in H.vertices() if v not in used))

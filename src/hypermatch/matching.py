@@ -39,6 +39,8 @@ class NibbleConfig:
             raise InvalidQueryError("max_rounds must be nonnegative")
         if self.tau_check <= 0:
             raise InvalidQueryError("tau_check must be positive")
+        if self.seed < 0:
+            raise InvalidQueryError(f"seed must be nonnegative, got {self.seed}")
 
 
 def greedy_matching(H: KGraph) -> Matching:

@@ -42,6 +42,11 @@ class TestGen:
         assert code == 0
         assert parse_graph(out).n == 7
 
+    @pytest.mark.parametrize("m", ["0", "9"])
+    def test_hkl_m_outside_1_to_n_plus_1_names_m(self, capsys, m):
+        code = main(["gen", "--family", "hkl", "--n", "4", "--k", "3", "--m", m])
+        assert code == 1 and "need 1 <= m <= n+1" in capsys.readouterr().err
+
     def test_parity_and_barrier(self, capsys):
         code, out = run(capsys, "gen", "--family", "parity", "--n", "6", "--k", "3", "--m", "3")
         assert code == 0 and len(parse_graph(out).edges) == 10
@@ -258,11 +263,19 @@ class TestVerifySearchReport:
             (["verify", "--ks", "0"], None),
             (["pipeline", "--m", "2"], "2 6\n1 2\n3 4\n5 6\n"),
             (["pipeline", "--m", "3", "--r", "-2"], "3 12\n"),
+            (["search", "--n", "9", "--k", "0", "--m", "2"], None),
+            (["search", "--n", "9", "--k", "-1", "--m", "2"], None),
+            (["gen", "--family", "barrier", "--n", "6", "--k", "0"], None),
+            (["nibble", "--seed", "-1"], "3 6\n1 2 3\n4 5 6\n"),
+            (["gen", "--family", "hkl", "--n", "4", "--k", "3", "--m", "9"], None),
+            (["gen", "--family", "parity", "--n", "3", "--k", "3", "--m", "5"], None),
         ],
         ids=[
             "search-m-too-large", "search-p-out-of-range",
             "report-empty", "report-not-json", "report-header-incomplete", "verify-ks-zero",
-            "pipeline-k-2", "pipeline-r-negative",
+            "pipeline-k-2", "pipeline-r-negative", "search-k-0", "search-k-negative",
+            "gen-barrier-k-0", "nibble-seed-negative", "gen-hkl-m-above-n-plus-1",
+            "gen-parity-m-above-n",
         ],
     )
     def test_bad_query_is_a_clean_error(self, capsys, monkeypatch, argv, stdin):

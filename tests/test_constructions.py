@@ -84,6 +84,11 @@ class TestBuildHknm:
         H, _ = build_Hknm(8, 3, 1)
         assert H.edges == ()
 
+    @pytest.mark.parametrize("n, k", [(2, 2), (5, 2), (3, 3), (8, 3), (4, 4), (9, 4)])
+    def test_m1_is_the_edgeless_graph(self, n, k):
+        H, part = build_Hknm(n, k, 1)
+        assert H == KGraph(n, k, []) and part == VertexPartition(tuple(range(1, n + 1)), ())
+
     def test_7_3_2(self):
         H, _ = build_Hknm(7, 3, 2)
         assert min_l_degree(H, 1) == 5 == comb(6, 2) - comb(5, 2)
@@ -174,6 +179,11 @@ class TestParity:
         H = parity_construction(1, 3, 4)
         assert H.edges == ()  # |f & A| = 0 needs 4 of the 3 B-vertices
 
+    @pytest.mark.parametrize("a, b", [(5, -2), (-1, 4), (-3, -3)])
+    def test_negative_part_sizes_are_rejected(self, a, b):
+        with pytest.raises(InvalidQueryError):
+            parity_construction(a, b, 3)
+
     def test_warns_on_unintended_parameters(self):
         with pytest.warns(UserWarning):
             parity_construction(2, 2, 3)
@@ -201,6 +211,18 @@ class TestSpaceBarrier:
     def test_requires_divisibility(self):
         with pytest.raises(InvalidQueryError):
             space_barrier(7, 3)
+
+    @pytest.mark.parametrize("n, k", [(0, 3), (2, 2), (6, 2), (3, 3), (9, 3), (12, 3), (4, 4), (12, 4)])
+    def test_matches_definition(self, n, k):
+        # the complete k-graph minus every edge inside {1..n-n/k+1}
+        cutoff = n - n // k + 1
+        expected = [e for e in combinations(range(1, n + 1), k) if not set(e) <= set(range(1, cutoff + 1))]
+        assert space_barrier(n, k) == KGraph(n, k, expected)
+
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_uniformity_below_two(self, k):
+        with pytest.raises(InvalidQueryError):
+            space_barrier(6, k)
 
     def test_never_perfect(self):
         for n, k in [(6, 3), (9, 3), (8, 4)]:

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from hypermatch import KGraph, build_Hknm, complete, random_kgraph
@@ -60,6 +62,33 @@ class TestDeficiency:
         assert deficiency(G, part, 2) <= deficiency(H, part, 2)
 
 
+@st.composite
+def graph_and_template(draw):
+    """A random k-graph with k in {2, 3, 4}, a W from empty to every vertex, and l in 1..k."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=k, max_value=8))
+    all_sets = list(combinations(range(1, n + 1), k))
+    edges = draw(st.lists(st.sampled_from(all_sets), unique=True, max_size=len(all_sets)))
+    W = draw(st.lists(st.integers(min_value=1, max_value=n), unique=True))
+    l = draw(st.integers(min_value=1, max_value=k))
+    return KGraph(n, k, edges), tuple(sorted(W)), l
+
+
+class TestAgainstMaterializedTemplate:
+    @settings(max_examples=200, deadline=None)
+    @given(graph_and_template())
+    @example((random_kgraph(6, 3, Fraction(1, 2), seed=3), (), 2))  # W empty
+    @example((random_kgraph(6, 3, Fraction(1, 2), seed=3), tuple(range(1, 7)), 3))  # U empty
+    def test_deficiency_and_per_vertex_deficits(self, case):
+        H, W, l = case
+        missing = oracles.brute_template_edges(H.n, H.k, W, l) - H.edge_set
+        part = part_for(H.n, W)
+        assert deficiency(H, part, l) == len(missing)
+        assert vertex_template_deficits(H, part, l) == {
+            v: sum(1 for e in missing if v in e) for v in H.vertices()
+        }
+
+
 class TestEpsContains:
     def test_template_trivially_contains(self):
         H, _ = build_Hknm(9, 3, 3)
@@ -83,6 +112,14 @@ class TestEpsContains:
             rep = eps_contains(H, 3, Fraction(1, 100))
             expected, _ = oracles.brute_min_deficiency(H.edges, 8, 3, 3)
             assert rep.deficiency == expected
+
+    def test_exhaustive_at_k4_matches_bruteforce(self):
+        for seed in range(8):
+            H = random_kgraph(8, 4, Fraction(1, 2), seed=seed)
+            for m in (1, 2, 3):
+                rep = eps_contains(H, m, Fraction(1, 100), mode="exhaustive")
+                expected, best_W = oracles.brute_min_deficiency(H.edges, 8, 4, m)
+                assert (rep.deficiency, rep.partition.W) == (expected, best_W)
 
     def test_local_never_beats_exhaustive(self):
         for seed in range(15):
