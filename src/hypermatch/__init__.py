@@ -17,7 +17,6 @@ from .core import (
     verify_matching,
 )
 from .constructions import (
-    ThresholdSpec,
     VertexPartition,
     build_Hkl,
     build_Hknm,

@@ -35,7 +35,7 @@ from .errors import BudgetExceededError, HypermatchError, InvalidQueryError
 from .harness import conjecture_search, emit_report, load_report, tightness_grid, verify_tightness
 from .lp import solve_fractional
 from .matching import NibbleConfig, exact_nu, nibble_matching_report
-from .pipeline import PipelineConfig, _plain, build_augmented, fractional_pm_pipeline
+from .pipeline import PipelineConfig, _plain, fractional_pm_pipeline, padded_clique_size
 
 
 def _frac(text: str) -> Fraction:
@@ -172,7 +172,7 @@ def _write_trace(args, trace) -> None:
 def _cmd_pipeline(args) -> int:
     H = parse_graph(_read_input(args))
     cfg = PipelineConfig(eta=args.eta, rho=args.rho, eps=args.eps)
-    r = args.r if args.r is not None else build_augmented(H, args.m, cfg.eta)[1]
+    r = args.r if args.r is not None else padded_clique_size(H.n, H.k, args.m, cfg.eta)
     _write_trace(args, fractional_pm_pipeline(H, args.m, r, cfg, route=args.route)[1])
     return 0
 

@@ -44,39 +44,6 @@ def beta_upper_bound(k: int) -> Fraction:
     return Fraction(1, (3**k * 2 * k**5 * factorial(k)) ** 4)
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """Parameters (n, k, m) with the two exact degree thresholds derived.
-
-    The optional beta is the non-explicit range parameter; a beta at or
-    above its admissible upper bound only warns, since the true constant is
-    not known explicitly.
-    """
-
-    n: int
-    k: int
-    m: int
-    beta: Fraction | None = None
-
-    def __post_init__(self):
-        if not (1 <= self.m and self.m * self.k <= self.n):
-            raise InvalidQueryError(f"need 1 <= m <= n/k, got m={self.m}, n={self.n}, k={self.k}")
-        if self.beta is not None and self.beta >= beta_upper_bound(self.k):
-            warnings.warn(
-                f"beta={self.beta} is at or above the admissible upper bound "
-                f"{beta_upper_bound(self.k)} for k={self.k}",
-                stacklevel=2,
-            )
-
-    @property
-    def vertex_degree_threshold(self) -> int:
-        return vertex_degree_threshold(self.n, self.k, self.m)
-
-    @property
-    def erdos_threshold(self) -> int:
-        return erdos_threshold(self.n, self.k, self.m)
-
-
 def build_Hkl(U, W, k: int, l: int) -> KGraph:
     """The template whose edges are the k-sets e with 1 <= |e & W| <= l."""
     if not 1 <= l <= k:
@@ -101,6 +68,7 @@ def build_Hknm(n: int, k: int, m: int) -> tuple[KGraph, VertexPartition]:
     Its minimum vertex degree equals vertex_degree_threshold(n, k, m) and its
     maximum matching has exactly m - 1 edges.
     """
+    _check_shape(n, k)
     if m < 1 or m - 1 + k > n:
         raise InvalidQueryError(f"need m >= 1 and m-1+k <= n, got n={n}, k={k}, m={m}")
     W = tuple(range(1, m))

@@ -193,10 +193,11 @@ def subset_density_check(
 
     Subsets of size ceil((1 - m/n - eps/7) * n) are the binding case: the
     bound is constant while induced edge counts only grow with the subset,
-    so checking the minimum size covers all larger sizes. Exhaustive when
-    the number of such subsets is within the budget and samples > 0 is not
-    forcing sampling; otherwise samples random subsets. Out-of-range
-    parameters are flagged in the report, not rejected.
+    so checking the minimum size covers all larger sizes. samples = 0 checks
+    nothing (mode "sampled", 0 checked). Otherwise every such subset is
+    checked when there are at most EXHAUSTIVE_SUBSET_BUDGET of them, and
+    `samples` random subsets drawn from `seed` when there are more.
+    Out-of-range parameters are flagged in the report, not rejected.
     """
     eps = Fraction(eps)
     n, k = H.n, H.k

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from . import __version__
 from .constructions import (
     build_Hknm,
+    join_clique,
     random_kgraph,
     random_kgraph_conditioned,
     vertex_degree_threshold,
@@ -39,8 +40,8 @@ from .pipeline import (
     PipelineConfig,
     PipelineTrace,
     _plain,
-    build_augmented,
     fractional_pm_pipeline,
+    padded_clique_size,
 )
 
 class TightnessFailure(HypermatchError, AssertionError):
@@ -382,7 +383,7 @@ def case_split_demo(H: KGraph, m: int, eps, rho, eta=Fraction(1, 10)) -> CaseSpl
         )
 
     cfg = PipelineConfig(eta=Fraction(eta), rho=Fraction(rho), eps=Fraction(eps))
-    aug, r = build_augmented(H, m, cfg.eta)
+    r = padded_clique_size(H.n, H.k, m, cfg.eta)
     value = None
     error = None
     try:
@@ -393,7 +394,7 @@ def case_split_demo(H: KGraph, m: int, eps, rho, eta=Fraction(1, 10)) -> CaseSpl
         trace = ex.trace
     size = None
     concludes = None
-    aug_nu, M_aug = exact_nu(aug)
+    aug_nu, M_aug = exact_nu(join_clique(H, r))
     if aug_nu >= m + r:
         inside = [e for e in M_aug.edges if all(v <= H.n for v in e)]
         size = len(inside)

@@ -197,7 +197,12 @@ def _rows_within(mask, rows):
 
 
 def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
-    """Semi-random nibble with per-round statistics and the regularity gate."""
+    """Semi-random nibble with per-round statistics and the regularity gate.
+
+    Whatever survives the rounds goes through greedy cleanup, and degenerate
+    inputs (too sparse for any bite) fall straight through to it, so the
+    matching is always a maximal matching of what remains.
+    """
     import numpy as np
 
     n, k = H.n, H.k
@@ -241,16 +246,6 @@ def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
     matching = Matching.from_edges(matched)
     covered = Fraction(k * len(matching.edges), n)
     return NibbleReport(matching, covered, tuple(rounds), deg_ok, cod_ok, D0, max_cod)
-
-
-def nibble_matching(H: KGraph, cfg: NibbleConfig) -> tuple[Matching, Fraction]:
-    """Nibble then greedy cleanup; returns the matching and k|M|/n exactly.
-
-    Degenerate inputs (too sparse for any bite) fall through to the greedy
-    cleanup, so the result is always a maximal matching of what remains.
-    """
-    rep = nibble_matching_report(H, cfg)
-    return rep.matching, rep.covered_fraction
 
 
 def sparsify_by_fractional(

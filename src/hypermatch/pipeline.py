@@ -11,9 +11,9 @@ verified feasible and perfect, and its value is cross-checked against the
 exact fractional optimum of the augmented graph, certified by the cover
 step's own primal and dual witnesses.
 
-Also: the eta-padded augmentation rule, the first-round vertex sampler with
-its concentration checks, and the Chernoff tail bounds used to set test
-bands.
+Also: the eta-padded clique-size rule, the first-round vertex sampler with
+its incidence counts and per-copy degree bound, and the Chernoff tail bounds
+used to set test bands.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ class PipelineConfig:
             raise InvalidQueryError(f"rho must be nonnegative, got {self.rho}")
 
 
-def build_augmented(H: KGraph, m: int, eta) -> tuple[KGraph, int]:
-    """Join a clique of r = ceil((n - km - eta*n)/(k-1)) fresh vertices.
+def padded_clique_size(n: int, k: int, m: int, eta) -> int:
+    """The clique size r = ceil((n - km - eta*n)/(k-1)) of the padding rule.
 
     Raises InfeasibleAugmentationError when n - km - eta*n < 0. The rounding
     residual r(k-1) - (n - km - eta*n) is available via
@@ -119,7 +119,6 @@ def build_augmented(H: KGraph, m: int, eta) -> tuple[KGraph, int]:
     the enforced form).
     """
     eta = Fraction(eta)
-    n, k = H.n, H.k
     slack = Fraction(n - k * m) - eta * n
     if slack < 0:
         raise InfeasibleAugmentationError(
@@ -132,7 +131,7 @@ def build_augmented(H: KGraph, m: int, eta) -> tuple[KGraph, int]:
             f"(n={n}, k={k}, m={m}, eta={eta})",
             stacklevel=2,
         )
-    return join_clique(H, r), r
+    return r
 
 
 def augmentation_residual(n: int, k: int, m: int, eta, r: int) -> Fraction:
@@ -634,6 +633,22 @@ class SampleFamily:
     def edge_containment_counts(self) -> dict[EdgeT, int]:
         return dict(_copies_per_edge(self.host, self.copies))
 
+    def first_low_degree_copy(self, rho_prime) -> tuple[int, int, Fraction] | None:
+        """The first copy c of size sz >= k whose induced minimum vertex degree
+        fails d > C(sz-1, k-1) - C(sz - sz/k, k-1) - rho' * sz^(k-1), as
+        (index, d, bound); None when every such copy passes.
+        """
+        k = self.host.k
+        for idx, c in enumerate(self.copies):
+            sz = len(c)
+            if sz < k:
+                continue
+            d = min_l_degree(induced(self.host, c), 1)
+            bound = vertex_degree_threshold(sz, k, sz // k) - rho_prime * Fraction(sz) ** (k - 1)
+            if not d > bound:
+                return idx, d, bound
+        return None
+
 
 def first_round_sampler(H: KGraph, settings: SamplerSettings) -> SampleFamily:
     """Draw independent vertex samples, trimmed so each size is divisible by k.
@@ -660,90 +675,6 @@ def first_round_sampler(H: KGraph, settings: SamplerSettings) -> SampleFamily:
             picked = [v for v in picked if v not in drop]
         copies.append(tuple(picked))
     return SampleFamily(host=H, copies=tuple(copies))
-
-
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    passed: bool
-    observed: object
-    threshold: object
-
-
-@dataclass(frozen=True)
-class SamplerReport:
-    checks: tuple[PropertyCheck, ...]
-
-    def passed(self, name: str) -> bool:
-        return next(c.passed for c in self.checks if c.name == name)
-
-    def observed(self, name: str):
-        return next(c.observed for c in self.checks if c.name == name)
-
-
-def check_sampler_properties(
-    family: SampleFamily,
-    H: KGraph,
-    *,
-    vertex_count_band: tuple[float, float] | None = None,
-    size_band: tuple[float, float] | None = None,
-    pair_limit: int | None = 2,
-    edge_limit: int | None = 1,
-    rho_prime: Fraction | None = None,
-    min_inside_fraction: float = 1.0,
-) -> SamplerReport:
-    """Measure the concentration properties of a sample family.
-
-    The asymptotic guarantees hide o(1) terms, so every threshold is caller
-    supplied: bands are absolute (lo, hi) ranges, min_inside_fraction is the
-    required fraction of vertices/copies inside their band, and rho_prime
-    (when given) activates the per-copy minimum-degree bound
-    d >= C(sz-1, k-1) - C(sz - sz/k, k-1) - rho' * sz^(k-1). A None
-    threshold skips its (possibly expensive) measurement.
-    """
-    checks: list[PropertyCheck] = []
-    k = H.k
-
-    def band_check(name: str, values, band: tuple[float, float]) -> None:
-        lo, hi = band
-        frac = sum(1 for x in values if lo <= x <= hi) / len(values) if values else 1.0
-        checks.append(PropertyCheck(name, frac >= min_inside_fraction, frac, band))
-
-    if vertex_count_band is not None:
-        band_check("vertex_counts", family.vertex_counts.values(), vertex_count_band)
-
-    if pair_limit is not None:
-        checks.append(
-            PropertyCheck(
-                "pair_overlap", family.max_pair_incidence <= pair_limit,
-                family.max_pair_incidence, pair_limit,
-            )
-        )
-
-    if edge_limit is not None:
-        edge_max = max(family.edge_containment_counts.values(), default=0)
-        checks.append(PropertyCheck("edge_overlap", edge_max <= edge_limit, edge_max, edge_limit))
-
-    if size_band is not None:
-        band_check("copy_sizes", family.sizes, size_band)
-
-    if rho_prime is not None:
-        worst = None
-        ok = True
-        for idx, c in enumerate(family.copies):
-            sz = len(c)
-            if sz < k:
-                continue
-            sub = induced(H, c)
-            d = min_l_degree(sub, 1)
-            bound = vertex_degree_threshold(sz, k, sz // k) - rho_prime * Fraction(sz) ** (k - 1)
-            if not d > bound:
-                ok = False
-                worst = (idx, d, bound)
-                break
-        checks.append(PropertyCheck("copy_min_degree", ok, worst, str(rho_prime)))
-
-    return SamplerReport(tuple(checks))
 
 
 def chernoff_tail(n: int, p, lam) -> tuple[float, float]:

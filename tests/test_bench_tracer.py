@@ -1,7 +1,9 @@
 """The benchmark tracer (perfbench/tracing.py) finds hypermatch functions
-and KGraph indexes by name; a rename or deletion here would otherwise only
-show when `perfbench/run.py --trace 1` runs."""
+and KGraph indexes by name, and the workloads (perfbench/workloads.py) look
+functions up on hypermatch modules; a rename or deletion here would
+otherwise only show when `perfbench/run.py` runs."""
 
+import ast
 import functools
 import importlib
 import os
@@ -14,7 +16,7 @@ import pytest
 
 from hypermatch import complete
 from hypermatch.core import KGraph
-from hypermatch.pipeline import PipelineConfig, build_augmented, fractional_pm_pipeline
+from hypermatch.pipeline import PipelineConfig, fractional_pm_pipeline, padded_clique_size
 
 
 def _perfbench_module(monkeypatch, name):
@@ -33,6 +35,28 @@ def test_traced_functions_resolve(tracing):
         assert callable(getattr(module, fn_name, None)), f"hypermatch.{mod_name}.{fn_name}"
 
 
+def test_workload_lookups_resolve():
+    # the workloads reach hypermatch only as `<module>.<name>` on modules
+    # imported from the package, so a deleted name shows up here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "hypermatch"
+        for alias in node.names
+    }
+    lookups = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    assert ("pipeline", "minimal_feasible_r") in lookups
+    for mod_name, name in sorted(lookups):
+        module = importlib.import_module(f"hypermatch.{mod_name}")
+        assert hasattr(module, name), f"hypermatch.{mod_name}.{name}"
+
+
 def test_lazy_indexes_are_cached_properties(tracing):
     for attr in tracing.LAZY_INDEXES:
         assert isinstance(KGraph.__dict__.get(attr), functools.cached_property), attr
@@ -43,7 +67,7 @@ def test_pipeline_steps_are_the_ones_the_worker_sums(monkeypatch):
     # PIPELINE_STEPS; the README pipeline example must fill those rows
     worker = _perfbench_module(monkeypatch, "worker")
     H, cfg = complete(12, 3), PipelineConfig(eta=Fraction(1, 12))
-    _, trace = fractional_pm_pipeline(H, 3, build_augmented(H, 3, cfg.eta)[1], cfg)
+    _, trace = fractional_pm_pipeline(H, 3, padded_clique_size(12, 3, 3, cfg.eta), cfg)
     for st in trace.steps:
         assert st.name in worker.PIPELINE_STEPS, st.name
         assert isinstance(st.seconds, float) and st.seconds >= 0, st.name

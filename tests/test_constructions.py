@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracles
 from hypermatch import (
     KGraph,
-    ThresholdSpec,
     build_Hkl,
     build_Hknm,
     complete,
@@ -88,6 +87,10 @@ class TestBuildHknm:
     def test_m1_is_the_edgeless_graph(self, n, k):
         H, part = build_Hknm(n, k, 1)
         assert H == KGraph(n, k, []) and part == VertexPartition(tuple(range(1, n + 1)), ())
+
+    def test_uniformity_below_two_names_k(self):
+        with pytest.raises(InvalidQueryError, match=r"^uniformity k must be >= 2, got 1$"):
+            build_Hknm(5, 1, 1)
 
     def test_7_3_2(self):
         H, _ = build_Hknm(7, 3, 2)
@@ -241,6 +244,8 @@ class TestThresholds:
         assert erdos_threshold(9, 3, 2) == max(comb(5, 3), comb(9, 3) - comb(8, 3)) + 1 == 29
         for k in (3, 4, 5):
             assert erdos_threshold(k, k, 1) == 1
+        with pytest.raises(InvalidQueryError):
+            erdos_threshold(10, 3, 4)
 
     def test_l_degree_fraction(self):
         assert l_degree_conjectured_fraction(3, 1) == Fraction(5, 9)
@@ -248,14 +253,9 @@ class TestThresholds:
         for k in (3, 4, 5):
             assert l_degree_conjectured_fraction(k, k - 1) == Fraction(1, 2)
 
-    def test_threshold_spec(self):
-        spec = ThresholdSpec(12, 3, 3)
-        assert spec.vertex_degree_threshold == vertex_degree_threshold(12, 3, 3)
-        assert spec.erdos_threshold == erdos_threshold(12, 3, 3)
-        with pytest.raises(InvalidQueryError):
-            ThresholdSpec(10, 3, 4)
-        with pytest.warns(UserWarning):
-            ThresholdSpec(12, 3, 3, beta=beta_upper_bound(3))
+    def test_beta_upper_bound(self):
+        # 1 / (3^3 * 2 * 3^5 * 3!)^4
+        assert beta_upper_bound(3) == Fraction(1, 78732**4)
 
 
 # both generators reject these before drawing, so _draw_threshold never sees them

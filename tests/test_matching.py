@@ -28,7 +28,6 @@ from hypermatch.matching import (
     exact_nu,
     exact_nu_within,
     greedy_matching,
-    nibble_matching,
     nibble_matching_report,
     sparsify_by_fractional,
 )
@@ -163,32 +162,31 @@ class TestGreedy:
 class TestNibble:
     def test_single_edge(self):
         H = KGraph(6, 3, [(1, 2, 3)])
-        M, frac = nibble_matching(H, NibbleConfig(seed=1))
-        assert len(M) == 1 and frac == Fraction(3, 6)
+        rep = nibble_matching_report(H, NibbleConfig(seed=1))
+        assert len(rep.matching) == 1 and rep.covered_fraction == Fraction(3, 6)
 
     def test_edgeless(self):
-        M, frac = nibble_matching(KGraph(6, 3, []), NibbleConfig(seed=1))
-        assert len(M) == 0 and frac == 0
+        rep = nibble_matching_report(KGraph(6, 3, []), NibbleConfig(seed=1))
+        assert len(rep.matching) == 0 and rep.covered_fraction == 0
 
     def test_output_verifies_and_fraction_exact(self):
         H = complete(30, 3)
         for seed in range(4):
-            M, frac = nibble_matching(H, NibbleConfig(seed=seed))
-            assert verify_matching(H, M)
-            assert frac == Fraction(3 * len(M), 30)
+            rep = nibble_matching_report(H, NibbleConfig(seed=seed))
+            assert verify_matching(H, rep.matching)
+            assert rep.covered_fraction == Fraction(3 * len(rep.matching), 30)
 
     def test_seed_deterministic(self):
         H = complete(24, 3)
-        a, fa = nibble_matching(H, NibbleConfig(seed=7))
-        b, fb = nibble_matching(H, NibbleConfig(seed=7))
-        assert a == b and fa == fb
+        a = nibble_matching_report(H, NibbleConfig(seed=7))
+        b = nibble_matching_report(H, NibbleConfig(seed=7))
+        assert a.matching == b.matching and a.covered_fraction == b.covered_fraction
 
     def test_covers_most_of_medium_complete_graph(self):
         H = complete(60, 3)
         fractions = []
         for seed in range(5):
-            _, frac = nibble_matching(H, NibbleConfig(seed=seed))
-            fractions.append(frac)
+            fractions.append(nibble_matching_report(H, NibbleConfig(seed=seed)).covered_fraction)
         fractions.sort()
         assert fractions[len(fractions) // 2] >= Fraction(17, 20)
 
@@ -196,11 +194,8 @@ class TestNibble:
         # maximum matching size is 10 = n/k; at sigma target 0.1 at least
         # 8 of 10 seeds must cover 90% of the vertices
         H = complete(30, 3)
-        hits = sum(
-            nibble_matching(H, NibbleConfig(sigma_target=Fraction(1, 10), seed=s))[1]
-            >= Fraction(9, 10)
-            for s in range(10)
-        )
+        cfgs = [NibbleConfig(sigma_target=Fraction(1, 10), seed=s) for s in range(10)]
+        hits = sum(nibble_matching_report(H, cfg).covered_fraction >= Fraction(9, 10) for cfg in cfgs)
         assert hits >= 8
 
     def test_report_round_accounting(self):

@@ -28,47 +28,46 @@ from hypermatch.matching import exact_nu
 from hypermatch.pipeline import (
     PipelineConfig,
     SamplerSettings,
-    build_augmented,
     augmentation_residual,
     check_pipeline_preconditions,
-    check_sampler_properties,
     chernoff_band,
     chernoff_tail,
     first_round_sampler,
     fractional_pm_pipeline,
     minimal_feasible_r,
+    padded_clique_size,
 )
 
 
 class TestBuildAugmented:
+    """The padded clique size, and the augmented graph joined from it."""
+
     def test_rounding_example(self):
-        H = KGraph(20, 3, [(1, 2, 3)])
-        aug, r = build_augmented(H, 3, Fraction(1, 10))
+        r = padded_clique_size(20, 3, 3, Fraction(1, 10))
         assert r == 5  # ceil((20 - 9 - 2) / 2)
-        assert aug.n == 25
         assert augmentation_residual(20, 3, 3, Fraction(1, 10), r) == Fraction(1)
 
     def test_eta_zero_at_exact_fit_returns_graph(self):
         H = complete(9, 3)
-        aug, r = build_augmented(H, 3, 0)
-        assert r == 0 and aug is H
+        r = padded_clique_size(9, 3, 3, 0)
+        assert r == 0 and join_clique(H, r) is H
 
     def test_infeasible_m(self):
-        H = complete(9, 3)
         with pytest.raises(InfeasibleAugmentationError):
-            build_augmented(H, 4, Fraction(1, 10))
+            padded_clique_size(9, 3, 4, Fraction(1, 10))
 
     def test_degree_gain_of_original_vertices(self):
         H = random_kgraph(12, 3, 0.4, seed=2)
-        aug, r = build_augmented(H, 3, Fraction(1, 10))
+        r = padded_clique_size(12, 3, 3, Fraction(1, 10))
+        aug = join_clique(H, r)
         gain = comb(12 + r - 1, 2) - comb(11, 2)
         for v in (1, 5, 12):
             assert degree(aug, {v}) == degree(H, {v}) + gain
 
     def test_large_eta_triggers_warning_not_error(self):
-        H = complete(20, 3)
-        with pytest.warns(UserWarning):
-            _, r = build_augmented(H, 2, Fraction(1, 2))
+        with pytest.warns(UserWarning) as record:
+            r = padded_clique_size(20, 3, 2, Fraction(1, 2))
+        assert record[0].filename == __file__  # the warning names its caller
         assert (r - 3) * 2 < 20 - 6  # the warned-about inequality indeed fails
 
 
@@ -86,7 +85,7 @@ class TestPipeline:
     def test_complete_12_with_minimal_padding(self):
         H = complete(12, 3)
         cfg = PipelineConfig(eta=Fraction(1, 12))
-        aug, r = build_augmented(H, 3, cfg.eta)
+        r = padded_clique_size(12, 3, 3, cfg.eta)
         phi, trace = fractional_pm_pipeline(H, 3, r, cfg)
         assert trace.value == Fraction(12 + r, 3)
         assert phi.is_perfect()
@@ -97,7 +96,7 @@ class TestPipeline:
         cfg = PipelineConfig(eta=Fraction(1, 100))
         # r = ceil((12 - 12 - 0.12)/2) would be negative; use m=4, eta tiny -> infeasible
         with pytest.raises(InfeasibleAugmentationError):
-            build_augmented(H, 4, Fraction(1, 100))
+            padded_clique_size(12, 3, 4, Fraction(1, 100))
         phi, trace = fractional_pm_pipeline(H, 4, 0, cfg)
         assert trace.s == 0
         assert set(phi.phi.values()) == {Fraction(1)}
@@ -315,8 +314,8 @@ class TestSampler:
         H = complete(9, 3)
         fam = first_round_sampler(H, SamplerSettings(keep_probability=1.0, copy_count=1))
         assert fam.copies[0] == tuple(range(1, 10))
-        rep = check_sampler_properties(fam, H, pair_limit=2, edge_limit=1)
-        assert rep.passed("pair_overlap") and rep.passed("edge_overlap")
+        assert fam.max_pair_incidence <= 2
+        assert max(fam.edge_containment_counts.values()) <= 1
 
     def test_disjoint_copies_pair_incidence(self):
         H = KGraph(12, 3, [])
@@ -327,8 +326,14 @@ class TestSampler:
     def test_complete_host_min_degree_property(self):
         H = complete(20, 3)
         fam = first_round_sampler(H, SamplerSettings(keep_probability=0.6, copy_count=3, seed=9))
-        rep = check_sampler_properties(fam, H, rho_prime=Fraction(1), edge_limit=len(fam.copies))
-        assert rep.passed("copy_min_degree")  # induced complete graphs beat the bound at rho'=1
+        # induced complete graphs beat the bound at rho'=1
+        assert fam.first_low_degree_copy(Fraction(1)) is None
+
+    def test_edgeless_copy_fails_min_degree_bound(self):
+        H = KGraph(12, 3, [])
+        fam = first_round_sampler(H, SamplerSettings(keep_probability=1.0, copy_count=1))
+        # d = 0 against C(11, 2) - C(8, 2) = 27 at rho' = 0
+        assert fam.first_low_degree_copy(0) == (0, 0, 27)
 
     def test_paper_default_shapes(self):
         H = KGraph(50, 3, [])
