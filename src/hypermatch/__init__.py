@@ -9,11 +9,8 @@ from .core import (
     induced,
     is_stable,
     link,
-    max_l_degree,
     min_l_degree,
     parse_graph,
-    remove,
-    stable_closure,
     verify_matching,
 )
 from .constructions import (
@@ -21,9 +18,7 @@ from .constructions import (
     build_Hkl,
     build_Hknm,
     complete,
-    erdos_threshold,
     join_clique,
-    l_degree_conjectured_fraction,
     parity_construction,
     random_kgraph,
     random_kgraph_conditioned,

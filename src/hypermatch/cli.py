@@ -140,12 +140,10 @@ def _cmd_contain(args) -> int:
 
 def _cmd_nibble(args) -> int:
     H = parse_graph(_read_input(args))
+    if not 0 < args.sigma < 1:
+        raise InvalidQueryError(f"sigma_target must be in (0,1), got {args.sigma}")
     cfg = NibbleConfig(
-        bite_fraction=args.bite,
-        max_rounds=args.rounds,
-        sigma_target=args.sigma,
-        seed=args.seed,
-        tau_check=args.tau,
+        bite_fraction=args.bite, max_rounds=args.rounds, seed=args.seed, tau_check=args.tau
     )
     rep = nibble_matching_report(H, cfg)
     lines = [
@@ -159,8 +157,8 @@ def _cmd_nibble(args) -> int:
             f"round {r.index}: alive={r.vertices_alive} edges={r.edges_alive} "
             f"D={r.average_degree:.2f} sampled={r.sampled} kept={r.kept}"
         )
-    target_ok = rep.covered_fraction >= 1 - cfg.sigma_target
-    lines.append(f"sigma_target {cfg.sigma_target} met={target_ok}")
+    target_ok = rep.covered_fraction >= 1 - args.sigma
+    lines.append(f"sigma_target {args.sigma} met={target_ok}")
     _write(args, "\n".join(lines) + "\n")
     return 0
 
@@ -264,7 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nibble", help="semi-random nibble matching")
     p.add_argument("--bite", type=_frac, default=Fraction(1, 10))
     p.add_argument("--rounds", type=int, default=40)
-    p.add_argument("--sigma", type=_frac, default=Fraction(1, 10))
+    p.add_argument(
+        "--sigma",
+        type=_frac,
+        default=Fraction(1, 10),
+        help="leftover fraction the run is reported against, 0 < sigma < 1",
+    )
     p.add_argument("--tau", type=_frac, default=Fraction(1, 20))
     p.add_argument("--seed", type=int, default=0)
     common(p)

@@ -1,4 +1,4 @@
-"""Generators for the extremal families and the closed-form degree thresholds.
+"""Generators for the extremal families and the closed-form vertex-degree threshold.
 
 All threshold arithmetic is exact (Python integers / Fractions); no floats
 appear in any formula. W is always the set of lowest-indexed vertices.
@@ -104,7 +104,8 @@ def complete(n: int, k: int) -> KGraph:
 def join_clique(H: KGraph, r: int) -> KGraph:
     """H plus a clique on r new vertices Q = {n+1..n+r} plus every k-set meeting Q.
 
-    r = 0 returns H unchanged (degenerate join, accepted by design).
+    Its matching number is min(nu(H) + r, floor((n + r)/k)). r = 0 returns H
+    unchanged (degenerate join, accepted by design).
     """
     if r < 0:
         raise InvalidQueryError(f"need r >= 0, got {r}")
@@ -156,20 +157,6 @@ def vertex_degree_threshold(n: int, k: int, m: int) -> int:
     if m < 1 or n < m + k - 1:
         raise InvalidQueryError(f"need m >= 1 and n >= m+k-1, got n={n}, k={k}, m={m}")
     return comb(n - 1, k - 1) - comb(n - m, k - 1)
-
-
-def erdos_threshold(n: int, k: int, m: int) -> int:
-    """max{C(km-1, k), C(n, k) - C(n-m+1, k)} + 1, the edge-count threshold."""
-    if m < 1 or k * m > n:
-        raise InvalidQueryError(f"need 1 <= m and km <= n, got n={n}, k={k}, m={m}")
-    return max(comb(k * m - 1, k), comb(n, k) - comb(n - m + 1, k)) + 1
-
-
-def l_degree_conjectured_fraction(k: int, l: int) -> Fraction:
-    """max{1/2, 1 - (1 - 1/k)^(k-l)} as an exact rational."""
-    if not 1 <= l < k:
-        raise InvalidQueryError(f"need 1 <= l < k, got l={l}, k={k}")
-    return max(Fraction(1, 2), 1 - (1 - Fraction(1, k)) ** (k - l))
 
 
 _TWO53 = 2**53

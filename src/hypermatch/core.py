@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from math import comb
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidQueryError
@@ -286,12 +285,6 @@ def min_l_degree(H: KGraph, l: int) -> int:
     return min(_l_degrees(H, l))
 
 
-def max_l_degree(H: KGraph, l: int) -> int:
-    """Maximum, over all l-subsets T of the vertex set, of degree(H, T)."""
-    _check_l(H, l)
-    return max(_l_degrees(H, l))
-
-
 def link(H: KGraph, v: int) -> KGraph:
     """The (k-1)-graph of neighborhoods of v, on the other n-1 vertices.
 
@@ -320,13 +313,6 @@ def induced(H: KGraph, S: Iterable[int]) -> KGraph:
         if m & smask == m:
             edges.append(tuple(pos[v] for v in e))
     return KGraph._from_sorted(len(ss), H.k, sorted(edges))
-
-
-def remove(H: KGraph, S: Iterable[int]) -> KGraph:
-    """H minus the vertices of S and every edge meeting S; same as induced on V - S."""
-    ss = set(S)
-    _vertex_range_check(H, ss, "S")
-    return induced(H, (v for v in H.vertices() if v not in ss))
 
 
 def _greedy_block_cover_bound(H: KGraph, candidates: Sequence[int]) -> int:
@@ -426,18 +412,6 @@ def is_stable(H: KGraph) -> bool:
     return all(dec in es for e in H.edges for dec in _decrements(e))
 
 
-def stable_closure(H: KGraph) -> KGraph:
-    """Smallest stable hypergraph containing H (closure under decrements)."""
-    seen = set(H.edges)
-    stack = list(H.edges)
-    while stack:
-        for dec in _decrements(stack.pop()):
-            if dec not in seen:
-                seen.add(dec)
-                stack.append(dec)
-    return KGraph._from_sorted(H.n, H.k, sorted(seen))
-
-
 def verify_matching(H: KGraph, M: Matching) -> bool:
     """True iff every member is a host edge and members are pairwise disjoint."""
     used = 0
@@ -449,15 +423,6 @@ def verify_matching(H: KGraph, M: Matching) -> bool:
             return False
         used |= m
     return True
-
-
-def handshake_bound(H: KGraph, l: int):
-    """The average l-degree e(H) * C(k,l) / C(n,l), exact as a Fraction."""
-    from fractions import Fraction
-
-    if comb(H.n, l) == 0:
-        raise InvalidQueryError(f"C({H.n},{l}) = 0")
-    return Fraction(H.num_edges * comb(H.k, l), comb(H.n, l))
 
 
 # -- plain-text graph format ------------------------------------------------

@@ -236,11 +236,6 @@ def verify_tightness(grid: Iterable[tuple[int, int, int]]) -> ExperimentReport:
     return report
 
 
-def meets_degree_hypothesis(H: KGraph, m: int) -> bool:
-    """Strict inequality filter of the conjecture: delta_1 above the threshold."""
-    return min_l_degree(H, 1) > vertex_degree_threshold(H.n, H.k, m)
-
-
 def _sample_for_model(model: str, n: int, k: int, m: int, p, trial_seed: str) -> KGraph:
     seed = int.from_bytes(hashlib.sha256(trial_seed.encode()).digest()[:8], "big")
     if model == "uniform-p":

@@ -19,22 +19,18 @@ class NibbleConfig:
     """Parameters of the semi-random nibble.
 
     bite_fraction is the expected fraction of surviving vertices covered per
-    round; sigma_target is the leftover fraction the caller hopes for (it is
-    reported against, not used as a stopping rule); tau_check is the slack of
-    the near-regularity gate, which is measured and reported, never enforced.
+    round; tau_check is the slack of the near-regularity gate, which is
+    measured and reported, never enforced.
     """
 
     bite_fraction: Fraction = Fraction(1, 10)
     max_rounds: int = 40
-    sigma_target: Fraction = Fraction(1, 10)
     seed: int = 0
     tau_check: Fraction = Fraction(1, 20)
 
     def __post_init__(self):
         if not 0 < self.bite_fraction < 1:
             raise InvalidQueryError(f"bite_fraction must be in (0,1), got {self.bite_fraction}")
-        if not 0 < self.sigma_target < 1:
-            raise InvalidQueryError(f"sigma_target must be in (0,1), got {self.sigma_target}")
         if self.max_rounds < 0:
             raise InvalidQueryError("max_rounds must be nonnegative")
         if self.tau_check <= 0:

@@ -47,12 +47,6 @@ def brute_min_l_degree(n, edges, l):
     return min(brute_degree(edges, T) for T in combinations(range(1, n + 1), l))
 
 
-def brute_max_l_degree(n, edges, l):
-    if l == 0:
-        return len(edges)
-    return max(brute_degree(edges, T) for T in combinations(range(1, n + 1), l))
-
-
 def brute_independence(n, edges):
     """Largest subset containing no edge, by exhaustive subset search."""
     edge_sets = [frozenset(e) for e in edges]

@@ -267,6 +267,8 @@ class TestVerifySearchReport:
             (["search", "--n", "9", "--k", "-1", "--m", "2"], None),
             (["gen", "--family", "barrier", "--n", "6", "--k", "0"], None),
             (["nibble", "--seed", "-1"], "3 6\n1 2 3\n4 5 6\n"),
+            (["nibble", "--sigma", "0"], "3 6\n1 2 3\n4 5 6\n"),
+            (["nibble", "--sigma", "1"], "3 6\n1 2 3\n4 5 6\n"),
             (["gen", "--family", "hkl", "--n", "4", "--k", "3", "--m", "9"], None),
             (["gen", "--family", "parity", "--n", "3", "--k", "3", "--m", "5"], None),
         ],
@@ -274,8 +276,8 @@ class TestVerifySearchReport:
             "search-m-too-large", "search-p-out-of-range",
             "report-empty", "report-not-json", "report-header-incomplete", "verify-ks-zero",
             "pipeline-k-2", "pipeline-r-negative", "search-k-0", "search-k-negative",
-            "gen-barrier-k-0", "nibble-seed-negative", "gen-hkl-m-above-n-plus-1",
-            "gen-parity-m-above-n",
+            "gen-barrier-k-0", "nibble-seed-negative", "nibble-sigma-0", "nibble-sigma-1",
+            "gen-hkl-m-above-n-plus-1", "gen-parity-m-above-n",
         ],
     )
     def test_bad_query_is_a_clean_error(self, capsys, monkeypatch, argv, stdin):

@@ -14,10 +14,8 @@ from hypermatch import (
     build_Hknm,
     complete,
     degree,
-    erdos_threshold,
     format_graph,
     join_clique,
-    l_degree_conjectured_fraction,
     min_l_degree,
     parity_construction,
     random_kgraph,
@@ -238,20 +236,6 @@ class TestThresholds:
         assert vertex_degree_threshold(9, 3, 3) == 13
         assert vertex_degree_threshold(7, 3, 2) == 5
         assert vertex_degree_threshold(10, 4, 1) == 0
-
-    def test_erdos_values(self):
-        assert erdos_threshold(10, 3, 3) == max(comb(8, 3), comb(10, 3) - comb(8, 3)) + 1 == 65
-        assert erdos_threshold(9, 3, 2) == max(comb(5, 3), comb(9, 3) - comb(8, 3)) + 1 == 29
-        for k in (3, 4, 5):
-            assert erdos_threshold(k, k, 1) == 1
-        with pytest.raises(InvalidQueryError):
-            erdos_threshold(10, 3, 4)
-
-    def test_l_degree_fraction(self):
-        assert l_degree_conjectured_fraction(3, 1) == Fraction(5, 9)
-        assert l_degree_conjectured_fraction(4, 1) == Fraction(37, 64)
-        for k in (3, 4, 5):
-            assert l_degree_conjectured_fraction(k, k - 1) == Fraction(1, 2)
 
     def test_beta_upper_bound(self):
         # 1 / (3^3 * 2 * 3^5 * 3!)^4

@@ -16,14 +16,11 @@ from hypermatch import (
     induced,
     is_stable,
     link,
-    max_l_degree,
     min_l_degree,
     parse_graph,
-    remove,
-    stable_closure,
     verify_matching,
 )
-from hypermatch.core import DEFAULT_NODE_BUDGET, handshake_bound, node_budget
+from hypermatch.core import DEFAULT_NODE_BUDGET, node_budget
 from hypermatch.errors import BudgetExceededError, InvalidQueryError
 from hypermatch.matching import NibbleConfig, nibble_matching_report
 
@@ -82,8 +79,7 @@ class TestKGraphBasics:
         assert H.regularity_stats == (55, 55, 55.0, 10)
         assert nibble_matching_report(H, NibbleConfig(seed=1)).average_degree == 55.0
         assert degree(H, ()) == 220
-        assert min_l_degree(H, 0) == max_l_degree(H, 0) == 220
-        assert handshake_bound(H, 0) == 220
+        assert min_l_degree(H, 0) == 220
         assert "edges" not in vars(H)
         assert len(H.edges) == 220 and "edges" in vars(H)
 
@@ -124,22 +120,16 @@ class TestLDegrees:
     def test_edgeless(self):
         assert min_l_degree(KGraph(6, 3, []), 1) == 0
 
-    def test_max_pair_degree_complete(self):
-        assert max_l_degree(complete(6, 3), 2) == 4
-
-    def test_max_pair_degree_single_edge(self):
-        assert max_l_degree(KGraph(3, 3, [(1, 2, 3)]), 2) == 1
-
-    def test_max_pair_degree_template(self):
+    def test_min_pair_degree_template(self):
         H = h933()
-        assert oracles.brute_max_l_degree(9, H.edges, 2) == 7
-        assert max_l_degree(H, 2) == 7
+        assert oracles.brute_min_l_degree(9, H.edges, 2) == 2
+        assert min_l_degree(H, 2) == 2
 
     def test_l_out_of_range(self):
         with pytest.raises(InvalidQueryError):
             min_l_degree(complete(5, 3), 3)
         with pytest.raises(InvalidQueryError):
-            max_l_degree(complete(5, 3), -1)
+            min_l_degree(complete(5, 3), -1)
 
 
 class TestLink:
@@ -166,7 +156,7 @@ class TestInducedRemove:
         assert induced(H, range(3, 10)).edges == ()
 
     def test_remove_one_vertex_of_complete(self):
-        assert remove(complete(6, 3), {1}) == complete(5, 3)
+        assert induced(complete(6, 3), range(2, 7)) == complete(5, 3)
 
     def test_induced_complete_count(self):
         assert len(induced(complete(9, 3), (2, 3, 5, 7, 9)).edges) == 10
@@ -175,7 +165,8 @@ class TestInducedRemove:
         H = h933()
         S = {1, 4, 6}
         rest = [v for v in H.vertices() if v not in S]
-        assert remove(H, S) == induced(H, rest)
+        kept = [e for e in H.edges if not S & set(e)]
+        assert induced(H, rest).edges == tuple(tuple(rest.index(v) + 1 for v in e) for e in kept)
 
 
 class TestIndependence:
@@ -275,24 +266,10 @@ class TestStability:
             H = KGraph(n, 3, edges)
             assert is_stable(H) == oracles.brute_is_stable(H.edges)
 
-    def test_closure_is_stable(self, rng):
-        for _ in range(10):
-            n = rng.randint(4, 8)
-            all_e = list(combinations(range(1, n + 1), 3))
-            edges = [e for e in all_e if rng.random() < 0.25]
-            C = stable_closure(KGraph(n, 3, edges))
-            assert is_stable(C)
-            assert set(edges) <= set(C.edges)
-
     @settings(max_examples=80, deadline=None)
     @given(small_kgraphs())
-    def test_closure_against_pairwise_oracle(self, H):
+    def test_small_graphs_agree_with_pairwise_oracle(self, H):
         assert is_stable(H) == oracles.brute_is_stable(H.edges)
-        C = stable_closure(H)
-        assert oracles.brute_is_stable(C.edges) and set(H.edges) <= set(C.edges)
-        # minimal: every closure edge lies below some edge of H
-        for f in C.edges:
-            assert any(all(a <= b for a, b in zip(f, e)) for e in H.edges)
 
 
 class TestVerifyMatching:
@@ -317,10 +294,9 @@ class TestInvariants:
 
     @settings(max_examples=40, deadline=None)
     @given(small_kgraphs(ks=(3,)))
-    def test_average_degree_between_min_and_max(self, H):
-        for l in (1, 2):
-            avg = handshake_bound(H, l)
-            assert min_l_degree(H, l) <= avg <= max_l_degree(H, l)
+    def test_min_l_degree_matches_oracle(self, H):
+        for l in (0, 1, 2):
+            assert min_l_degree(H, l) == oracles.brute_min_l_degree(H.n, H.edges, l)
 
     @settings(max_examples=40, deadline=None)
     @given(small_kgraphs(ks=(3,)), st.integers(min_value=1, max_value=8))

@@ -13,7 +13,6 @@ from hypermatch.harness import (
     emit_report,
     graph_fingerprint,
     load_report,
-    meets_degree_hypothesis,
     tightness_grid,
     verify_tightness,
 )
@@ -64,10 +63,13 @@ class TestConjectureSearch:
         assert rep.params["accepted"] == 40 - rep.params["exhausted_trials"]
         assert all(inst["delta1"] > thr for inst in rep.instances)
 
-    def test_extremal_instance_excluded_by_strict_filter(self):
+    def test_extremal_instance_excluded_by_strict_filter(self, monkeypatch):
         H, _ = build_Hknm(9, 3, 2)
-        assert min_l_degree(H, 1) == vertex_degree_threshold(9, 3, 2)
-        assert not meets_degree_hypothesis(H, 2)
+        assert min_l_degree(H, 1) == vertex_degree_threshold(9, 3, 2) == 7
+        monkeypatch.setattr("hypermatch.harness._sample_for_model", lambda *args: H)
+        rep = conjecture_search(9, 3, 2, trials=3)
+        assert (rep.params["accepted"], rep.instances) == (0, [])
+        assert rep.params["delta1_histogram"] == {"7": 3}
 
     def test_planted_model_runs(self):
         rep = conjecture_search(9, 3, 2, model="planted", trials=10, seed=2)

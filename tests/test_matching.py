@@ -14,7 +14,6 @@ from hypermatch import (
     join_clique,
     parity_construction,
     random_kgraph,
-    remove,
     space_barrier,
     verify_matching,
 )
@@ -82,16 +81,20 @@ class TestExactNu:
             H = random_kgraph(8, 3, 0.4, seed=50 + trial)
             nu, _ = exact_nu(H)
             v = rng.randint(1, 8)
-            nu_minus, _ = exact_nu(remove(H, {v}))
+            nu_minus, _ = exact_nu_within(H, set(H.vertices()) - {v})
             assert nu_minus >= nu - 1
 
-    def test_join_clique_monotone_and_strip_bound(self):
-        H = random_kgraph(8, 3, 0.35, seed=3)
-        nu, _ = exact_nu(H)
-        for r in (1, 2):
-            nu_aug, _ = exact_nu(join_clique(H, r))
-            assert nu_aug >= nu
-            assert nu >= nu_aug - r
+    def test_join_clique_monotone_and_strip_bound(self, rng):
+        # nu(join_clique(H, r)) = min(nu(H) + r, floor((n + r)/k)): monotone,
+        # and stripping the <= r clique-touching edges leaves nu(H)
+        for trial in range(12):
+            k = rng.choice([2, 3])
+            n = rng.randint(k, 9)
+            H = random_kgraph(n, k, rng.choice([0.2, 0.35, 0.6]), seed=100 + trial)
+            nu, _ = exact_nu(H)
+            for r in range(4):
+                nu_aug, _ = exact_nu(join_clique(H, r))
+                assert nu_aug == min(nu + r, (n + r) // k), (n, k, r, trial)
 
     def test_budget_raises(self, monkeypatch):
         # greedy seeds 2 here but nu = 3, so the search must expand
@@ -191,10 +194,11 @@ class TestNibble:
         assert fractions[len(fractions) // 2] >= Fraction(17, 20)
 
     def test_thirty_vertex_complete_hits_sigma_target(self):
-        # maximum matching size is 10 = n/k; at sigma target 0.1 at least
-        # 8 of 10 seeds must cover 90% of the vertices
+        # maximum matching size is 10 = n/k; at leftover fraction 0.1 (the
+        # default nibble --sigma) at least 8 of 10 seeds must cover 90% of
+        # the vertices
         H = complete(30, 3)
-        cfgs = [NibbleConfig(sigma_target=Fraction(1, 10), seed=s) for s in range(10)]
+        cfgs = [NibbleConfig(seed=s) for s in range(10)]
         hits = sum(nibble_matching_report(H, cfg).covered_fraction >= Fraction(9, 10) for cfg in cfgs)
         assert hits >= 8
 

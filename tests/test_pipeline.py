@@ -239,6 +239,20 @@ class TestPipeline:
         last = exc.value.trace.steps[-1]
         assert (last.name, last.status) == ("assemble", "failed")
 
+    def test_short_completion_is_caught_at_verify(self, monkeypatch):
+        real = pipeline._complete_through_clique
+        monkeypatch.setattr(
+            pipeline, "_complete_through_clique", lambda *args: real(*args)[:-1]
+        )
+        with pytest.raises(InternalContradictionError) as exc:
+            fractional_pm_pipeline(complete(12, 3), 3, 3, PipelineConfig())
+        assert exc.value.check == "verify"
+        assemble, verify = exc.value.trace.steps[-2:]
+        assert (assemble.name, assemble.status) == ("assemble", "ok")
+        assert assemble.details == {"value": Fraction(4)}
+        assert (verify.name, verify.status) == ("verify", "failed")
+        assert verify.details["lp_value"] == Fraction(5)
+
     def test_value_matches_lp_on_random_dense(self):
         from hypermatch.lp import max_fractional_matching
 
