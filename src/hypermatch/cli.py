@@ -89,10 +89,8 @@ def _cmd_gen(args) -> int:
         H = parity_construction(args.m, args.n - args.m, args.k)
     elif fam == "barrier":
         H = space_barrier(args.n, args.k)
-    elif fam == "random":
+    else:  # random
         H = random_kgraph(args.n, args.k, args.p, seed=args.seed)
-    else:
-        raise HypermatchError(f"unknown family {fam!r}")
     _write(args, format_graph(H))
     return 0
 

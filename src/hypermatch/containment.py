@@ -17,7 +17,7 @@ from itertools import combinations
 from math import ceil, comb
 
 from .constructions import VertexPartition, template_edge_count, vertex_degree_threshold
-from .core import EdgeT, KGraph, _mask, node_budget
+from .core import EdgeT, KGraph, _mask, min_l_degree, node_budget
 from .errors import BudgetExceededError, InvalidQueryError
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
@@ -195,8 +195,8 @@ def subset_density_check(
     bound is constant while induced edge counts only grow with the subset,
     so checking the minimum size covers all larger sizes. samples = 0 checks
     nothing (mode "sampled", 0 checked). Otherwise every such subset is
-    checked when there are at most EXHAUSTIVE_SUBSET_BUDGET of them, and
-    `samples` random subsets drawn from `seed` when there are more.
+    checked when there are at most min(EXHAUSTIVE_SUBSET_BUDGET, node_budget())
+    of them, and `samples` random subsets drawn from `seed` when there are more.
     Out-of-range parameters are flagged in the report, not rejected.
     """
     eps = Fraction(eps)
@@ -212,8 +212,6 @@ def subset_density_check(
         rho = Fraction(rho)
         if not 0 < rho < eps / 12:
             flags.append(f"rho={rho} outside (0, eps/12)")
-        from .core import min_l_degree
-
         if min_l_degree(H, 1) < vertex_degree_threshold(n, k, m) - rho * Fraction(n) ** (k - 1):
             flags.append("degree hypothesis fails at the given rho")
 
@@ -221,29 +219,21 @@ def subset_density_check(
     size = max(0, min(n, size))
     dbound = eps * Fraction(n) ** k / (2 * k**2)
 
-    def count_inside(subset) -> int:
-        smask = _mask(subset)
-        return sum(1 for em in H.edge_masks if em & smask == em)
-
-    violations = []
     if samples == 0:
         return DensityReport(size, dbound, (), "sampled", 0, tuple(flags))
-    if comb(n, size) <= EXHAUSTIVE_SUBSET_BUDGET:
-        mode = "exhaustive"
-        checked = 0
-        for S in combinations(range(1, n + 1), size):
-            checked += 1
-            c = count_inside(S)
-            if c < dbound:
-                violations.append(DensityViolation(S, c))
+    subsets_total = comb(n, size)
+    if subsets_total <= min(EXHAUSTIVE_SUBSET_BUDGET, node_budget()):
+        mode, checked = "exhaustive", subsets_total
+        subsets = combinations(range(1, n + 1), size)
     else:
-        mode = "sampled"
+        mode, checked = "sampled", samples
         rng = random.Random(seed)
-        checked = samples
         pool = list(range(1, n + 1))
-        for _ in range(samples):
-            S = tuple(sorted(rng.sample(pool, size)))
-            c = count_inside(S)
-            if c < dbound:
-                violations.append(DensityViolation(S, c))
+        subsets = (tuple(sorted(rng.sample(pool, size))) for _ in range(samples))
+    violations = []
+    for S in subsets:
+        smask = _mask(S)
+        c = sum(1 for em in H.edge_masks if em & smask == em)
+        if c < dbound:
+            violations.append(DensityViolation(S, c))
     return DensityReport(size, dbound, tuple(violations), mode, checked, tuple(flags))

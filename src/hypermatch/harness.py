@@ -16,6 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import __version__
@@ -197,11 +198,15 @@ def verify_tightness(grid: Iterable[tuple[int, int, int]]) -> ExperimentReport:
     """
     t0 = time.perf_counter()
     report = ExperimentReport("tightness", params={"grid_size": 0})
-    for (n, k, m) in grid:
+
+    @lru_cache(maxsize=1)  # the next graph of (n, k, m) is the main graph of (n, k, m + 1)
+    def measure(n: int, k: int, m: int) -> tuple[KGraph, int, int]:
         H, _ = build_Hknm(n, k, m)
+        return H, min_l_degree(H, 1), exact_nu(H)[0]
+
+    for (n, k, m) in grid:
+        H, delta1, nu = measure(n, k, m)
         thr = vertex_degree_threshold(n, k, m)
-        delta1 = min_l_degree(H, 1)
-        nu, _ = exact_nu(H)
         rec = {
             "n": n,
             "k": k,
@@ -216,9 +221,7 @@ def verify_tightness(grid: Iterable[tuple[int, int, int]]) -> ExperimentReport:
         if nu != m - 1:
             raise TightnessFailure("matching number is not m - 1", rec, format_graph(H))
         if m + k <= n:
-            H2, _ = build_Hknm(n, k, m + 1)
-            delta1_next = min_l_degree(H2, 1)
-            nu_next, _ = exact_nu(H2)
+            H2, delta1_next, nu_next = measure(n, k, m + 1)
             rec.update({"next_delta1": delta1_next, "next_nu": nu_next, "next_checked": True})
             if not delta1_next > thr:
                 raise TightnessFailure(

@@ -527,33 +527,20 @@ def _block_route_matching(
         removed = set().union(*map(set, block_matching)) | v_bad
         transversal: list[EdgeT] = []
         used: set[int] = set()
-        for x in sorted(set(W) - set(b_bad)):
-            if len(transversal) == m - b - 1:
-                break
-            if x in removed or x in used:
-                continue
-            found = None
-            for i in link_graph.vertex_edges[x - 1]:
-                e = link_graph.edges[i]
-                ev = set(e)
-                if x not in ev:
-                    continue
-                others = ev - {x}
-                if others & (removed | used | set(W)):
-                    continue
-                found = e
-                break
+        # each x lies outside the block and v_bad, and every edge found meets W
+        # only in its own x, so x is never blocked and each x adds one edge or fails
+        for x in sorted(set(W) - v_bad):
+            blocked = removed | used | (set(W) - {x})
+            edges_at_x = (link_graph.edges[i] for i in link_graph.vertex_edges[x - 1])
+            found = next((e for e in edges_at_x if blocked.isdisjoint(e)), None)
             if found is None:
                 st.fail(f"no available one-W-vertex link edge at vertex {x}", vertex=x)
             transversal.append(found)
             used |= set(found)
-        if len(transversal) < m - b - 1:
-            st.fail(f"only {len(transversal)} of {m - b - 1} one-W-vertex edges found")
         st.details = {"size": len(transversal)}
 
     with trace.step("block_route_extend") as st:
-        blocked = removed | used | {v for e in transversal for v in e}
-        extended = _transfer(st, transversal, blocked, n)
+        extended = _transfer(st, transversal, removed | used, n)
         st.details = {"size": len(extended)}
     return block_matching + extended
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hypermatch import complete, format_graph, lp, parse_graph
+from hypermatch import build_Hkl, complete, format_graph, lp, parse_graph
 from hypermatch.cli import main
 
 
@@ -41,6 +41,11 @@ class TestGen:
         )
         assert code == 0
         assert parse_graph(out).n == 7
+
+    def test_hkl(self, capsys):
+        code, out = run(capsys, "gen", "--family", "hkl", "--n", "7", "--k", "3", "--m", "3", "--l", "2")
+        assert code == 0
+        assert out == format_graph(build_Hkl((3, 4, 5, 6, 7), (1, 2), 3, 2))
 
     @pytest.mark.parametrize("m", ["0", "9"])
     def test_hkl_m_outside_1_to_n_plus_1_names_m(self, capsys, m):

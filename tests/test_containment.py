@@ -204,6 +204,15 @@ class TestSubsetDensity:
         rep = subset_density_check(complete(9, 3), 2, Fraction(1, 10), samples=10, seed=0)
         assert rep.violations == ()
 
+    def test_exhaustive_mode_obeys_node_budget(self, monkeypatch):
+        # C(9, 7) = 36 subsets of the binding size
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "10")
+        rep = subset_density_check(complete(9, 3), 2, Fraction(1, 10), samples=10, seed=0)
+        assert (rep.mode, rep.checked, rep.subset_size) == ("sampled", 10, 7)
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "36")
+        rep = subset_density_check(complete(9, 3), 2, Fraction(1, 10), samples=10, seed=0)
+        assert (rep.mode, rep.checked) == ("exhaustive", 36)
+
     def test_zero_samples_empty_report(self):
         H, _ = build_Hknm(9, 3, 3)
         rep = subset_density_check(H, 3, Fraction(1, 100), samples=0, seed=0)

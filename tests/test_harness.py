@@ -1,9 +1,18 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from hypermatch import KGraph, build_Hknm, complete, min_l_degree, vertex_degree_threshold
+from hypermatch import (
+    KGraph,
+    Matching,
+    build_Hknm,
+    complete,
+    min_l_degree,
+    parse_graph,
+    vertex_degree_threshold,
+)
 from hypermatch.errors import BudgetExceededError
 from hypermatch.harness import (
     ExperimentReport,
@@ -35,6 +44,18 @@ class TestTightness:
         grid = tightness_grid(ks=(3,), n_max=9)
         assert (9, 3, 3) in grid and (9, 3, 4) not in grid
         assert all(k + m - 1 <= n for (n, k, m) in grid)
+
+    def test_each_extremal_graph_is_measured_once(self, monkeypatch):
+        import hypermatch.harness as hmod
+
+        calls = []
+        real = hmod.exact_nu
+        monkeypatch.setattr(hmod, "exact_nu", lambda H: calls.append(len(H.edges)) or real(H))
+        rep = verify_tightness(tightness_grid(ks=(3,), n_max=9))
+        # one call per distinct H_3(n, m), though most points also check m + 1
+        measured = {(r["n"], r["m"]) for r in rep.instances}
+        measured |= {(r["n"], r["m"] + 1) for r in rep.instances if r["next_checked"]}
+        assert len(calls) == len(measured) < len(rep.instances) * 2
 
     def test_failure_carries_instance(self, monkeypatch):
         import hypermatch.harness as hmod
@@ -74,6 +95,26 @@ class TestConjectureSearch:
     def test_planted_model_runs(self):
         rep = conjecture_search(9, 3, 2, model="planted", trials=10, seed=2)
         assert rep.params["accepted"] >= 0
+
+    def test_counterexample_record_reparses_to_its_fingerprint(self, monkeypatch):
+        # a stand-in exact_nu that finds one true edge makes every complete
+        # graph look like a counterexample for m = 2
+        monkeypatch.setattr(
+            "hypermatch.harness.exact_nu", lambda H: (1, Matching.from_edges(H.edges[:1]))
+        )
+        rep = conjecture_search(9, 3, 2, model="uniform-p", trials=2, p=Fraction(1), seed=0)
+        assert [c["trial"] for c in rep.counterexamples] == [0, 1]
+        for rec in rep.counterexamples:
+            G = parse_graph(rec["graph"])
+            assert min_l_degree(G, 1) > vertex_degree_threshold(9, 3, 2)
+            assert rec["fingerprint"] == hashlib.sha256(rec["graph"].encode("ascii")).hexdigest()
+            assert (rec["delta1"], rec["nu"]) == (28, 1)
+
+    def test_exhausted_trials_are_counted(self):
+        # p = 0 never clears the degree filter, so every conditioned draw gives up
+        rep = conjecture_search(9, 3, 2, model="conditioned", trials=3, p=Fraction(0))
+        assert (rep.params["exhausted_trials"], rep.params["accepted"]) == (3, 0)
+        assert rep.instances == [] and rep.params["delta1_histogram"] == {}
 
     def test_counterexample_reverifier(self):
         from hypermatch.harness import _reverify_counterexample

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -145,6 +146,54 @@ class TestPipeline:
         assert steps[-1].details == {
             "message": "block of 2 vertices cannot hold 1 disjoint edges", "block": 2, "needed": 3
         }
+
+    def test_exact_route_fails_when_the_link_matching_is_short(self):
+        H, _ = build_Hknm(9, 3, 2)
+        with pytest.raises(StepFailureError, match="only 1 < m = 2") as exc:
+            fractional_pm_pipeline(H, 2, 3, PipelineConfig(), route="exact")
+        last = exc.value.trace.steps[-1]
+        assert (last.name, last.status) == ("find_matching", "failed")
+        assert last.details["route"] == "exact"
+
+    def test_residue_splice_with_an_empty_completion(self):
+        # m = 3 covers all 9 vertices and r = 1 is the one residue vertex, so
+        # the splice window is the last matching edge plus that vertex
+        phi, trace = fractional_pm_pipeline(complete(9, 3), 3, 1, PipelineConfig())
+        steps = {st.name: st for st in trace.steps}
+        assert steps["clique_completion"].details == {"size": 0}
+        assert steps["residue_splice"].details == {"value": Fraction(10, 3)}
+        assert "assemble" not in steps
+        assert phi.is_perfect() and trace.value == Fraction(10, 3)
+
+    def test_greedy_route_sweep_ends_perfect_or_at_a_block_route_step(self):
+        # random and template-plus-block 3-graphs; the block route may give
+        # up (its guarantees are asymptotic) but never contradicts itself
+        outcomes = {"perfect": 0, "block_route_failure": 0, "transversal_edges": 0}
+        for seed in range(40):
+            rng = random.Random(seed)
+            n = rng.randint(9, 15)
+            m = rng.randint(1, n // 3)
+            if seed % 2:
+                base, _ = build_Hknm(n, 3, m)
+                lo = rng.randint(1, m)
+                extra = combinations(range(lo, min(n, lo + rng.randint(3, 8)) + 1), 3)
+                H = KGraph(n, 3, sorted(set(base.edges) | set(extra)))
+            else:
+                H = random_kgraph(n, 3, rng.choice([0.2, 0.5, 0.8]), seed=seed)
+            r = minimal_feasible_r(n, 3, m) + rng.randint(0, 2)
+            cfg = PipelineConfig(rho=(Fraction(1, 10000), Fraction(1, 2), Fraction(1000))[seed % 3])
+            try:
+                phi, trace = fractional_pm_pipeline(H, m, r, cfg, route="greedy")
+            except StepFailureError as exc:
+                assert exc.trace.steps[-1].name.startswith("block_route_"), seed
+                outcomes["block_route_failure"] += 1
+                continue
+            assert phi.is_perfect() and trace.value == Fraction(n + r, 3), seed
+            assert (trace.steps[-1].name, trace.steps[-1].status) == ("verify", "ok"), seed
+            steps = {st.name: st for st in trace.steps}
+            outcomes["perfect"] += 1
+            outcomes["transversal_edges"] += steps["block_route_transversal"].details["size"]
+        assert all(outcomes.values()), outcomes
 
     def test_edgeless_fails_at_cover_certificate(self):
         H = KGraph(12, 3, [])
