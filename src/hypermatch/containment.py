@@ -196,7 +196,8 @@ def subset_density_check(
     so checking the minimum size covers all larger sizes. samples = 0 checks
     nothing (mode "sampled", 0 checked). Otherwise every such subset is
     checked when there are at most min(EXHAUSTIVE_SUBSET_BUDGET, node_budget())
-    of them, and `samples` random subsets drawn from `seed` when there are more.
+    of them; when there are more, min(samples, C(n, size)) distinct random
+    subsets are drawn from `seed` and checked in first-drawn order.
     Out-of-range parameters are flagged in the report, not rejected.
     """
     eps = Fraction(eps)
@@ -226,10 +227,12 @@ def subset_density_check(
         mode, checked = "exhaustive", subsets_total
         subsets = combinations(range(1, n + 1), size)
     else:
-        mode, checked = "sampled", samples
+        mode, checked = "sampled", min(samples, subsets_total)
         rng = random.Random(seed)
         pool = list(range(1, n + 1))
-        subsets = (tuple(sorted(rng.sample(pool, size))) for _ in range(samples))
+        subsets = {}
+        while len(subsets) < checked:
+            subsets[tuple(sorted(rng.sample(pool, size)))] = None
     violations = []
     for S in subsets:
         smask = _mask(S)

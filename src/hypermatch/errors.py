@@ -9,15 +9,8 @@ class HypermatchError(Exception):
 
 
 class InvalidQueryError(HypermatchError, ValueError):
-    """A query violates an operation's parameter ranges (bad l, vertex out of range, ...)."""
-
-
-class PreconditionError(HypermatchError, ValueError):
-    """A documented precondition of an operation was violated by the caller."""
-
-
-class InfeasibleAugmentationError(HypermatchError, ValueError):
-    """Requested clique augmentation is infeasible (m too large for n, k, eta)."""
+    """A query violates an operation's parameter ranges or a documented
+    precondition (bad l, vertex out of range, infeasible padding, ...)."""
 
 
 class SamplingExhaustedError(HypermatchError, RuntimeError):

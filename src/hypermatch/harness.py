@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 from . import __version__
 from .constructions import (
     build_Hknm,
-    join_clique,
     random_kgraph,
     random_kgraph_conditioned,
     vertex_degree_threshold,
@@ -340,10 +339,7 @@ class CaseSplitReport:
     containment: ContainmentReport
     matching_size: int | None = None
     concludes: bool | None = None  # whether nu(H) >= m was certified
-    pipeline_value: Fraction | None = None
-    pipeline_error: str | None = None
     pipeline_trace: PipelineTrace | None = None
-    augmented_r: int | None = None
     augmented_nu: int | None = None
     notes: tuple[str, ...] = ()
 
@@ -354,12 +350,14 @@ def case_split_demo(H: KGraph, m: int, eps, rho, eta=Fraction(1, 10)) -> CaseSpl
     Contains branch: an exact matching restricted to template edges (capped
     at m - 1 by the template structure) is extended by an exact matching on
     the untouched remainder; the close case is handled by the exact solver
-    at this scale. Non-contains branch: pad with a clique, run the
-    fractional pipeline for the fractional certificate, and look for an
-    integral matching of size m + r in the augmented graph, which yields
-    nu(H) >= m by stripping the at-most-r clique-touching edges. A node
-    budget hit in either branch propagates as BudgetExceededError, with the
-    pipeline's trace when the pipeline raised it.
+    at this scale. Non-contains branch: pad with an r-clique and run the
+    fractional pipeline for the fractional certificate; r, the value and a
+    failure (the last step, failed, with its message) are read from its
+    trace. The augmented graph's matching number follows from nu(H) by
+    nu(join_clique(H, r)) = min(nu(H) + r, floor((n + r)/k)); when it
+    reaches m + r, nu(H) >= m and the split concludes with matching_size
+    nu(H). A node budget hit in either branch propagates as
+    BudgetExceededError, with the pipeline's trace when the pipeline raised it.
     """
     containment = eps_contains(H, m, eps)
     notes: list[str] = []
@@ -382,34 +380,23 @@ def case_split_demo(H: KGraph, m: int, eps, rho, eta=Fraction(1, 10)) -> CaseSpl
 
     cfg = PipelineConfig(eta=Fraction(eta), rho=Fraction(rho), eps=Fraction(eps))
     r = padded_clique_size(H.n, H.k, m, cfg.eta)
-    value = None
-    error = None
     try:
-        phi, trace = fractional_pm_pipeline(H, m, r, cfg)
-        value = trace.value
+        _, trace = fractional_pm_pipeline(H, m, r, cfg)
     except StepFailureError as ex:
-        error = str(ex)
         trace = ex.trace
-    size = None
-    concludes = None
-    aug_nu, M_aug = exact_nu(join_clique(H, r))
-    if aug_nu >= m + r:
-        inside = [e for e in M_aug.edges if all(v <= H.n for v in e)]
-        size = len(inside)
-        concludes = size >= m
-        if concludes and not verify_matching(H, Matching.from_edges(inside)):
-            raise HypermatchError("stripped matching is invalid in the base graph")
-    else:
+    nu, M = exact_nu(H)
+    if not verify_matching(H, M):
+        raise HypermatchError("exact matching is invalid in the base graph")
+    aug_nu = min(nu + r, (H.n + r) // H.k)
+    concludes = aug_nu >= m + r or None
+    if not concludes:
         notes.append(f"augmented matching {aug_nu} below m+r={m + r}; no integral conclusion")
     return CaseSplitReport(
         branch="non-contains",
         containment=containment,
-        matching_size=size,
+        matching_size=nu if concludes else None,
         concludes=concludes,
-        pipeline_value=value,
-        pipeline_error=error,
         pipeline_trace=trace,
-        augmented_r=r,
         augmented_nu=aug_nu,
         notes=tuple(notes),
     )

@@ -137,12 +137,11 @@ def _solve_incidence_lp(H: KGraph) -> tuple[Fraction, dict[EdgeT, Fraction], tup
     xb = [1] * m
     det = 1
     basis = list(range(ncols, ncols + m))  # slack of row i has index ncols + i
-    edge_basic = [False] * m  # whether basis[i] is an edge column (cost 1)
     degenerate = 0  # consecutive pivots with xb[leave] == 0
 
     while True:
         # y = cB^T adj, summing only edge (cost 1) basis rows
-        y = list(map(sum, zip([0] * m, *(adj[i] for i in range(m) if edge_basic[i]))))
+        y = list(map(sum, zip([0] * m, *(row for row, j in zip(adj, basis) if j < ncols))))
         # s[j] = y a_j, so the reduced cost of edge column j is (det - s[j]) / det
         s = list(map(sum, zip(*(map(y.__getitem__, rows) for rows in positions))))
         if degenerate < DEGENERATE_RUN:
@@ -176,10 +175,9 @@ def _solve_incidence_lp(H: KGraph) -> tuple[Fraction, dict[EdgeT, Fraction], tup
         det = p
         degenerate = degenerate + 1 if pval == 0 else 0
         basis[leave] = enter
-        edge_basic[leave] = enter < ncols
 
-    value = Fraction(sum(xb[i] for i in range(m) if edge_basic[i]), det)
-    phi = {H.edges[basis[i]]: Fraction(xb[i], det) for i in range(m) if edge_basic[i]}
+    value = Fraction(sum(x for j, x in zip(basis, xb) if j < ncols), det)
+    phi = {H.edges[j]: Fraction(x, det) for j, x in zip(basis, xb) if j < ncols}
     # y was priced from the final basis, so y / det is the optimal dual vector
     return value, phi, tuple(Fraction(t, det) for t in y)
 

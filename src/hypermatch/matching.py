@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import EdgeT, KGraph, Matching, _copies_per_edge, induced, node_budget
-from .errors import BudgetExceededError, InvalidQueryError, PreconditionError
+from .errors import BudgetExceededError, InvalidQueryError
 from .lp import FractionalAssignment
 
 
@@ -264,23 +264,23 @@ def sparsify_by_fractional(
     for R, phi in copies:
         rs = frozenset(R)
         if not rs <= set(H.vertices()):
-            raise PreconditionError("copy subset contains vertices outside the host")
+            raise InvalidQueryError("copy subset contains vertices outside the host")
         if len(rs) % k != 0:
-            raise PreconditionError(f"copy size {len(rs)} is not divisible by k={k}")
+            raise InvalidQueryError(f"copy size {len(rs)} is not divisible by k={k}")
         for e in phi.phi:
             if not set(e) <= rs:
-                raise PreconditionError(f"support edge {e} leaves its copy")
+                raise InvalidQueryError(f"support edge {e} leaves its copy")
             if e not in H.edge_set:
-                raise PreconditionError(f"support edge {e} is not a host edge")
+                raise InvalidQueryError(f"support edge {e} is not a host edge")
         loads = phi.loads()
         if phi.value() != Fraction(len(rs), k) or any(loads.get(v) != 1 for v in rs):
-            raise PreconditionError("copy assignment is not a perfect fractional matching")
+            raise InvalidQueryError("copy assignment is not a perfect fractional matching")
         copy_sets.append(rs)
         assignments.append(phi)
 
     for e, hits in _copies_per_edge(H, copy_sets):
         if hits > 1:
-            raise PreconditionError(f"edge {e} lies in {hits} copies; at most one allowed")
+            raise InvalidQueryError(f"edge {e} lies in {hits} copies; at most one allowed")
 
     rng = random.Random(seed)
     included = []

@@ -45,7 +45,6 @@ from .core import (
 from .errors import (
     BudgetExceededError,
     HypermatchError,
-    InfeasibleAugmentationError,
     InternalContradictionError,
     InvalidQueryError,
     StepFailureError,
@@ -54,9 +53,9 @@ from .lp import (
     FractionalAssignment,
     VertexWeights,
     cyclic_windows,
+    min_fractional_cover,
     permute_weights,
     relabel_by_weights,
-    solve_fractional,
     weight_closure,
 )
 from .matching import exact_nu, exact_nu_within
@@ -111,7 +110,7 @@ class PipelineConfig:
 def padded_clique_size(n: int, k: int, m: int, eta) -> int:
     """The clique size r = ceil((n - km - eta*n)/(k-1)) of the padding rule.
 
-    Raises InfeasibleAugmentationError when n - km - eta*n < 0. The rounding
+    Raises InvalidQueryError when n - km - eta*n < 0. The rounding
     residual r(k-1) - (n - km - eta*n) is available via
     augmentation_residual. With this rounding rule the clique-size
     hypothesis (r-k)(k-1) >= n-km never holds, so when eta*n >= k(k-1) it
@@ -121,7 +120,7 @@ def padded_clique_size(n: int, k: int, m: int, eta) -> int:
     eta = Fraction(eta)
     slack = Fraction(n - k * m) - eta * n
     if slack < 0:
-        raise InfeasibleAugmentationError(
+        raise InvalidQueryError(
             f"n - km - eta*n = {slack} < 0 (n={n}, k={k}, m={m}, eta={eta})"
         )
     r = ceil(slack / (k - 1))
@@ -316,7 +315,7 @@ def fractional_pm_pipeline(
     target = Fraction(n + r, k)
     with trace.step("cover") as st:
         H_aug = join_clique(H, r)
-        tau_value, _, cover = solve_fractional(H_aug)
+        tau_value, cover = min_fractional_cover(H_aug)
         st.details = {"tau": tau_value, "target": target}
     if tau_value < target:
         with trace.step("cover_certificate") as st:

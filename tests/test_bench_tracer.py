@@ -100,3 +100,31 @@ def test_search_format_and_pipeline_do_not_import_numpy():
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+TRACED_PIPELINE = """
+from fractions import Fraction
+import tracing
+from hypermatch import complete, harness, pipeline  # harness loads every traced module
+
+tracer = tracing.Tracer()
+tracing.instrument(tracer)
+cfg = pipeline.PipelineConfig(eta=Fraction(1, 12))
+pipeline.fractional_pm_pipeline(complete(12, 3), 3, pipeline.padded_clique_size(12, 3, 3, cfg.eta), cfg)
+cover = [counts for name, *_, counts in tracer.spans if name == "lp.min_fractional_cover"]
+assert len(cover) == 1 and cover[0]["cols"] > 0, cover
+"""
+
+
+def test_pipeline_cover_step_records_an_lp_span():
+    # instrument rebinds module functions for the whole process, so the
+    # traced run gets a process of its own
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_PIPELINE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr

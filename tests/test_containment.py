@@ -213,6 +213,17 @@ class TestSubsetDensity:
         rep = subset_density_check(complete(9, 3), 2, Fraction(1, 10), samples=10, seed=0)
         assert (rep.mode, rep.checked) == ("exhaustive", 36)
 
+    def test_sampled_subsets_are_distinct(self, monkeypatch):
+        # 10 draws from one seed repeat a 7-subset of [9]; the edgeless graph
+        # makes every drawn subset a violation
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "10")
+        rep = subset_density_check(KGraph(9, 3, []), 2, Fraction(1, 10), samples=10, seed=0)
+        subsets = [v.subset for v in rep.violations]
+        assert (rep.mode, rep.checked) == ("sampled", 10)
+        assert len(subsets) == len(set(subsets)) == 10
+        rep = subset_density_check(KGraph(9, 3, []), 2, Fraction(1, 10), samples=100, seed=0)
+        assert rep.checked == len({v.subset for v in rep.violations}) == 36  # C(9, 7)
+
     def test_zero_samples_empty_report(self):
         H, _ = build_Hknm(9, 3, 3)
         rep = subset_density_check(H, 3, Fraction(1, 100), samples=0, seed=0)

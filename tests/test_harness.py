@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +11,11 @@ from hypermatch import (
     Matching,
     build_Hknm,
     complete,
+    constructions,
+    join_clique,
     min_l_degree,
     parse_graph,
+    random_kgraph,
     vertex_degree_threshold,
 )
 from hypermatch.errors import BudgetExceededError
@@ -25,6 +30,7 @@ from hypermatch.harness import (
     tightness_grid,
     verify_tightness,
 )
+from hypermatch.matching import exact_nu
 
 
 class TestTightness:
@@ -203,7 +209,8 @@ class TestCaseSplit:
         H = KGraph(12, 3, [])
         rep = case_split_demo(H, 3, Fraction(1, 10**6), Fraction(1, 10000))
         assert rep.branch == "non-contains"
-        assert rep.pipeline_error is not None
+        last = rep.pipeline_trace.steps[-1]
+        assert last.status == "failed" and last.details["message"]
         assert rep.pipeline_trace.preconditions["degree_ok"] is False
         assert rep.concludes is None
 
@@ -236,3 +243,47 @@ class TestCaseSplit:
             assert rep.concludes or rep.augmented_nu is not None
         else:
             assert rep.matching_size >= 2
+
+    def test_non_contains_branch_joins_the_clique_once(self, monkeypatch):
+        # the pipeline's cover step builds the only join; every module that
+        # holds join_clique gets the counting wrapper
+        calls = []
+
+        def counting(H, r):
+            calls.append(r)
+            return original(H, r)
+
+        original = constructions.join_clique
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "hypermatch" and getattr(module, "join_clique", None) is original:
+                monkeypatch.setattr(module, "join_clique", counting)
+        H = random_kgraph(12, 3, Fraction(7, 10), seed=8)
+        rep = case_split_demo(H, 2, Fraction(1, 10**9), Fraction(1, 10000), eta=Fraction(1, 12))
+        assert rep.branch == "non-contains"
+        assert calls == [rep.pipeline_trace.r]
+
+    @staticmethod
+    def _non_contains_sweep(count):
+        """(H, m, report) for the first `count` seeded non-contains splits."""
+        found, seed = [], 0
+        while len(found) < count:
+            rng = random.Random(seed)
+            n = rng.randint(9, 12)
+            m = rng.randint(2, (n - 2) // 3)  # n - 3m - n/12 >= 0
+            eps = rng.choice([Fraction(1, 10**9), Fraction(1, 100)])
+            H = random_kgraph(n, 3, rng.choice([Fraction(1, 2), Fraction(7, 10), Fraction(9, 10)]), seed=seed)
+            rep = case_split_demo(H, m, eps, Fraction(1, 10000), eta=Fraction(1, 12))
+            if rep.branch == "non-contains":
+                found.append((H, m, rep))
+            seed += 1
+        return found
+
+    def test_augmented_nu_is_the_join_identity(self):
+        sweep = self._non_contains_sweep(30)
+        for H, m, rep in sweep:
+            assert rep.augmented_nu == exact_nu(join_clique(H, rep.pipeline_trace.r))[0]
+            if rep.concludes:
+                assert rep.matching_size == exact_nu(H)[0] >= m
+            else:
+                assert rep.concludes is None and rep.matching_size is None
+        assert {rep.concludes for _, _, rep in sweep} == {True, None}

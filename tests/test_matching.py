@@ -18,7 +18,7 @@ from hypermatch import (
     verify_matching,
 )
 from hypermatch.core import min_l_degree
-from hypermatch.errors import BudgetExceededError, PreconditionError
+from hypermatch.errors import BudgetExceededError, InvalidQueryError
 from hypermatch.harness import _sample_for_model
 from hypermatch.lp import FractionalAssignment, clique_window_matching, max_fractional_matching
 from hypermatch.matching import (
@@ -297,13 +297,13 @@ class TestSparsify:
         H = complete(9, 3)
         c1 = self._window_copy(H, range(1, 7))
         c2 = self._window_copy(H, range(1, 7))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InvalidQueryError):
             sparsify_by_fractional(H, [(range(1, 7), c1), (range(1, 7), c2)], seed=0)
 
     def test_rejects_imperfect_copy(self):
         H = complete(6, 3)
         partial = FractionalAssignment(H, {(1, 2, 3): Fraction(1)})
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InvalidQueryError):
             sparsify_by_fractional(H, [(range(1, 7), partial)], seed=0)
 
     def test_expected_degree_is_copy_count(self):

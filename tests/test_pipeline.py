@@ -19,10 +19,8 @@ from hypermatch import (
 )
 from hypermatch.errors import (
     BudgetExceededError,
-    InfeasibleAugmentationError,
     InternalContradictionError,
     InvalidQueryError,
-    PreconditionError,
     StepFailureError,
 )
 from hypermatch.matching import exact_nu
@@ -54,7 +52,7 @@ class TestBuildAugmented:
         assert r == 0 and join_clique(H, r) is H
 
     def test_infeasible_m(self):
-        with pytest.raises(InfeasibleAugmentationError):
+        with pytest.raises(InvalidQueryError):
             padded_clique_size(9, 3, 4, Fraction(1, 10))
 
     def test_degree_gain_of_original_vertices(self):
@@ -96,7 +94,7 @@ class TestPipeline:
         H = complete(12, 3)
         cfg = PipelineConfig(eta=Fraction(1, 100))
         # r = ceil((12 - 12 - 0.12)/2) would be negative; use m=4, eta tiny -> infeasible
-        with pytest.raises(InfeasibleAugmentationError):
+        with pytest.raises(InvalidQueryError):
             padded_clique_size(12, 3, 4, Fraction(1, 100))
         phi, trace = fractional_pm_pipeline(H, 4, 0, cfg)
         assert trace.s == 0
@@ -231,10 +229,10 @@ class TestPipeline:
 
     def test_unmarked_package_error_inside_a_step_is_failed(self, monkeypatch):
         def broken(H):
-            raise PreconditionError("link graph rejected")
+            raise InvalidQueryError("link graph rejected")
 
         monkeypatch.setattr("hypermatch.pipeline.exact_nu", broken)
-        with pytest.raises(PreconditionError) as exc:
+        with pytest.raises(InvalidQueryError) as exc:
             fractional_pm_pipeline(complete(12, 3), 3, 1, PipelineConfig(eta=Fraction(1, 12)))
         last = exc.value.trace.steps[-1]
         assert (last.name, last.status) == ("find_matching", "failed")
