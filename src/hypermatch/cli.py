@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, graph_input=True):
         if graph_input:
-            p.add_argument("--input", "-i", default="-", help="graph file, or - for stdin")
+            p.add_argument("--input", "-i", default="-", help="graph file (records file for report), or - for stdin")
         p.add_argument("--out", "-o", default="-", help="output file, or - for stdout")
 
     p = sub.add_parser("gen", help="generate a named family")
@@ -301,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("report", help="re-emit a records report in another format")
-    p.add_argument("--input", "-i", default="-")
     p.add_argument("--format", choices=["records", "rows"], default="rows")
-    p.add_argument("--out", "-o", default="-")
+    common(p)
     p.set_defaults(func=_cmd_report)
 
     return top

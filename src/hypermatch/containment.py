@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil, comb
 
 from .constructions import VertexPartition, template_edge_count, vertex_degree_threshold
@@ -100,19 +100,15 @@ def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentRepor
         deg = H._vertex_degrees
         W = set(sorted(H.vertices(), key=lambda v: (-deg[v], v))[: m - 1])
         cur = score(W)
-        improved = True
-        while improved:
-            improved = False
-            for u in sorted(set(H.vertices()) - W):
-                for w in sorted(W):
-                    cand = (W - {w}) | {u}
-                    d = score(cand)
-                    if d < cur:
-                        W, cur = cand, d
-                        improved = True
-                        break
-                if improved:
+        while True:
+            for u, w in product(sorted(set(H.vertices()) - W), sorted(W)):
+                cand = (W - {w}) | {u}
+                d = score(cand)
+                if d < cur:
+                    W, cur = cand, d
                     break
+            else:
+                break
         mode = "local-search"
     return ContainmentReport(_partition_for_w(n, W), cur, bound, cur <= bound, mode, eps)
 

@@ -376,9 +376,9 @@ def _independence_search(H: KGraph) -> int:
         count = len(chosen)
         if count > best:
             best = count
-        if idx > n:
-            return
-        if count + min(n - idx + 1, suffix_bound[idx]) <= best:
+        # the block bound never exceeds its candidate count, and
+        # suffix_bound[n + 1] == 0 ends the walk past the last vertex
+        if count + suffix_bound[idx] <= best:
             return
         if not forbidden >> idx & 1:
             f = forbidden

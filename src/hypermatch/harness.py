@@ -72,24 +72,13 @@ class ExperimentReport:
     runtime_s: float = 0.0
 
 
-_TIMING_KEYS = ("runtime_s", "runtime")
-
-
-def _clean(record: dict, include_timings: bool) -> dict:
-    return {
-        k: _plain(v)
-        for k, v in record.items()
-        if include_timings or k not in _TIMING_KEYS
-    }
-
-
 def emit_report(report: ExperimentReport, fmt: str = "records", include_timings: bool = False) -> str:
     """Serialize a report deterministically.
 
     records: one JSON object per line (header, instances, counterexamples),
     parsed back by load_report. rows: a comma-separated table of the
     instances. Identical inputs yield byte-identical output. include_timings
-    adds runtime_s to the records header and keeps timing keys in instances.
+    adds runtime_s to the records header.
     """
     if fmt == "records":
         head = {
@@ -104,15 +93,14 @@ def emit_report(report: ExperimentReport, fmt: str = "records", include_timings:
             head["runtime_s"] = report.runtime_s
         tagged = [("instance", r) for r in report.instances]
         tagged += [("counterexample", r) for r in report.counterexamples]
-        records = [head] + [{"record": kind, **_clean(r, include_timings)} for kind, r in tagged]
+        records = [head] + [{"record": kind, **_plain(r)} for kind, r in tagged]
         return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
     if fmt == "rows":
-        keys = sorted({k for inst in report.instances for k in _clean(inst, include_timings)})
+        keys = sorted({k for inst in report.instances for k in inst})
         out = io.StringIO()
         out.write(",".join(keys) + "\n")
-        for inst in report.instances:
-            c = _clean(inst, include_timings)
-            out.write(",".join(_csv_cell(c.get(k)) for k in keys) + "\n")
+        for inst in map(_plain, report.instances):
+            out.write(",".join(_csv_cell(inst.get(k)) for k in keys) + "\n")
         return out.getvalue()
     raise InvalidQueryError(f"unknown report format {fmt!r}")
 
@@ -213,7 +201,6 @@ def verify_tightness(grid: Iterable[tuple[int, int, int]]) -> ExperimentReport:
             "delta1": delta1,
             "threshold": thr,
             "nu": nu,
-            "nu_prime": None,
         }
         if delta1 != thr:
             raise TightnessFailure("minimum degree differs from threshold", rec, format_graph(H))

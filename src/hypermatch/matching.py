@@ -54,8 +54,8 @@ def _greedy_cover_bound(edge_masks: list[int], cap: int) -> int:
     """Size of a greedy vertex cover of the given edges, stopped at cap.
 
     Any vertex cover bounds any matching (each matching edge consumes a
-    distinct cover vertex), so min(cap, returned value) is a valid upper
-    bound on the maximum matching among these edges.
+    distinct cover vertex). The result never exceeds cap: when edges remain,
+    the greedy stopped at cap, which bounds the matching by itself.
     """
     live = edge_masks
     size = 0
@@ -72,7 +72,7 @@ def _greedy_cover_bound(edge_masks: list[int], cap: int) -> int:
         )  # max degree, lowest vertex on ties
         size += 1
         live = [m for m in live if not m & best_bit]
-    return size if not live else cap
+    return size
 
 
 def exact_nu(H: KGraph) -> tuple[int, Matching]:
@@ -80,10 +80,13 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
 
     Branches on the lowest-indexed vertex still covered by a live edge:
     either one of its live edges joins the matching, or the vertex is set
-    aside uncovered. Every vertex tries its edges in one order: by the
-    edge's total vertex degree, ties by index. Pruning uses the
+    aside uncovered. A node's whole state is the chosen edges and one mask
+    of blocked vertices (covered by a chosen edge or set aside); an edge is
+    live when it misses the mask. Every vertex tries its edges in one order:
+    by the edge's total vertex degree, ties by index. Pruning uses the
     floor((free vertices)/k) bound and a greedy vertex-cover bound on the
-    live edges, and a greedy seed with floor(n/k) edges is returned at once.
+    live edges, which stops at the first bound and so never exceeds it, and
+    a greedy seed with floor(n/k) edges is returned at once.
     Worst case is exponential; intended for n up to about 30 at k = 3.
     Raises BudgetExceededError once the search passes node_budget() nodes.
     """
@@ -108,42 +111,35 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
 
     nodes = 0
 
-    def walk(used: int, excluded: int, count: int, chosen: list[EdgeT]) -> None:
+    def walk(blocked: int, chosen: list[EdgeT]) -> None:
         nonlocal nodes, best, best_edges
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError("exact_nu node budget exceeded", nodes=nodes)
-        if count > best:
-            best = count
+        if len(chosen) > best:
+            best = len(chosen)
             best_edges = list(chosen)
-        blocked = used | excluded
-        branch_v = None
-        live_of_v: list[int] = []
         for v in range(1, n + 1):
             if blocked & (1 << v):
                 continue
             live = [i for i in by_vertex[v - 1] if not masks[i] & blocked]
             if live:
-                branch_v = v
-                live_of_v = live
                 break
-        if branch_v is None:
+        else:
             return
-        free = n - bin(blocked).count("1")
-        cap = free // k
-        if count + cap <= best:
+        cap = (n - bin(blocked).count("1")) // k
+        if len(chosen) + cap <= best:
             return
         live_masks = [m for m in masks if not m & blocked]
-        cover = _greedy_cover_bound(live_masks, cap)
-        if count + min(cap, cover) <= best:
+        if len(chosen) + _greedy_cover_bound(live_masks, cap) <= best:
             return
-        for i in live_of_v:
+        for i in live:
             chosen.append(edges[i])
-            walk(used | masks[i], excluded, count + 1, chosen)
+            walk(blocked | masks[i], chosen)
             chosen.pop()
-        walk(used, excluded | (1 << branch_v), count, chosen)
+        walk(blocked | (1 << v), chosen)
 
-    walk(0, 0, 0, [])
+    walk(0, [])
     return best, Matching.from_edges(best_edges)
 
 
@@ -221,7 +217,7 @@ def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
         d_cur = k * e_cur / n_cur
         if d_cur < 1:
             break
-        p = min(1.0, bite / d_cur)
+        p = bite / d_cur
         draws = rng.random(e_cur)
         cand = np.nonzero(draws < p)[0]
         kept = 0

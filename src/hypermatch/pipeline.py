@@ -400,7 +400,7 @@ def fractional_pm_pipeline(
                 st.details = {"link_nu": nu_link, "note": "falling back to the block route"}
 
     if M is None:
-        M = _block_route_matching(core_graph, link_graph, n, k, m, cfg, trace)
+        M = _block_route_matching(link_graph, n, k, m, block_top, cfg.rho, trace)
         trace.route_used = "greedy"
 
     with trace.step("matching_verify") as st:
@@ -429,25 +429,15 @@ def fractional_pm_pipeline(
 
     # assemble, splicing cyclic windows over the residue class if needed
     with trace.step("residue_splice" if s else "assemble") as st:
-        phi: dict[EdgeT, Fraction] = {}
-        one = Fraction(1)
-        if s == 0:
-            for e in M:
-                phi[e] = one
-            for e in completion:
-                phi[e] = one
-        else:
-            if completion:
-                f, ones = completion[0], M + completion[1:]
-            else:
-                f, ones = M[-1], M[:-1]
-            residue = list(range(n + 1, n + s + 1))
-            window_verts = sorted(set(f) | set(residue))  # k + s > k vertices
-            wk = Fraction(1, k)
-            for window in cyclic_windows(window_verts, k):
-                phi[window] = wk
-            for e in ones:
-                phi[e] = one
+        ones = M + completion
+        windows = []
+        if s:
+            # f is the first completion edge, or the last edge of M
+            f = ones.pop(len(M) if completion else len(M) - 1)
+            window_verts = sorted(set(f) | set(range(n + 1, n + s + 1)))  # k + s > k vertices
+            windows = cyclic_windows(window_verts, k)
+        phi = dict.fromkeys(windows, Fraction(1, k))
+        phi.update(dict.fromkeys(ones, Fraction(1)))
         assignment = FractionalAssignment(closure, phi)  # validates loads exactly
         value = assignment.value()
         st.details = {"value": value}
@@ -469,12 +459,12 @@ def fractional_pm_pipeline(
 
 
 def _block_route_matching(
-    core_graph: KGraph,
     link_graph: KGraph,
     n: int,
     k: int,
     m: int,
-    cfg: PipelineConfig,
+    block_top: int,
+    rho: Fraction,
     trace: PipelineTrace,
 ) -> list[EdgeT]:
     """Matching of size m via the complete block and one-W-vertex link edges.
@@ -490,12 +480,12 @@ def _block_route_matching(
         part = VertexPartition(U, W)
         n_link = n - 1
         deficits = vertex_template_deficits(link_graph, part, k - 2)
-        quart_bound = cfg.rho * Fraction(n_link) ** (4 * (k - 2))
+        quart_bound = rho * Fraction(n_link) ** (4 * (k - 2))
         v_bad = {v for v, d in deficits.items() if Fraction(d) ** 4 > quart_bound}
         b_bad = sorted(v_bad & set(W))
         b = len(b_bad)
         link_def = deficiency(link_graph, part, k - 1)
-        close_ok = Fraction(link_def) ** 2 <= cfg.rho * Fraction(n_link) ** (2 * (k - 1))
+        close_ok = Fraction(link_def) ** 2 <= rho * Fraction(n_link) ** (2 * (k - 1))
         st.details = {
             "bad_total": len(v_bad),
             "bad_in_W": b,
@@ -504,7 +494,6 @@ def _block_route_matching(
         }
 
     with trace.step("block_route_block_matching") as st:
-        block_top = _complete_block_size(m, cfg.eps, n)
         block = sorted(set(b_bad) | set(range(m, min(block_top, n) + 1)))
         if (b + 1) * k > len(block):
             st.fail(
@@ -512,14 +501,8 @@ def _block_route_matching(
                 block=len(block),
                 needed=(b + 1) * k,
             )
-        block_matching: list[EdgeT] = []
-        pool = list(block)
-        for _ in range(b + 1):
-            e = tuple(pool[:k])
-            if e not in core_graph.edge_set:
-                st.fail("block edge missing from the core graph", edge=e)
-            block_matching.append(e)
-            pool = pool[k:]
+        # the block lies in [min(block_top, n)], whose k-subsets complete_block certified
+        block_matching = [tuple(block[i : i + k]) for i in range(0, (b + 1) * k, k)]
         st.details = {"size": len(block_matching)}
 
     with trace.step("block_route_transversal") as st:
@@ -564,15 +547,13 @@ def _complete_through_clique(leftover: list[int], q_free: list[int], k: int) -> 
     edges: list[EdgeT] = []
     q = list(q_free)
     vl = sorted(leftover)
-    i = 0
-    while i < len(vl):
+    for i in range(0, len(vl), k - 1):
         take = vl[i : i + k - 1]
-        i += len(take)
         need = k - len(take)
         if need > len(q):
             return None
-        qs = [q.pop(0) for _ in range(need)]
-        edges.append(tuple(sorted(take + qs)))
+        edges.append(tuple(sorted(take + q[:need])))
+        q = q[need:]
     for j in range(0, len(q), k):
         edges.append(tuple(q[j : j + k]))
     return edges

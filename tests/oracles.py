@@ -6,8 +6,9 @@ the package replaced with faster equivalents (the Fraction simplex, under
 Bland's rule and under the current pricing, the Fraction-compare
 generators, the uncached nibble report, the tuple-built complete graph,
 exact_nu with per-vertex edge sorts, the independence search that scans
-edges at every node, the line-by-line format_graph); the fast versions
-must reproduce them exactly.
+edges at every node, the line-by-line format_graph, the containment local
+search with nested swap loops, the clique completion that pops clique
+vertices one at a time); the fast versions must reproduce them exactly.
 """
 
 import random
@@ -522,3 +523,56 @@ def format_graph(H: KGraph) -> str:
     lines = [f"{H.k} {H.n}"]
     lines.extend(" ".join(str(v) for v in e) for e in H.edges)
     return "\n".join(lines) + "\n"
+
+
+# -- the containment local search with nested swap loops ----------------------
+#
+# Greedy seed (highest degree first, ties by lowest index), then the first
+# improving swap in (outsider u ascending, member w ascending) order until no
+# swap improves. The package search must end at the same W and deficiency.
+
+
+def local_search_containment(H: KGraph, m: int) -> tuple[tuple[int, ...], int]:
+    """(sorted W, deficiency) where the swap search from the greedy seed stops."""
+
+    def score(W) -> int:
+        return len(brute_template_edges(H.n, H.k, W, H.k - 1) - H.edge_set)
+
+    vertices = range(1, H.n + 1)
+    W = set(sorted(vertices, key=lambda v: (-brute_degree(H.edges, (v,)), v))[: m - 1])
+    cur = score(W)
+    improved = True
+    while improved:
+        improved = False
+        for u in sorted(set(vertices) - W):
+            for w in sorted(W):
+                cand = (W - {w}) | {u}
+                d = score(cand)
+                if d < cur:
+                    W, cur = cand, d
+                    improved = True
+                    break
+            if improved:
+                break
+    return tuple(sorted(W)), cur
+
+
+# -- clique completion by a manual index and one pop per clique vertex -------
+
+
+def complete_through_clique(leftover: list[int], q_free: list[int], k: int) -> list[EdgeT] | None:
+    edges: list[EdgeT] = []
+    q = list(q_free)
+    vl = sorted(leftover)
+    i = 0
+    while i < len(vl):
+        take = vl[i : i + k - 1]
+        i += len(take)
+        need = k - len(take)
+        if need > len(q):
+            return None
+        qs = [q.pop(0) for _ in range(need)]
+        edges.append(tuple(sorted(take + qs)))
+    for j in range(0, len(q), k):
+        edges.append(tuple(q[j : j + k]))
+    return edges

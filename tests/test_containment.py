@@ -16,6 +16,7 @@ from hypermatch.containment import (
     vertex_template_deficits,
 )
 from hypermatch.errors import BudgetExceededError, InvalidQueryError
+from test_core import small_kgraphs
 
 
 def part_for(n, W):
@@ -128,6 +129,13 @@ class TestEpsContains:
             loc = eps_contains(H, 3, 0, mode="local")
             assert loc.deficiency >= exh.deficiency
             assert loc.search_mode == "local-search"
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_kgraphs(max_n=8, ks=(2, 3, 4), max_edges=40), st.data())
+    def test_local_search_matches_the_nested_loop_oracle(self, H, data):
+        m = data.draw(st.integers(1, H.n + 1))
+        rep = eps_contains(H, m, 0, mode="local")
+        assert (tuple(sorted(rep.partition.W)), rep.deficiency) == oracles.local_search_containment(H, m)
 
     def test_exhaustive_obeys_node_budget(self, monkeypatch):
         H = complete(9, 3)  # C(9, 2) = 36 choices of W

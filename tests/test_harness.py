@@ -41,6 +41,13 @@ class TestTightness:
         assert rec["nu"] == 2
         assert rec["next_checked"] and rec["next_delta1"] == 18 and rec["next_nu"] == 3
 
+    def test_records_hold_exactly_the_written_keys(self):
+        # (9, 3, 3) checks its next graph and (3, 3, 1) cannot; neither writes nu_prime
+        base = {"n", "k", "m", "delta1", "threshold", "nu", "next_delta1", "next_nu", "next_checked"}
+        rep = verify_tightness([(9, 3, 3), (3, 3, 1)])
+        assert [set(rec) for rec in rep.instances] == [base, base]
+        assert emit_report(rep, "rows").splitlines()[0] == ",".join(sorted(base))
+
     def test_m1_edgeless_points(self):
         rep = verify_tightness([(7, 3, 1)])
         rec = rep.instances[0]
@@ -143,7 +150,7 @@ class TestReports:
             params={"alpha": Fraction(1, 3), "n": 9},
             seed=5,
         )
-        rep.instances.append({"n": 9, "nu": 2, "nu_prime": Fraction(7, 3), "runtime_s": 0.123})
+        rep.instances.append({"n": 9, "nu": 2, "nu_prime": Fraction(7, 3)})
         rep.instances.append({"n": 10, "nu": None, "status": "indeterminate"})
         rep.counterexamples.append({"trial": 3, "nu": 1})
         return rep
@@ -154,11 +161,6 @@ class TestReports:
         back = load_report(text)
         assert emit_report(back, "records") == text
         assert back.experiment == "demo" and back.seed == 5
-
-    def test_timings_excluded_by_default(self):
-        rep = self._sample()
-        assert "runtime" not in emit_report(rep, "records")
-        assert "0.123" in emit_report(rep, "records", include_timings=True)
 
     def test_timings_put_the_runtime_in_the_header(self):
         rep = verify_tightness([(6, 3, 2)])

@@ -1,6 +1,9 @@
-"""Every name a `hypermatch` module imports is read somewhere in that module.
+"""Every name a `hypermatch` module imports is read somewhere in that module,
+and every parameter of a function is read in that function's body.
 
-`__init__.py` is skipped: its imports are the package's exports.
+`__init__.py` is skipped for imports: they are the package's exports. Dunder
+protocol methods (`__setattr__`, `__exit__`) are skipped for parameters: the
+protocol fixes their signature. `__init__` is not one of them.
 """
 
 import ast
@@ -26,6 +29,20 @@ def _read(tree: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
+def _unread_parameters(tree: ast.AST) -> list[tuple[str, str]]:
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if fn.name != "__init__" and fn.name.startswith("__") and fn.name.endswith("__"):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = set().union(*map(_read, fn.body))
+        unread += [(fn.name, p.arg) for p in params if p.arg not in read]
+    return unread
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -35,3 +52,23 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_reported():
     tree = ast.parse("import os.path\nfrom math import comb, ceil as c\nx = c(1.5)\n")
     assert sorted(_imported(tree) - _read(tree)) == ["comb", "os"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert _unread_parameters(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_an_unread_parameter_is_reported():
+    tree = ast.parse(
+        "def f(a, b, *, c=1, **kw):\n"
+        "    def g():\n"
+        "        return a + kw['x']\n"
+        "    return g\n"
+        "class C:\n"
+        "    def __init__(self, x):\n"
+        "        self.y = 1\n"
+        "    def __exit__(self, exc_type, exc, tb):\n"
+        "        return None\n"
+    )
+    assert _unread_parameters(tree) == [("f", "b"), ("f", "c"), ("__init__", "x")]

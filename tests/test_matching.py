@@ -108,6 +108,37 @@ class TestExactNu:
         G = complete(9, 3)
         assert exact_nu(G) == (3, greedy_matching(G))
 
+    def test_needs_the_oracles_smallest_budget(self, monkeypatch):
+        # the smallest passing budget is the walk's node count, so both walks
+        # must visit the same nodes where the greedy seed is not returned at once
+        def smallest_passing_budget(solve, H):
+            lo, hi = 0, 1
+            while True:
+                monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", str(hi))
+                try:
+                    result = solve(H)
+                    break
+                except BudgetExceededError:
+                    lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", str(mid))
+                try:
+                    result = solve(H)
+                    hi = mid
+                except BudgetExceededError:
+                    lo = mid
+            return hi, result
+
+        graphs = [build_Hknm(n, 3, m)[0] for n in range(8, 14) for m in range(2, n // 3 + 1)]
+        for seed in range(120):
+            n, k = 7 + seed % 7, 3 + seed % 2
+            graphs.append(random_kgraph(n, k, Fraction(1 + seed % 3, 6), seed=seed))
+        graphs = [H for H in graphs if H.edges and len(greedy_matching(H)) < H.n // H.k]
+        assert len(graphs) >= 40
+        for H in graphs:
+            assert smallest_passing_budget(exact_nu, H) == smallest_passing_budget(oracles.exact_nu, H)
+
     @settings(max_examples=200, deadline=None)
     @given(small_kgraphs(max_n=13, ks=(2, 3, 4), max_edges=60, min_n=0))
     def test_matches_oracle_with_witness(self, H):

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import oracles
 from hypermatch import (
     KGraph,
     build_Hknm,
@@ -285,6 +286,16 @@ class TestPipeline:
             fractional_pm_pipeline(H, 1, 3, PipelineConfig())
         last = exc.value.trace.steps[-1]
         assert (last.name, last.status) == ("assemble", "failed")
+
+    def test_clique_completion_matches_the_popping_loop(self):
+        rng = random.Random(7)
+        for k in (3, 4, 5):
+            for n_left in range(13):
+                for n_q in range(13):
+                    leftover = rng.sample(range(1, 40), n_left)
+                    q_free = list(range(40, 40 + n_q))
+                    expected = oracles.complete_through_clique(leftover, q_free, k)
+                    assert pipeline._complete_through_clique(leftover, q_free, k) == expected
 
     def test_short_completion_is_caught_at_verify(self, monkeypatch):
         real = pipeline._complete_through_clique
