@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, factorial
+from operator import index
 
 from .core import KGraph, _check_shape
 from .errors import InvalidQueryError, SamplingExhaustedError
@@ -25,7 +26,10 @@ class VertexPartition:
     W: tuple[int, ...]
 
     def __post_init__(self):
-        u, w = set(self.U), set(self.W)
+        try:
+            u, w = set(map(index, self.U)), set(map(index, self.W))
+        except TypeError as ex:
+            raise InvalidQueryError(f"partition vertices must be integers ({ex})") from None
         if u & w:
             raise InvalidQueryError("U and W overlap")
         n = len(u) + len(w)

@@ -92,9 +92,8 @@ def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentRepor
     if mode == "exhaustive":
         if subsets > budget:
             raise BudgetExceededError(f"exhaustive containment needs {subsets} subsets", nodes=0)
-        # min keeps the first W of least deficiency
-        W = min(combinations(range(1, n + 1), m - 1), key=score)
-        cur = score(W)
+        # ties go to the first W in lexicographic order, the order of combinations
+        cur, W = min((score(W), W) for W in combinations(range(1, n + 1), m - 1))
     else:
         # greedy seed: highest degree first, ties by lowest index
         deg = H._vertex_degrees
@@ -194,8 +193,10 @@ def subset_density_check(
     checked when there are at most min(EXHAUSTIVE_SUBSET_BUDGET, node_budget())
     of them; when there are more, min(samples, C(n, size)) distinct random
     subsets are drawn from `seed` and checked in first-drawn order.
-    Out-of-range parameters are flagged in the report, not rejected.
+    samples < 0 is rejected; other out-of-range parameters are only flagged.
     """
+    if samples < 0:
+        raise InvalidQueryError(f"need samples >= 0, got {samples}")
     eps = Fraction(eps)
     n, k = H.n, H.k
     flags = []

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidQueryError
@@ -62,7 +63,10 @@ class KGraph:
         _check_shape(n, k)
         canon = set()
         for e in edges:
-            t = tuple(sorted(e))
+            try:
+                t = tuple(sorted(map(index, e)))  # numpy and bool integers become int
+            except TypeError as ex:
+                raise InvalidQueryError(f"edge {e!r}: vertices must be integers ({ex})") from None
             if len(t) != k or len(set(t)) != k:
                 raise InvalidQueryError(f"edge {t!r} is not a set of {k} distinct vertices")
             if t[0] < 1 or t[-1] > n:
@@ -326,15 +330,13 @@ def _greedy_block_cover_bound(H: KGraph, candidates: Sequence[int]) -> int:
     es = H.edge_set
     blocks: list[list[int]] = []
     for v in candidates:
-        placed = False
         for blk in blocks:
             if len(blk) < k - 1 or all(
                 tuple(sorted(sub + (v,))) in es for sub in combinations(blk, k - 1)
             ):
                 blk.append(v)
-                placed = True
                 break
-        if not placed:
+        else:
             blocks.append([v])
     return sum(min(len(blk), k - 1) for blk in blocks)
 

@@ -161,16 +161,14 @@ def graph_fingerprint(H: KGraph) -> str:
 
 
 def tightness_grid(ks: Sequence[int] = (3, 4), n_max: int = 14) -> list[tuple[int, int, int]]:
-    """Grid of (n, k, m) with k + m - 1 <= n <= n_max and 1 <= m <= n // k,
-    once for each distinct k in ks."""
+    """Grid of (n, k, m) with k <= n <= n_max and 1 <= m <= n // k, once per
+    distinct k in ks; k >= 2 and m >= 1 give k + m - 1 <= km <= n."""
     grid = []
     for k in dict.fromkeys(ks):
         if k < 2:
             raise InvalidQueryError(f"uniformity k must be >= 2, got {k}")
         for n in range(k, n_max + 1):
-            for m in range(1, n // k + 1):
-                if k + m - 1 <= n:
-                    grid.append((n, k, m))
+            grid.extend((n, k, m) for m in range(1, n // k + 1))
     return grid
 
 
@@ -234,7 +232,7 @@ def _sample_for_model(model: str, n: int, k: int, m: int, p, trial_seed: str) ->
     if model == "planted":
         # extremal core plus independent extras: concentrates sampling where
         # the threshold filter is tight
-        base, part = build_Hknm(n, k, m)
+        base, _ = build_Hknm(n, k, m)
         extra_p = 0.25 if p is None else p
         noise = random_kgraph(n, k, extra_p, seed=seed)
         return KGraph(n, k, list(base.edges) + list(noise.edges))
@@ -267,7 +265,6 @@ def conjecture_search(
         seed=seed,
     )
     histogram: dict[int, int] = {}
-    accepted = 0
     exhausted = 0
     for t in range(trials):
         trial_seed = f"{seed}:{t}"
@@ -280,7 +277,6 @@ def conjecture_search(
         histogram[delta1] = histogram.get(delta1, 0) + 1
         if not delta1 > thr:
             continue
-        accepted += 1
         try:
             nu, _ = exact_nu(H)
         except BudgetExceededError:
@@ -302,7 +298,7 @@ def conjecture_search(
                         "fingerprint": graph_fingerprint(H),
                     }
                 )
-    report.params["accepted"] = accepted
+    report.params["accepted"] = len(report.instances)
     report.params["exhausted_trials"] = exhausted
     report.params["delta1_histogram"] = {str(d): c for d, c in sorted(histogram.items())}
     report.runtime_s = time.perf_counter() - t0
@@ -347,7 +343,6 @@ def case_split_demo(H: KGraph, m: int, eps, rho, eta=Fraction(1, 10)) -> CaseSpl
     BudgetExceededError, with the pipeline's trace when the pipeline raised it.
     """
     containment = eps_contains(H, m, eps)
-    notes: list[str] = []
     if containment.satisfied:
         template_edges = _template_edges(H, containment.partition.W, H.k - 1)
         nu_t, M_t = exact_nu(KGraph._from_sorted(H.n, H.k, template_edges))
@@ -356,13 +351,12 @@ def case_split_demo(H: KGraph, m: int, eps, rho, eta=Fraction(1, 10)) -> CaseSpl
         combined = Matching.from_edges(M_t.edges + M_r.edges)
         if not verify_matching(H, combined):
             raise HypermatchError("case split assembled an invalid matching")
-        notes.append(f"template part {nu_t}, remainder part {nu_r}")
         return CaseSplitReport(
             branch="contains",
             containment=containment,
             matching_size=len(combined),
             concludes=len(combined) >= m,
-            notes=tuple(notes),
+            notes=(f"template part {nu_t}, remainder part {nu_r}",),
         )
 
     cfg = PipelineConfig(eta=Fraction(eta), rho=Fraction(rho), eps=Fraction(eps))
@@ -376,8 +370,6 @@ def case_split_demo(H: KGraph, m: int, eps, rho, eta=Fraction(1, 10)) -> CaseSpl
         raise HypermatchError("exact matching is invalid in the base graph")
     aug_nu = min(nu + r, (H.n + r) // H.k)
     concludes = aug_nu >= m + r or None
-    if not concludes:
-        notes.append(f"augmented matching {aug_nu} below m+r={m + r}; no integral conclusion")
     return CaseSplitReport(
         branch="non-contains",
         containment=containment,
@@ -385,5 +377,7 @@ def case_split_demo(H: KGraph, m: int, eps, rho, eta=Fraction(1, 10)) -> CaseSpl
         concludes=concludes,
         pipeline_trace=trace,
         augmented_nu=aug_nu,
-        notes=tuple(notes),
+        notes=() if concludes else (
+            f"augmented matching {aug_nu} below m+r={m + r}; no integral conclusion",
+        ),
     )

@@ -24,6 +24,7 @@ from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence
 
+from .constructions import complete
 from .core import EdgeT, KGraph
 from .errors import InternalContradictionError, InvalidQueryError
 
@@ -104,7 +105,7 @@ class VertexWeights:
         return all(sum(map(nums.__getitem__, e)) >= den for e in H.edges)
 
 
-def _solve_incidence_lp(H: KGraph) -> tuple[Fraction, dict[EdgeT, Fraction], tuple[Fraction, ...]]:
+def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fraction, ...]]:
     """Maximize total edge weight subject to unit vertex loads.
 
     Revised simplex with an explicit basis inverse: the constraint matrix is
@@ -176,26 +177,22 @@ def _solve_incidence_lp(H: KGraph) -> tuple[Fraction, dict[EdgeT, Fraction], tup
         degenerate = degenerate + 1 if pval == 0 else 0
         basis[leave] = enter
 
-    value = Fraction(sum(x for j, x in zip(basis, xb) if j < ncols), det)
     phi = {H.edges[j]: Fraction(x, det) for j, x in zip(basis, xb) if j < ncols}
     # y was priced from the final basis, so y / det is the optimal dual vector
-    return value, phi, tuple(Fraction(t, det) for t in y)
+    return phi, tuple(Fraction(t, det) for t in y)
 
 
 def solve_fractional(H: KGraph) -> tuple[Fraction, FractionalAssignment, VertexWeights]:
     """Exact optimum fractional matching and cover from one solve, both verified.
 
     The matching is validated as a FractionalAssignment (loads at most 1),
-    the cover as a fractional cover of H with weights in [0,1], and both
-    totals must equal the simplex objective, which certifies optimality of
-    both by weak duality.
+    the cover as a fractional cover of H with weights in [0,1], and the two
+    witness totals must be equal, which certifies optimality of both by weak
+    duality.
     """
-    value, phi, duals = _solve_incidence_lp(H)
+    phi, duals = _solve_incidence_lp(H)
     assignment = FractionalAssignment(H, phi)  # validates loads <= 1 exactly
-    if assignment.value() != value:
-        raise InternalContradictionError(
-            "primal witness value disagrees with simplex objective", check="lp-primal-value"
-        )
+    value = assignment.value()
     cover = VertexWeights(duals)
     if not cover.is_cover_of(H):
         raise InternalContradictionError(
@@ -228,8 +225,6 @@ def clique_window_matching(n: int, k: int) -> FractionalAssignment:
     """
     if n <= k:
         raise InvalidQueryError(f"need n > k, got n={n}, k={k}")
-    from .constructions import complete
-
     wk = Fraction(1, k)
     phi = {window: wk for window in cyclic_windows(range(1, n + 1), k)}
     return FractionalAssignment(complete(n, k), phi)

@@ -356,11 +356,8 @@ def fractional_pm_pipeline(
 
     block_top = _complete_block_size(m, cfg.eps, n)
     with trace.step("complete_block") as st:
-        missing = None
-        for e in combinations(range(1, min(block_top, n) + 1), k):
-            if e not in core_graph.edge_set:
-                missing = e
-                break
+        block = combinations(range(1, min(block_top, n) + 1), k)
+        missing = next((e for e in block if e not in core_graph.edge_set), None)
         if missing is not None:
             if pre["alpha_ok"]:
                 st.contradict(
@@ -400,7 +397,7 @@ def fractional_pm_pipeline(
                 st.details = {"link_nu": nu_link, "note": "falling back to the block route"}
 
     if M is None:
-        M = _block_route_matching(link_graph, n, k, m, block_top, cfg.rho, trace)
+        M = _block_route_matching(link_graph, m, block_top, cfg.rho, trace)
         trace.route_used = "greedy"
 
     with trace.step("matching_verify") as st:
@@ -459,21 +456,18 @@ def fractional_pm_pipeline(
 
 
 def _block_route_matching(
-    link_graph: KGraph,
-    n: int,
-    k: int,
-    m: int,
-    block_top: int,
-    rho: Fraction,
-    trace: PipelineTrace,
+    link_graph: KGraph, m: int, block_top: int, rho: Fraction, trace: PipelineTrace
 ) -> list[EdgeT]:
     """Matching of size m via the complete block and one-W-vertex link edges.
 
-    Classifies link vertices against the one-smaller template using quartic
-    comparisons (deficit^4 vs rho * n'^(4(k-2))), so no irrational roots are
-    ever formed. Greedy and size guarantees here are asymptotic, so any
-    shortfall raises StepFailureError rather than guessing.
+    link_graph is the link of vertex n in the core k-graph on [n], so n and k
+    are one more than its vertex count and uniformity. Classifies link
+    vertices against the one-smaller template using quartic comparisons
+    (deficit^4 vs rho * n'^(4(k-2))), so no irrational roots are ever formed.
+    Greedy and size guarantees here are asymptotic, so any shortfall raises
+    StepFailureError rather than guessing.
     """
+    n, k = link_graph.n + 1, link_graph.k + 1
     with trace.step("block_route_classify") as st:
         W = tuple(range(1, m))
         U = tuple(range(m, n))

@@ -276,6 +276,11 @@ class TestVerifySearchReport:
             (["nibble", "--sigma", "1"], "3 6\n1 2 3\n4 5 6\n"),
             (["gen", "--family", "hkl", "--n", "4", "--k", "3", "--m", "9"], None),
             (["gen", "--family", "parity", "--n", "3", "--k", "3", "--m", "5"], None),
+            (["nu"], "3\n"),
+            (["nu"], "3 5\n1 2\n"),
+            (["nu"], "3 5\n1 2 9\n"),
+            (["contain", "--m", "0", "--eps", "1/10"], "3 5\n1 2 3\n"),
+            (["contain", "--m", "9", "--eps", "1/10"], "3 5\n1 2 3\n"),
         ],
         ids=[
             "search-m-too-large", "search-p-out-of-range",
@@ -283,6 +288,8 @@ class TestVerifySearchReport:
             "pipeline-k-2", "pipeline-r-negative", "search-k-0", "search-k-negative",
             "gen-barrier-k-0", "nibble-seed-negative", "nibble-sigma-0", "nibble-sigma-1",
             "gen-hkl-m-above-n-plus-1", "gen-parity-m-above-n",
+            "nu-header-one-number", "nu-edge-too-short", "nu-vertex-out-of-range",
+            "contain-m-0", "contain-w-above-n",
         ],
     )
     def test_bad_query_is_a_clean_error(self, capsys, monkeypatch, argv, stdin):

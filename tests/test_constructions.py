@@ -361,3 +361,14 @@ class TestVertexPartition:
     def test_rejects_gap(self):
         with pytest.raises(InvalidQueryError):
             VertexPartition((1, 2), (4,))
+
+    def test_rejects_non_integer_vertices(self):
+        with pytest.raises(InvalidQueryError):
+            VertexPartition((1.0, 2, 3, 4), (5,))
+        with pytest.raises(InvalidQueryError):
+            build_Hkl((1.0, 2, 3, 4), (5,), 3, 2)
+
+    def test_integer_like_vertices_become_int(self):
+        P = VertexPartition((np.int64(2), True), (np.int32(3),))
+        assert (P.U, P.W) == ((1, 2), (3,))
+        assert {type(v) for v in P.U + P.W} == {int}

@@ -221,6 +221,11 @@ class TestSubsetDensity:
         rep = subset_density_check(complete(9, 3), 2, Fraction(1, 10), samples=10, seed=0)
         assert (rep.mode, rep.checked) == ("exhaustive", 36)
 
+    def test_negative_samples_are_rejected(self, monkeypatch):
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "10")
+        with pytest.raises(InvalidQueryError, match="samples >= 0"):
+            subset_density_check(complete(9, 3), 2, Fraction(1, 10), samples=-3, seed=0)
+
     def test_sampled_subsets_are_distinct(self, monkeypatch):
         # 10 draws from one seed repeat a 7-subset of [9]; the edgeless graph
         # makes every drawn subset a violation

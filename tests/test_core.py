@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from hypermatch import (
 )
 from hypermatch.core import DEFAULT_NODE_BUDGET, node_budget
 from hypermatch.errors import BudgetExceededError, InvalidQueryError
-from hypermatch.matching import NibbleConfig, nibble_matching_report
+from hypermatch.matching import NibbleConfig, exact_nu, nibble_matching_report
 
 
 @st.composite
@@ -50,6 +51,19 @@ class TestKGraphBasics:
             KGraph(4, 3, [(1, 2, 2)])
         with pytest.raises(InvalidQueryError):
             KGraph(4, 1, [(1,)])
+        with pytest.raises(InvalidQueryError):
+            KGraph(5, 3, [(1, 2, 3.5)])
+        with pytest.raises(InvalidQueryError):
+            KGraph(5, 3, [(1, 2, "3")])
+        with pytest.raises(InvalidQueryError):
+            KGraph(5, 3, [3])
+
+    def test_integer_like_vertices_become_int(self):
+        H = KGraph(5, 3, [np.array([1, 2, 3]), (True, np.int32(4), np.int64(5))])
+        assert H.edges == ((1, 2, 3), (1, 4, 5))
+        assert {type(v) for e in H.edges for v in e} == {int}
+        _, M = exact_nu(H)
+        assert {type(v) for e in M.edges for v in e} == {int}
 
     def test_canonicalization_sorts_and_dedups(self):
         H = KGraph(5, 3, [(3, 2, 1), (1, 2, 3), (2, 4, 5)])
@@ -98,6 +112,13 @@ class TestDegree:
     def test_empty_set_gives_edge_count(self):
         H = h933()
         assert degree(H, set()) == len(H.edges)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_kgraphs(ks=(2, 3, 4), min_n=4), st.data())
+    def test_codegree_matches_brute_force(self, H, data):
+        size = data.draw(st.integers(min_value=2, max_value=H.k))
+        T = data.draw(st.sets(st.integers(min_value=1, max_value=H.n), min_size=size, max_size=size))
+        assert degree(H, T) == oracles.brute_degree(H.edges, T)
 
     def test_too_large_query(self):
         with pytest.raises(InvalidQueryError):

@@ -1,9 +1,13 @@
 """Every name a `hypermatch` module imports is read somewhere in that module,
-and every parameter of a function is read in that function's body.
+every parameter of a function is read in that function's body, and every
+other name a function binds is read in that function or a function nested
+in it.
 
 `__init__.py` is skipped for imports: they are the package's exports. Dunder
 protocol methods (`__setattr__`, `__exit__`) are skipped for parameters: the
-protocol fixes their signature. `__init__` is not one of them.
+protocol fixes their signature. `__init__` is not one of them. A local
+declared `nonlocal` or `global` counts as read (the binding is the outer
+scope's), and `_` is exempt: it is the name for a value thrown away.
 """
 
 import ast
@@ -43,6 +47,31 @@ def _unread_parameters(tree: ast.AST) -> list[tuple[str, str]]:
     return unread
 
 
+def _bound(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return [node.id]
+    if isinstance(node, ast.ExceptHandler) and node.name:
+        return [node.name]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [(a.asname or a.name).split(".")[0] for a in node.names]
+    return []
+
+
+def _unread_locals(tree: ast.AST) -> list[tuple[str, str]]:
+    unread = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = [node for stmt in fn.body for node in ast.walk(stmt)]
+        read = set().union(*map(_read, fn.body))
+        read.update(*(n.names for n in inner if isinstance(n, (ast.Global, ast.Nonlocal))))
+        bound = dict.fromkeys(name for node in inner for name in _bound(node))
+        unread += [(fn.name, name) for name in bound if name != "_" and name not in read]
+    return unread
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -72,3 +101,29 @@ def test_an_unread_parameter_is_reported():
         "        return None\n"
     )
     assert _unread_parameters(tree) == [("f", "b"), ("f", "c"), ("__init__", "x")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_locals(path):
+    assert _unread_locals(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_an_unread_local_is_reported():
+    tree = ast.parse(
+        "def f(xs):\n"
+        "    import os.path\n"
+        "    total, last, count = 0, None, 0\n"
+        "    for x in xs:\n"
+        "        total += x\n"
+        "        count += 1\n"
+        "    def g():\n"
+        "        nonlocal last\n"
+        "        last = total\n"
+        "    try:\n"
+        "        g()\n"
+        "    except ValueError as ex:\n"
+        "        pass\n"
+        "    a, _ = xs\n"
+        "    return last\n"
+    )
+    assert _unread_locals(tree) == [("f", "os"), ("f", "count"), ("f", "ex"), ("f", "a")]

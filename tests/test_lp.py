@@ -65,20 +65,21 @@ class TestFractionFreeSimplex:
     @given(lp_graphs())
     def test_same_pivots_as_fraction_simplex(self, H):
         got = lp._solve_incidence_lp(H)
-        want = oracles.fraction_simplex(H)
+        want = oracles.fraction_simplex(H)[1:]
         assert got == want
-        assert list(got[1]) == list(want[1])  # same basis order, not just the same values
+        assert list(got[0]) == list(want[0])  # same basis order, not just the same values
 
     def test_pipeline_sized_augmented_graphs(self):
         for n, seed in [(12, 0), (13, 1), (14, 2)]:
             G = augmented_18(n, seed)
             assert G.n == 18
-            assert lp._solve_incidence_lp(G) == oracles.fraction_simplex(G)
+            assert lp._solve_incidence_lp(G) == oracles.fraction_simplex(G)[1:]
 
     @settings(max_examples=80, deadline=None)
     @given(lp_graphs())
     def test_value_equals_bland_optimum(self, H):
-        assert lp._solve_incidence_lp(H)[0] == oracles.bland_fraction_simplex(H)[0]
+        phi, _ = lp._solve_incidence_lp(H)
+        assert sum(phi.values(), Fraction(0)) == oracles.bland_fraction_simplex(H)[0]
 
     @pytest.mark.parametrize("H", FALLBACK_GRAPHS, ids=lambda H: f"n{H.n}k{H.k}e{H.num_edges}")
     def test_same_pivots_through_bland_fallback(self, H):
@@ -86,9 +87,9 @@ class TestFractionFreeSimplex:
         want = oracles.fraction_simplex(H, stats)
         assert stats["bland_pivots"] > 0
         got = lp._solve_incidence_lp(H)
-        assert got == want
-        assert list(got[1]) == list(want[1])
-        assert got[0] == oracles.bland_fraction_simplex(H)[0]
+        assert got == want[1:]
+        assert list(got[0]) == list(want[1])
+        assert sum(got[0].values(), Fraction(0)) == oracles.bland_fraction_simplex(H)[0]
 
     def test_dantzig_pivots_at_most_a_third_of_bland(self):
         for n, seed in [(12, 0), (13, 1), (14, 2)]:
@@ -114,17 +115,22 @@ class TestFractionFreeSimplex:
         assert weight_closure(5, 3, w).edges == ((1, 2, 3), (1, 2, 4))  # 1 and 13/12
 
 
+def _without_a_positive_entry(phi):
+    drop = next(e for e, x in phi.items() if x > 0)
+    return {e: x for e, x in phi.items() if e != drop}
+
+
 class TestCertificate:
     """solve_fractional refuses a simplex answer whose witnesses do not check out."""
 
     @pytest.mark.parametrize(
         "corrupt, check",
         [
-            (lambda value, phi, duals: (value, phi, (Fraction(0),) * len(duals)), "lp-dual-feasible"),
-            (lambda value, phi, duals: (value + 1, phi, duals), "lp-primal-value"),
-            (lambda value, phi, duals: (value, phi, (Fraction(1),) * len(duals)), "lp-dual-value"),
+            (lambda phi, duals: (phi, (Fraction(0),) * len(duals)), "lp-dual-feasible"),
+            (lambda phi, duals: (_without_a_positive_entry(phi), duals), "lp-dual-value"),
+            (lambda phi, duals: (phi, (Fraction(1),) * len(duals)), "lp-dual-value"),
         ],
-        ids=["dual-not-a-cover", "wrong-objective", "dual-total-off"],
+        ids=["dual-not-a-cover", "primal-total-off", "dual-total-off"],
     )
     def test_refuses_bad_witness(self, monkeypatch, corrupt, check):
         solve = lp._solve_incidence_lp

@@ -203,6 +203,19 @@ class TestPipeline:
         assert trace.preconditions["degree_ok"] is False
         assert any(s.name == "cover_certificate" and s.status == "failed" for s in trace.steps)
 
+    def test_incomplete_block_fails_when_the_independence_margin_is_unmet(self):
+        H = random_kgraph(9, 3, Fraction(1, 10), seed=9)
+        with pytest.raises(StepFailureError) as exc:
+            fractional_pm_pipeline(H, 1, 0, PipelineConfig(eps=Fraction(1, 2)))
+        trace = exc.value.trace
+        assert trace.preconditions["alpha_ok"] is False
+        assert trace.records()[-1] == {
+            "step": "complete_block",
+            "status": "failed",
+            "message": "low-index block [6] is not complete (independence precondition unmet)",
+            "missing": [4, 5, 6],
+        }
+
     def test_failure_inside_a_step_carries_the_trace(self):
         # r = 1 leaves no free clique vertex to complete the 4 leftover vertices
         with pytest.raises(StepFailureError) as exc:
