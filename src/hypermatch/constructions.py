@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb, factorial
+from math import ceil, comb
 from operator import index
 
 from .core import KGraph, _check_shape
@@ -43,11 +43,6 @@ class VertexPartition:
         return len(self.U) + len(self.W)
 
 
-def beta_upper_bound(k: int) -> Fraction:
-    """Upper bound 1 / (3^k * 2k^5 * k!)^4 on the admissible range parameter."""
-    return Fraction(1, (3**k * 2 * k**5 * factorial(k)) ** 4)
-
-
 def build_Hkl(U, W, k: int, l: int) -> KGraph:
     """The template whose edges are the k-sets e with 1 <= |e & W| <= l."""
     if not 1 <= l <= k:
@@ -72,7 +67,7 @@ def build_Hknm(n: int, k: int, m: int) -> tuple[KGraph, VertexPartition]:
     Its minimum vertex degree equals vertex_degree_threshold(n, k, m) and its
     maximum matching has exactly m - 1 edges.
     """
-    _check_shape(n, k)
+    n, k = _check_shape(n, k)
     if m < 1 or m - 1 + k > n:
         raise InvalidQueryError(f"need m >= 1 and m-1+k <= n, got n={n}, k={k}, m={m}")
     W = tuple(range(1, m))
@@ -132,7 +127,7 @@ def parity_construction(a: int, b: int, k: int) -> KGraph:
     The intended obstruction has a odd and |a - b| <= 2; other parameters are
     accepted with a warning.
     """
-    n = a + b
+    n, k = _check_shape(a + b, k)
     if a < 0 or b < 0 or n < k:
         raise InvalidQueryError(f"need a, b >= 0 and a+b >= k, got a={a}, b={b}, k={k}")
     if a % 2 == 0 or abs(a - b) > 2:
@@ -149,7 +144,7 @@ def space_barrier(n: int, k: int) -> KGraph:
 
     That is the template H_{k,k}(U, W) with W the top n/k - 1 vertices.
     """
-    _check_shape(n, k)
+    n, k = _check_shape(n, k)
     if n % k != 0:
         raise InvalidQueryError(f"need k | n, got n={n}, k={k}")
     cutoff = min(n, n - n // k + 1)  # n = 0 has no W and no U

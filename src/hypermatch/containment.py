@@ -1,5 +1,4 @@
-"""Template-containment distance, good/bad vertex classification, and the
-subset edge-density check.
+"""Template-containment distance and good/bad vertex classification.
 
 The template H_{k,l}(U, W) is the k-sets e with 1 <= |e & W| <= l. Its
 membership test is made once, on vertex masks, in _template_edges; its edge
@@ -10,14 +9,14 @@ use exact rationals; n^k is computed in arbitrary precision.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, comb
+from math import comb
+from operator import index
 
-from .constructions import VertexPartition, template_edge_count, vertex_degree_threshold
-from .core import EdgeT, KGraph, _mask, min_l_degree, node_budget
+from .constructions import VertexPartition, template_edge_count
+from .core import EdgeT, KGraph, _mask, node_budget
 from .errors import BudgetExceededError, InvalidQueryError
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
@@ -70,6 +69,10 @@ def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentRepor
     any subset is examined, when C(n, m-1) exceeds node_budget(). The report
     labels which mode ran; satisfied means min deficiency <= eps * n^k.
     """
+    try:
+        m = index(m)
+    except TypeError:
+        raise InvalidQueryError(f"m must be an integer, got {m!r}") from None
     if m < 1:
         raise InvalidQueryError(f"need m >= 1, got {m}")
     if m - 1 > H.n:
@@ -151,89 +154,3 @@ def classify_good_bad(
     good = tuple(v for v in H.vertices() if deficits[v] <= bound)
     bad = tuple(v for v in H.vertices() if deficits[v] > bound)
     return good, bad
-
-
-@dataclass(frozen=True)
-class DensityViolation:
-    subset: tuple[int, ...]
-    edge_count: int
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Subsets of the required size whose induced edge count is too small.
-
-    A violating subset is evidence for containment (the density conclusion
-    fails only when the graph sits close to the template), provided the
-    degree hypothesis holds; this report just lists the facts.
-    """
-
-    subset_size: int
-    density_bound: Fraction  # eps * n^k / (2 k^2)
-    violations: tuple[DensityViolation, ...]
-    mode: str  # "exhaustive" or "sampled"
-    checked: int
-    parameter_flags: tuple[str, ...]
-
-
-def subset_density_check(
-    H: KGraph,
-    m: int,
-    eps,
-    samples: int,
-    seed: int,
-    rho=None,
-) -> DensityReport:
-    """Test e(H[S]) >= eps * n^k / (2 k^2) over large vertex subsets.
-
-    Subsets of size ceil((1 - m/n - eps/7) * n) are the binding case: the
-    bound is constant while induced edge counts only grow with the subset,
-    so checking the minimum size covers all larger sizes. samples = 0 checks
-    nothing (mode "sampled", 0 checked). Otherwise every such subset is
-    checked when there are at most min(EXHAUSTIVE_SUBSET_BUDGET, node_budget())
-    of them; when there are more, min(samples, C(n, size)) distinct random
-    subsets are drawn from `seed` and checked in first-drawn order.
-    samples < 0 is rejected; other out-of-range parameters are only flagged.
-    """
-    if samples < 0:
-        raise InvalidQueryError(f"need samples >= 0, got {samples}")
-    eps = Fraction(eps)
-    n, k = H.n, H.k
-    flags = []
-    if not 0 < eps < Fraction(1, k):
-        flags.append(f"eps={eps} outside (0, 1/k)")
-    if not n <= 2 * k**4 * m:
-        flags.append(f"m={m} below n/(2k^4)")
-    if not k * m < n:
-        flags.append(f"m={m} not below n/k")
-    if rho is not None:
-        rho = Fraction(rho)
-        if not 0 < rho < eps / 12:
-            flags.append(f"rho={rho} outside (0, eps/12)")
-        if min_l_degree(H, 1) < vertex_degree_threshold(n, k, m) - rho * Fraction(n) ** (k - 1):
-            flags.append("degree hypothesis fails at the given rho")
-
-    size = ceil((1 - Fraction(m, n) - eps / 7) * n)
-    size = max(0, min(n, size))
-    dbound = eps * Fraction(n) ** k / (2 * k**2)
-
-    if samples == 0:
-        return DensityReport(size, dbound, (), "sampled", 0, tuple(flags))
-    subsets_total = comb(n, size)
-    if subsets_total <= min(EXHAUSTIVE_SUBSET_BUDGET, node_budget()):
-        mode, checked = "exhaustive", subsets_total
-        subsets = combinations(range(1, n + 1), size)
-    else:
-        mode, checked = "sampled", min(samples, subsets_total)
-        rng = random.Random(seed)
-        pool = list(range(1, n + 1))
-        subsets = {}
-        while len(subsets) < checked:
-            subsets[tuple(sorted(rng.sample(pool, size)))] = None
-    violations = []
-    for S in subsets:
-        smask = _mask(S)
-        c = sum(1 for em in H.edge_masks if em & smask == em)
-        if c < dbound:
-            violations.append(DensityViolation(S, c))
-    return DensityReport(size, dbound, tuple(violations), mode, checked, tuple(flags))

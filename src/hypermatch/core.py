@@ -1,9 +1,9 @@
 """k-uniform hypergraph kernel.
 
-Representation, vertex-set masks, degrees, per-edge copy counts, links,
-induced subgraphs, exact independence number, the stability (downward-
-closure) test, the plain-text graph format used by the CLI, and the node
-budget that every exponential search obeys.
+Representation, vertex-set masks, degrees, links, induced subgraphs, exact
+independence number, the stability (downward-closure) test, the plain-text
+graph format used by the CLI, and the node budget that every exponential
+search obeys.
 
 Vertices are the integers 1..n throughout. Edges are sorted k-tuples.
 """
@@ -35,11 +35,17 @@ def node_budget() -> int:
     return int(raw)
 
 
-def _check_shape(n: int, k: int) -> None:
+def _check_shape(n: int, k: int) -> tuple[int, int]:
+    """(n, k) as ints, once k >= 2 and n >= 0 are checked."""
+    try:
+        n, k = index(n), index(k)  # numpy and bool integers become int
+    except TypeError:
+        raise InvalidQueryError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
     if k < 2:
         raise InvalidQueryError(f"uniformity k must be >= 2, got {k}")
     if n < 0:
         raise InvalidQueryError(f"vertex count must be >= 0, got {n}")
+    return n, k
 
 
 class KGraph:
@@ -60,7 +66,7 @@ class KGraph:
     k: int
 
     def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]]):
-        _check_shape(n, k)
+        n, k = _check_shape(n, k)
         canon = set()
         for e in edges:
             try:
@@ -95,7 +101,7 @@ class KGraph:
 
     @classmethod
     def _trusted(cls, n: int, k: int, form: str, edges) -> "KGraph":
-        _check_shape(n, k)
+        n, k = _check_shape(n, k)
         H = cls.__new__(cls)
         object.__setattr__(H, "n", n)
         object.__setattr__(H, "k", k)
@@ -247,21 +253,6 @@ def degree(H: KGraph, T: Iterable[int]) -> int:
         return H._vertex_degrees[v]
     mask = _mask(ts)
     return sum(1 for m in H.edge_masks if m & mask == mask)
-
-
-def _copies_per_edge(H: KGraph, copies: Iterable[Iterable[int]]) -> Iterable[tuple[EdgeT, int]]:
-    """(e, the number of vertex sets in copies holding all of e) per edge e of H, in order."""
-    member: dict[int, set[int]] = {}
-    for i, c in enumerate(copies):
-        for v in c:
-            member.setdefault(v, set()).add(i)
-    for e in H.edges:
-        hit = member.get(e[0], set())
-        for v in e[1:]:
-            hit = hit & member.get(v, set())
-            if not hit:
-                break
-        yield e, len(hit)
 
 
 def _l_degrees(H: KGraph, l: int) -> Iterable[int]:

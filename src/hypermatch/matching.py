@@ -1,17 +1,15 @@
-"""Exact maximum matching (also within a vertex subset), greedy matching, the
-semi-random nibble, and sparsification by per-copy perfect fractional matchings.
+"""Exact maximum matching (also within a vertex subset), greedy matching and
+the semi-random nibble.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .core import EdgeT, KGraph, Matching, _copies_per_edge, induced, node_budget
+from .core import EdgeT, KGraph, Matching, induced, node_budget
 from .errors import BudgetExceededError, InvalidQueryError
-from .lp import FractionalAssignment
 
 
 @dataclass(frozen=True)
@@ -238,50 +236,3 @@ def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
     matching = Matching.from_edges(matched)
     covered = Fraction(k * len(matching.edges), n)
     return NibbleReport(matching, covered, tuple(rounds), deg_ok, cod_ok, D0, max_cod)
-
-
-def sparsify_by_fractional(
-    H: KGraph,
-    copies: Sequence[tuple[Iterable[int], FractionalAssignment]],
-    seed: int,
-) -> KGraph:
-    """Spanning subgraph keeping each edge of a copy with its fractional weight.
-
-    Each copy is (vertex subset R, assignment phi) where phi must be a
-    perfect fractional matching of the subgraph induced on R, keyed by edges
-    of H in original labels; every edge of H may lie in at most one copy.
-    The inclusion rule (keep edge e independently with probability phi(e))
-    is a reconstruction: the source result is stated without its sampling
-    rule, and this is the natural reading used here.
-    """
-    n, k = H.n, H.k
-    copy_sets: list[frozenset[int]] = []
-    assignments: list[FractionalAssignment] = []
-    for R, phi in copies:
-        rs = frozenset(R)
-        if not rs <= set(H.vertices()):
-            raise InvalidQueryError("copy subset contains vertices outside the host")
-        if len(rs) % k != 0:
-            raise InvalidQueryError(f"copy size {len(rs)} is not divisible by k={k}")
-        for e in phi.phi:
-            if not set(e) <= rs:
-                raise InvalidQueryError(f"support edge {e} leaves its copy")
-            if e not in H.edge_set:
-                raise InvalidQueryError(f"support edge {e} is not a host edge")
-        loads = phi.loads()
-        if phi.value() != Fraction(len(rs), k) or any(loads.get(v) != 1 for v in rs):
-            raise InvalidQueryError("copy assignment is not a perfect fractional matching")
-        copy_sets.append(rs)
-        assignments.append(phi)
-
-    for e, hits in _copies_per_edge(H, copy_sets):
-        if hits > 1:
-            raise InvalidQueryError(f"edge {e} lies in {hits} copies; at most one allowed")
-
-    rng = random.Random(seed)
-    included = []
-    for phi in assignments:
-        for e in sorted(phi.phi):
-            if rng.random() < phi.phi[e]:
-                included.append(e)
-    return KGraph._from_sorted(n, k, sorted(set(included)))

@@ -12,8 +12,8 @@ exact fractional optimum of the augmented graph, certified by the cover
 step's own primal and dual witnesses.
 
 Also: the eta-padded clique-size rule, the first-round vertex sampler with
-its incidence counts and per-copy degree bound, and the Chernoff tail bounds
-used to set test bands.
+its per-vertex incidence counts, and the Chernoff tail bounds used to set
+test bands.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 import random
 import time
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -34,7 +33,6 @@ from .core import (
     EdgeT,
     KGraph,
     Matching,
-    _copies_per_edge,
     independence_number,
     induced,
     is_stable,
@@ -560,9 +558,7 @@ def _complete_through_clique(leftover: list[int], q_free: list[int], k: int) -> 
 class SampleFamily:
     """Independent vertex samples of a host graph, trimmed to size in kZ.
 
-    Incidence statistics (vertex counts, pairwise co-occurrence, per-edge
-    containment) are computed on first read and kept, since the pair counts
-    are quadratic in copy size.
+    The per-vertex incidence counts are computed on first read and kept.
     """
 
     host: KGraph
@@ -579,33 +575,6 @@ class SampleFamily:
             for v in c:
                 counts[v] += 1
         return counts
-
-    @cached_property
-    def max_pair_incidence(self) -> int:
-        pair_counts: Counter = Counter()
-        for c in self.copies:
-            pair_counts.update(combinations(c, 2))
-        return max(pair_counts.values()) if pair_counts else 0
-
-    @cached_property
-    def edge_containment_counts(self) -> dict[EdgeT, int]:
-        return dict(_copies_per_edge(self.host, self.copies))
-
-    def first_low_degree_copy(self, rho_prime) -> tuple[int, int, Fraction] | None:
-        """The first copy c of size sz >= k whose induced minimum vertex degree
-        fails d > C(sz-1, k-1) - C(sz - sz/k, k-1) - rho' * sz^(k-1), as
-        (index, d, bound); None when every such copy passes.
-        """
-        k = self.host.k
-        for idx, c in enumerate(self.copies):
-            sz = len(c)
-            if sz < k:
-                continue
-            d = min_l_degree(induced(self.host, c), 1)
-            bound = vertex_degree_threshold(sz, k, sz // k) - rho_prime * Fraction(sz) ** (k - 1)
-            if not d > bound:
-                return idx, d, bound
-        return None
 
 
 def first_round_sampler(H: KGraph, settings: SamplerSettings) -> SampleFamily:

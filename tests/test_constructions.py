@@ -26,7 +26,6 @@ from hypermatch import (
 from hypermatch.constructions import (
     VertexPartition,
     _draw_threshold,
-    beta_upper_bound,
     template_edge_count,
 )
 from hypermatch.errors import InvalidQueryError, SamplingExhaustedError
@@ -236,10 +235,6 @@ class TestThresholds:
         assert vertex_degree_threshold(9, 3, 3) == 13
         assert vertex_degree_threshold(7, 3, 2) == 5
         assert vertex_degree_threshold(10, 4, 1) == 0
-
-    def test_beta_upper_bound(self):
-        # 1 / (3^3 * 2 * 3^5 * 3!)^4
-        assert beta_upper_bound(3) == Fraction(1, 78732**4)
 
 
 # both generators reject these before drawing, so _draw_threshold never sees them

@@ -12,7 +12,6 @@ from hypermatch.containment import (
     classify_good_bad,
     deficiency,
     eps_contains,
-    subset_density_check,
     vertex_template_deficits,
 )
 from hypermatch.errors import BudgetExceededError, InvalidQueryError
@@ -96,6 +95,11 @@ class TestEpsContains:
         rep = eps_contains(H, 3, 0)
         assert rep.satisfied and rep.deficiency == 0
         assert rep.search_mode == "exhaustive"
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, "2"])
+    def test_non_integer_m_is_rejected(self, m):
+        with pytest.raises(InvalidQueryError, match="m must be an integer"):
+            eps_contains(complete(7, 3), m, Fraction(1, 10))
 
     def test_complete_contains_at_eps0(self):
         rep = eps_contains(complete(9, 3), 3, 0)
@@ -198,68 +202,3 @@ class TestClassification:
         H, part = build_Hknm(9, 3, 3)
         with pytest.raises(InvalidQueryError):
             classify_good_bad(H, part, 3, 0)
-
-
-class TestSubsetDensity:
-    def test_independent_U_is_a_violation(self):
-        H, _ = build_Hknm(9, 3, 3)
-        rep = subset_density_check(H, 3, Fraction(1, 100), samples=10, seed=0)
-        assert rep.mode == "exhaustive"
-        u_subsets = [v.subset for v in rep.violations if set(v.subset) <= set(range(3, 10))]
-        assert u_subsets, "subsets inside U have no edges and must violate"
-
-    def test_complete_graph_has_no_violations(self):
-        rep = subset_density_check(complete(9, 3), 2, Fraction(1, 10), samples=10, seed=0)
-        assert rep.violations == ()
-
-    def test_exhaustive_mode_obeys_node_budget(self, monkeypatch):
-        # C(9, 7) = 36 subsets of the binding size
-        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "10")
-        rep = subset_density_check(complete(9, 3), 2, Fraction(1, 10), samples=10, seed=0)
-        assert (rep.mode, rep.checked, rep.subset_size) == ("sampled", 10, 7)
-        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "36")
-        rep = subset_density_check(complete(9, 3), 2, Fraction(1, 10), samples=10, seed=0)
-        assert (rep.mode, rep.checked) == ("exhaustive", 36)
-
-    def test_negative_samples_are_rejected(self, monkeypatch):
-        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "10")
-        with pytest.raises(InvalidQueryError, match="samples >= 0"):
-            subset_density_check(complete(9, 3), 2, Fraction(1, 10), samples=-3, seed=0)
-
-    def test_sampled_subsets_are_distinct(self, monkeypatch):
-        # 10 draws from one seed repeat a 7-subset of [9]; the edgeless graph
-        # makes every drawn subset a violation
-        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "10")
-        rep = subset_density_check(KGraph(9, 3, []), 2, Fraction(1, 10), samples=10, seed=0)
-        subsets = [v.subset for v in rep.violations]
-        assert (rep.mode, rep.checked) == ("sampled", 10)
-        assert len(subsets) == len(set(subsets)) == 10
-        rep = subset_density_check(KGraph(9, 3, []), 2, Fraction(1, 10), samples=100, seed=0)
-        assert rep.checked == len({v.subset for v in rep.violations}) == 36  # C(9, 7)
-
-    def test_zero_samples_empty_report(self):
-        H, _ = build_Hknm(9, 3, 3)
-        rep = subset_density_check(H, 3, Fraction(1, 100), samples=0, seed=0)
-        assert rep.checked == 0 and rep.violations == ()
-
-    def test_parameter_flags(self):
-        H, _ = build_Hknm(9, 3, 3)
-        rep = subset_density_check(H, 3, Fraction(1, 2), samples=1, seed=0, rho=Fraction(1, 2))
-        assert any("eps" in f for f in rep.parameter_flags)
-        assert any("rho" in f for f in rep.parameter_flags)
-
-    @pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
-    def test_sampled_mode(self, sparse):
-        # C(30, 21) > 10^6 subsets of the binding size, so the check samples
-        H = random_kgraph(30, 3, 0.003, seed=2) if sparse else random_kgraph(30, 3, 0.5, seed=2)
-        rep = subset_density_check(H, 9, Fraction(1, 100), samples=40, seed=3)
-        assert (rep.mode, rep.checked, rep.subset_size) == ("sampled", 40, 21)
-        assert rep == subset_density_check(H, 9, Fraction(1, 100), samples=40, seed=3)
-        if sparse:
-            assert len(H.edges) < rep.density_bound  # so every subset violates
-            assert len(rep.violations) == 40
-        else:
-            assert rep.violations == ()
-        for v in rep.violations:
-            assert len(v.subset) == rep.subset_size
-            assert v.edge_count == sum(1 for e in H.edges if set(e) <= set(v.subset))

@@ -18,7 +18,9 @@ from hypermatch import (
     is_stable,
     link,
     min_l_degree,
+    parity_construction,
     parse_graph,
+    space_barrier,
     verify_matching,
 )
 from hypermatch.core import DEFAULT_NODE_BUDGET, node_budget
@@ -64,6 +66,28 @@ class TestKGraphBasics:
         assert {type(v) for e in H.edges for v in e} == {int}
         _, M = exact_nu(H)
         assert {type(v) for e in M.edges for v in e} == {int}
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (KGraph, (5.5, 3, [(1, 2, 3)])),
+            (KGraph, (4.0, 3, [(1, 2, 3)])),
+            (KGraph, (5, 3.0, [(1, 2, 3)])),
+            (KGraph._from_sorted, (5, "3", [(1, 2, 3)])),
+            (build_Hknm, (9.0, 3, 2)),
+            (space_barrier, (6, 3.0)),
+            (parity_construction, (3.0, 4, 3)),
+        ],
+        ids=["n-5.5", "n-4.0", "k-3.0", "trusted-k-str", "hknm-n-9.0", "barrier-k-3.0", "parity-a-3.0"],
+    )
+    def test_non_integer_shape_is_rejected(self, build, args):
+        with pytest.raises(InvalidQueryError, match="must be integers"):
+            build(*args)
+
+    def test_integer_like_shape_becomes_int(self):
+        H = KGraph(np.int64(5), np.int32(3), [(1, 2, 3)])
+        assert (H.n, H.k) == (5, 3)
+        assert (type(H.n), type(H.k)) == (int, int)
 
     def test_canonicalization_sorts_and_dedups(self):
         H = KGraph(5, 3, [(3, 2, 1), (1, 2, 3), (2, 4, 5)])

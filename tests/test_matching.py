@@ -18,9 +18,9 @@ from hypermatch import (
     verify_matching,
 )
 from hypermatch.core import min_l_degree
-from hypermatch.errors import BudgetExceededError, InvalidQueryError
+from hypermatch.errors import BudgetExceededError
 from hypermatch.harness import _sample_for_model
-from hypermatch.lp import FractionalAssignment, clique_window_matching, max_fractional_matching
+from hypermatch.lp import max_fractional_matching
 from hypermatch.matching import (
     NibbleConfig,
     _regularity_gate,
@@ -28,7 +28,6 @@ from hypermatch.matching import (
     exact_nu_within,
     greedy_matching,
     nibble_matching_report,
-    sparsify_by_fractional,
 )
 from test_core import small_kgraphs
 
@@ -291,68 +290,3 @@ class TestNibbleMatchesOracle:
         H = KGraph(5, 3, [])
         assert _regularity_gate(H, Fraction(1, 20)) == oracles._regularity_gate(H, Fraction(1, 20))
         assert H.regularity_stats == (0, 0, 0.0, 0)
-
-
-class TestSparsify:
-    def _window_copy(self, H, verts):
-        """Perfect fractional matching of the complete induced block, in host labels."""
-        verts = sorted(verts)
-        base = clique_window_matching(len(verts), H.k)
-        phi = {}
-        for e, val in base.phi.items():
-            phi[tuple(sorted(verts[v - 1] for v in e))] = val
-        return FractionalAssignment(H, phi)
-
-    def test_degenerate_01_copy_reproduces_support(self):
-        H = complete(6, 3)
-        phi = FractionalAssignment(
-            H, {(1, 2, 3): Fraction(1), (4, 5, 6): Fraction(1)}
-        )
-        out = sparsify_by_fractional(H, [(range(1, 7), phi)], seed=11)
-        assert out.edges == ((1, 2, 3), (4, 5, 6))
-        assert out.n == H.n
-
-    def test_no_copies_gives_edgeless_spanning(self):
-        H = complete(6, 3)
-        out = sparsify_by_fractional(H, [], seed=0)
-        assert out.edges == () and out.n == 6
-
-    def test_output_is_subgraph_and_spans(self):
-        H = complete(12, 3)
-        copy = self._window_copy(H, range(1, 7))
-        out = sparsify_by_fractional(H, [(range(1, 7), copy)], seed=5)
-        assert set(out.edges) <= set(H.edges)
-        assert out.n == H.n
-
-    def test_rejects_overlapping_copies(self):
-        H = complete(9, 3)
-        c1 = self._window_copy(H, range(1, 7))
-        c2 = self._window_copy(H, range(1, 7))
-        with pytest.raises(InvalidQueryError):
-            sparsify_by_fractional(H, [(range(1, 7), c1), (range(1, 7), c2)], seed=0)
-
-    def test_rejects_imperfect_copy(self):
-        H = complete(6, 3)
-        partial = FractionalAssignment(H, {(1, 2, 3): Fraction(1)})
-        with pytest.raises(InvalidQueryError):
-            sparsify_by_fractional(H, [(range(1, 7), partial)], seed=0)
-
-    def test_expected_degree_is_copy_count(self):
-        # expected degree of v = number of copies containing v, since each
-        # copy's loads are exactly 1; checked over 100 seeds within a wide
-        # concentration band around the mean
-        H = complete(12, 3)
-        copies = [(range(1, 7), self._window_copy(H, range(1, 7))),
-                  (range(7, 13), self._window_copy(H, range(7, 13)))]
-        trials = 100
-        totals = {v: 0 for v in H.vertices()}
-        for seed in range(trials):
-            out = sparsify_by_fractional(H, copies, seed=seed)
-            for e in out.edges:
-                for v in e:
-                    totals[v] += 1
-        for v in H.vertices():
-            mean = totals[v] / trials
-            # each vertex lies in exactly one copy: expected degree 1,
-            # per-seed variance <= 1, so 3 sigma over 100 trials is 0.3
-            assert abs(mean - 1.0) <= 0.35, (v, mean)

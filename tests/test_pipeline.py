@@ -395,30 +395,10 @@ class TestSampler:
         b = first_round_sampler(H, settings)
         assert a.copies == b.copies
 
-    def test_single_full_copy_overlap_counts(self):
+    def test_keep_one_keeps_every_vertex(self):
         H = complete(9, 3)
         fam = first_round_sampler(H, SamplerSettings(keep_probability=1.0, copy_count=1))
         assert fam.copies[0] == tuple(range(1, 10))
-        assert fam.max_pair_incidence <= 2
-        assert max(fam.edge_containment_counts.values()) <= 1
-
-    def test_disjoint_copies_pair_incidence(self):
-        H = KGraph(12, 3, [])
-        fam = first_round_sampler(H, SamplerSettings(keep_probability=0.0, copy_count=0))
-        fam.copies = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
-        assert fam.max_pair_incidence <= 1
-
-    def test_complete_host_min_degree_property(self):
-        H = complete(20, 3)
-        fam = first_round_sampler(H, SamplerSettings(keep_probability=0.6, copy_count=3, seed=9))
-        # induced complete graphs beat the bound at rho'=1
-        assert fam.first_low_degree_copy(Fraction(1)) is None
-
-    def test_edgeless_copy_fails_min_degree_bound(self):
-        H = KGraph(12, 3, [])
-        fam = first_round_sampler(H, SamplerSettings(keep_probability=1.0, copy_count=1))
-        # d = 0 against C(11, 2) - C(8, 2) = 27 at rho' = 0
-        assert fam.first_low_degree_copy(0) == (0, 0, 27)
 
     def test_paper_default_shapes(self):
         H = KGraph(50, 3, [])
