@@ -14,7 +14,7 @@ from itertools import combinations
 from math import ceil, comb
 from operator import index
 
-from .core import KGraph, _check_shape
+from .core import KGraph, _check_shape, _integers
 from .errors import InvalidQueryError, SamplingExhaustedError
 
 
@@ -45,6 +45,7 @@ class VertexPartition:
 
 def build_Hkl(U, W, k: int, l: int) -> KGraph:
     """The template whose edges are the k-sets e with 1 <= |e & W| <= l."""
+    k, l = _integers(k=k, l=l)
     if not 1 <= l <= k:
         raise InvalidQueryError(f"need 1 <= l <= k, got l={l}, k={k}")
     part = VertexPartition(tuple(U), tuple(W))
@@ -68,6 +69,7 @@ def build_Hknm(n: int, k: int, m: int) -> tuple[KGraph, VertexPartition]:
     maximum matching has exactly m - 1 edges.
     """
     n, k = _check_shape(n, k)
+    [m] = _integers(m=m)
     if m < 1 or m - 1 + k > n:
         raise InvalidQueryError(f"need m >= 1 and m-1+k <= n, got n={n}, k={k}, m={m}")
     W = tuple(range(1, m))
@@ -106,6 +108,7 @@ def join_clique(H: KGraph, r: int) -> KGraph:
     Its matching number is min(nu(H) + r, floor((n + r)/k)). r = 0 returns H
     unchanged (degenerate join, accepted by design).
     """
+    [r] = _integers(r=r)
     if r < 0:
         raise InvalidQueryError(f"need r >= 0, got {r}")
     if r == 0:
@@ -127,6 +130,7 @@ def parity_construction(a: int, b: int, k: int) -> KGraph:
     The intended obstruction has a odd and |a - b| <= 2; other parameters are
     accepted with a warning.
     """
+    a, b = _integers(a=a, b=b)
     n, k = _check_shape(a + b, k)
     if a < 0 or b < 0 or n < k:
         raise InvalidQueryError(f"need a, b >= 0 and a+b >= k, got a={a}, b={b}, k={k}")
@@ -153,6 +157,7 @@ def space_barrier(n: int, k: int) -> KGraph:
 
 def vertex_degree_threshold(n: int, k: int, m: int) -> int:
     """C(n-1, k-1) - C(n-m, k-1), the tight minimum-vertex-degree bound."""
+    n, k, m = _integers(n=n, k=k, m=m)
     if m < 1 or n < m + k - 1:
         raise InvalidQueryError(f"need m >= 1 and n >= m+k-1, got n={n}, k={k}, m={m}")
     return comb(n - 1, k - 1) - comb(n - m, k - 1)

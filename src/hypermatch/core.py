@@ -35,12 +35,18 @@ def node_budget() -> int:
     return int(raw)
 
 
+def _integers(**sizes) -> list[int]:
+    """The named size arguments as ints (numpy and bool integers become int)."""
+    try:
+        return [index(v) for v in sizes.values()]
+    except TypeError:
+        got = ", ".join(f"{name}={v!r}" for name, v in sizes.items())
+        raise InvalidQueryError(f"sizes must be integers, got {got}") from None
+
+
 def _check_shape(n: int, k: int) -> tuple[int, int]:
     """(n, k) as ints, once k >= 2 and n >= 0 are checked."""
-    try:
-        n, k = index(n), index(k)  # numpy and bool integers become int
-    except TypeError:
-        raise InvalidQueryError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
+    n, k = _integers(n=n, k=k)
     if k < 2:
         raise InvalidQueryError(f"uniformity k must be >= 2, got {k}")
     if n < 0:

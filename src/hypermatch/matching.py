@@ -83,8 +83,11 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
     live when it misses the mask. Every vertex tries its edges in one order:
     by the edge's total vertex degree, ties by index. Pruning uses the
     floor((free vertices)/k) bound and a greedy vertex-cover bound on the
-    live edges, which stops at the first bound and so never exceeds it, and
-    a greedy seed with floor(n/k) edges is returned at once.
+    live edges, which stops at the first bound and so never exceeds it.
+    The walk starts from two greedy seeds: greedy_matching's lexicographic
+    scan, then, unless that one is perfect, a scan in the branching order
+    above, kept only when strictly larger. A seed with floor(n/k) edges is
+    returned at once.
     Worst case is exponential; intended for n up to about 30 at k = 3.
     Raises BudgetExceededError once the search passes node_budget() nodes.
     """
@@ -103,9 +106,18 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
     deg = H._vertex_degrees.__getitem__
     weight = [sum(map(deg, e)) for e in edges]
     by_vertex: list[list[int]] = [[] for _ in range(n)]
+    used = 0
+    degree_seed = []
     for i in sorted(range(len(edges)), key=weight.__getitem__):
         for v in edges[i]:
             by_vertex[v - 1].append(i)
+        if not masks[i] & used:
+            degree_seed.append(edges[i])
+            used |= masks[i]
+    if len(degree_seed) > best:
+        best, best_edges = len(degree_seed), degree_seed
+        if best == n // k:
+            return best, Matching.from_edges(best_edges)
 
     nodes = 0
 

@@ -399,8 +399,25 @@ def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
 # -- exact_nu before its one global edge sort and its early exit -------------
 #
 # Each vertex sorts its own edges by the other endpoints' total degree, and
-# the walk runs even when the greedy seed is already perfect. The package
+# the walk runs even when a greedy seed is already perfect. The package
 # version must return the same nu and the same witness.
+
+
+def degree_order_greedy(H: KGraph) -> list[EdgeT]:
+    """Maximal matching from one scan of the edges sorted by (sum of their
+    vertices' degrees, lexicographic position)."""
+    degree = {v: 0 for v in range(1, H.n + 1)}
+    for e in H.edges:
+        for v in e:
+            degree[v] += 1
+    ranked = sorted(enumerate(H.edges), key=lambda p: (sum(degree[v] for v in p[1]), p[0]))
+    covered: set[int] = set()
+    picked = []
+    for _, e in ranked:
+        if covered.isdisjoint(e):
+            picked.append(e)
+            covered.update(e)
+    return picked
 
 
 def exact_nu(H: KGraph) -> tuple[int, Matching]:
@@ -409,9 +426,11 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
     Branches on the lowest-indexed vertex still covered by a live edge:
     either one of its live edges joins the matching, or the vertex is set
     aside uncovered. Pruning uses the floor((free vertices)/k) bound and a
-    greedy vertex-cover bound on the live edges. Worst case is exponential;
-    intended for n up to about 30 at k = 3. Raises BudgetExceededError once
-    the search passes node_budget() nodes.
+    greedy vertex-cover bound on the live edges. The walk starts from the
+    lexicographic greedy seed, or from degree_order_greedy's seed when the
+    first is not perfect and the second is strictly larger. Worst case is
+    exponential; intended for n up to about 30 at k = 3. Raises
+    BudgetExceededError once the search passes node_budget() nodes.
     """
     budget = node_budget()
     n, k = H.n, H.k
@@ -421,6 +440,10 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
     seed_matching = greedy_matching(H)
     best = len(seed_matching)
     best_edges = list(seed_matching.edges)
+    if best < n // k:
+        degree_seed = degree_order_greedy(H)
+        if len(degree_seed) > best:
+            best, best_edges = len(degree_seed), degree_seed
 
     # deterministic edge order per vertex: prefer edges whose other endpoints
     # have small total degree (they consume scarce vertices first)

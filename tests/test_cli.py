@@ -3,7 +3,15 @@ import json
 
 import pytest
 
-from hypermatch import build_Hkl, complete, format_graph, lp, parse_graph
+from hypermatch import (
+    build_Hkl,
+    complete,
+    format_graph,
+    harness,
+    lp,
+    parity_construction,
+    parse_graph,
+)
 from hypermatch.cli import main
 
 
@@ -67,10 +75,8 @@ class TestSolvers:
         assert out.splitlines()[0] == "nu 2"
 
     def test_nu_budget_exit_code(self, capsys, monkeypatch):
-        from hypermatch import build_Hknm
-
         monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "2")
-        monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(build_Hknm(12, 3, 4)[0])))
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(parity_construction(5, 4, 3))))
         code = main(["nu"])
         assert code == 2
         assert capsys.readouterr() == ("", "indeterminate after 3 nodes\n")
@@ -336,15 +342,20 @@ class TestNodeBudget:
     """HYPERMATCH_NODE_BUDGET is the one budget; main reports a hit or a bad value."""
 
     def _main(self, capsys, monkeypatch, budget, argv):
-        from hypermatch import build_Hknm
-
+        # exact_nu walks past its root on this graph (130 nodes)
         monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", budget)
-        monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(build_Hknm(12, 3, 4)[0])))
+        monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(parity_construction(5, 4, 3))))
         code = main(argv)
         return code, capsys.readouterr().err
 
     @pytest.mark.parametrize("command", list(BUDGETED_COMMANDS))
     def test_budget_hit_exits_2(self, capsys, monkeypatch, command):
+        if command == "verify":
+            # exact_nu settles every H_k(n, m) of the grid at its root, so
+            # each call searches a graph that needs the walk instead
+            search = harness.exact_nu
+            walked = parity_construction(5, 4, 3)
+            monkeypatch.setattr(harness, "exact_nu", lambda H: search(walked))
         code, err = self._main(capsys, monkeypatch, "1", BUDGETED_COMMANDS[command])
         assert code == 2
         assert err.startswith("indeterminate after ") and err.count("\n") == 1
@@ -374,7 +385,8 @@ class TestNodeBudget:
 
     def test_search_budget_hit_marks_the_report_incomplete(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
-        argv = ["search", "--n", "10", "--k", "3", "--m", "2", "--trials", "5", "--seed", "0"]
+        # trial 2's sample needs exact_nu to walk past its root
+        argv = ["search", "--n", "9", "--k", "3", "--m", "2", "--trials", "5", "--seed", "0"]
         code = main(argv)
         out, err = capsys.readouterr()
         records = [json.loads(line) for line in out.splitlines()]

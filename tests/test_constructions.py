@@ -237,6 +237,24 @@ class TestThresholds:
         assert vertex_degree_threshold(10, 4, 1) == 0
 
 
+class TestSizeArguments:
+    @pytest.mark.parametrize(
+        "build, args, named",
+        [
+            (build_Hknm, (9, 3, 2.5), "m=2.5"),
+            (join_clique, (complete(5, 3), 1.5), "r=1.5"),
+            (build_Hkl, ((3, 4, 5), (1, 2), 3, 2.0), "l=2.0"),
+            (vertex_degree_threshold, (9, 3, 2.5), "m=2.5"),
+            (parity_construction, ("3", 4, 3), "a='3'"),
+        ],
+        ids=["hknm-m", "join-r", "hkl-l", "threshold-m", "parity-a-str"],
+    )
+    def test_non_integer_size_is_rejected(self, build, args, named):
+        with pytest.raises(InvalidQueryError, match="must be integers") as info:
+            build(*args)
+        assert named in str(info.value)
+
+
 # both generators reject these before drawing, so _draw_threshold never sees them
 OUT_OF_RANGE_P = [Fraction(-1, 2), Fraction(3, 2), 2, float("inf"), float("nan")]
 

@@ -14,6 +14,7 @@ from hypermatch import (
     constructions,
     join_clique,
     min_l_degree,
+    parity_construction,
     parse_graph,
     random_kgraph,
     vertex_degree_threshold,
@@ -217,9 +218,11 @@ class TestCaseSplit:
         assert rep.concludes is None
 
     def test_budget_hit_propagates_from_the_contains_branch(self, monkeypatch):
+        # the parity graph is within eps = 1/10 of H_3(9, 2), and exact_nu
+        # on the remainder of its template matching walks past the root
         monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
-        with pytest.raises(BudgetExceededError):
-            case_split_demo(build_Hknm(9, 3, 3)[0], 3, Fraction(1, 100), Fraction(1, 10000))
+        with pytest.raises(BudgetExceededError, match="exact_nu"):
+            case_split_demo(parity_construction(5, 4, 3), 2, Fraction(1, 10), Fraction(1, 10000))
 
     def test_budget_hit_in_the_pipeline_propagates_with_its_trace(self, monkeypatch):
         monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")

@@ -19,7 +19,7 @@ from hypermatch import (
 )
 from hypermatch.core import min_l_degree
 from hypermatch.errors import BudgetExceededError
-from hypermatch.harness import _sample_for_model
+from hypermatch.harness import _sample_for_model, tightness_grid
 from hypermatch.lp import max_fractional_matching
 from hypermatch.matching import (
     NibbleConfig,
@@ -96,8 +96,9 @@ class TestExactNu:
                 assert nu_aug == min(nu + r, (n + r) // k), (n, k, r, trial)
 
     def test_budget_raises(self, monkeypatch):
-        # greedy seeds 2 here but nu = 3, so the search must expand
-        H, _ = build_Hknm(12, 3, 4)
+        # both greedy seeds have 2 of floor(9/3) = 3 edges and nu = 2, but the
+        # root's bounds allow 3, so the search must expand (130 nodes)
+        H = parity_construction(5, 4, 3)
         monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "2")
         with pytest.raises(BudgetExceededError) as info:
             exact_nu(H)
@@ -107,9 +108,25 @@ class TestExactNu:
         G = complete(9, 3)
         assert exact_nu(G) == (3, greedy_matching(G))
 
+    def test_settles_every_extremal_graph_at_the_root(self, monkeypatch):
+        # every graph verify_tightness builds on the n <= 20 grid: the
+        # degree-order seed of H_k(n, m) has nu = m - 1 edges, and the root's
+        # greedy cover bound proves it maximum
+        points = set()
+        for n, k, m in tightness_grid(ks=(3, 4), n_max=20):
+            points.add((n, k, m))
+            if m + k <= n:
+                points.add((n, k, m + 1))
+        assert len(points) == 141
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
+        for n, k, m in sorted(points):
+            H, _ = build_Hknm(n, k, m)
+            nu, M = exact_nu(H)
+            assert nu == m - 1 and verify_matching(H, M) and len(M) == nu
+
     def test_needs_the_oracles_smallest_budget(self, monkeypatch):
         # the smallest passing budget is the walk's node count, so both walks
-        # must visit the same nodes where the greedy seed is not returned at once
+        # must visit the same nodes where neither greedy seed is perfect
         def smallest_passing_budget(solve, H):
             lo, hi = 0, 1
             while True:
@@ -130,13 +147,23 @@ class TestExactNu:
             return hi, result
 
         graphs = [build_Hknm(n, 3, m)[0] for n in range(8, 14) for m in range(2, n // 3 + 1)]
-        for seed in range(120):
+        for seed in range(300):
             n, k = 7 + seed % 7, 3 + seed % 2
             graphs.append(random_kgraph(n, k, Fraction(1 + seed % 3, 6), seed=seed))
-        graphs = [H for H in graphs if H.edges and len(greedy_matching(H)) < H.n // H.k]
+        graphs = [
+            H
+            for H in graphs
+            if H.edges
+            and len(greedy_matching(H)) < H.n // H.k
+            and len(oracles.degree_order_greedy(H)) < H.n // H.k
+        ]
         assert len(graphs) >= 40
+        walked = 0
         for H in graphs:
-            assert smallest_passing_budget(exact_nu, H) == smallest_passing_budget(oracles.exact_nu, H)
+            nodes, result = smallest_passing_budget(exact_nu, H)
+            assert (nodes, result) == smallest_passing_budget(oracles.exact_nu, H)
+            walked += nodes > 1
+        assert walked >= 10
 
     @settings(max_examples=200, deadline=None)
     @given(small_kgraphs(max_n=13, ks=(2, 3, 4), max_edges=60, min_n=0))
@@ -156,10 +183,11 @@ class TestExactNu:
         assert [exact_nu(H) for H in graphs] == [oracles.exact_nu(H) for H in graphs]
 
     def test_search_path_never_builds_vertex_edges(self):
-        # greedy seeds 2 but nu = 3, so the edge order is built and walked
-        H = KGraph(12, 3, build_Hknm(12, 3, 4)[0].edges)
+        # neither greedy seed is perfect and the root's bounds allow one more
+        # edge than nu = 2, so the edge order is built and walked
+        H = KGraph(9, 3, parity_construction(5, 4, 3).edges)
         min_l_degree(H, 1)
-        assert exact_nu(H)[0] == 3
+        assert exact_nu(H)[0] == 2
         assert "vertex_edges" not in vars(H)
 
     def test_fractional_upper_bound(self, rng):
