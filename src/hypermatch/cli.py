@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=_frac, default=Fraction(1, 10))
     p.add_argument("--rho", type=_frac, default=Fraction(1, 10000))
     p.add_argument("--eps", type=_frac, default=Fraction(1, 10))
-    p.add_argument("--route", choices=["auto", "exact", "greedy"], default="auto")
+    p.add_argument("--route", choices=["auto", "greedy"], default="auto")
     p.add_argument("--r", type=int, default=None, help="override the padded clique size")
     common(p)
     p.set_defaults(func=_cmd_pipeline)

@@ -237,10 +237,17 @@ def _mask(vs: Iterable[int]) -> int:
     return m
 
 
-def _vertex_range_check(H: KGraph, vs: Iterable[int], what: str) -> None:
+def _vertex_range_check(H: KGraph, vs: Iterable[int], what: str) -> list[int]:
+    """The vertices vs as ints, once each is checked to lie in 1..n."""
+    ints = []
     for v in vs:
-        if not 1 <= v <= H.n:
+        try:
+            ints.append(index(v))  # numpy and bool integers become int
+        except TypeError:
+            raise InvalidQueryError(f"{what} contains non-integer vertex {v!r}") from None
+        if not 1 <= ints[-1] <= H.n:
             raise InvalidQueryError(f"{what} contains vertex {v} outside 1..{H.n}")
+    return ints
 
 
 def degree(H: KGraph, T: Iterable[int]) -> int:
@@ -251,7 +258,7 @@ def degree(H: KGraph, T: Iterable[int]) -> int:
     ts = set(T)
     if len(ts) > H.k:
         raise InvalidQueryError(f"|T| = {len(ts)} exceeds uniformity k = {H.k}")
-    _vertex_range_check(H, ts, "T")
+    ts = _vertex_range_check(H, ts, "T")
     if not ts:
         return H.num_edges
     if len(ts) == 1:
@@ -273,17 +280,19 @@ def _l_degrees(H: KGraph, l: int) -> Iterable[int]:
         yield sum(1 for m in masks if m & tmask == tmask)
 
 
-def _check_l(H: KGraph, l: int) -> None:
+def _check_l(H: KGraph, l: int) -> int:
+    """l as an int, once 0 <= l <= k-1 and n >= l are checked."""
+    [l] = _integers(l=l)
     if l < 0 or l > H.k - 1:
         raise InvalidQueryError(f"l must satisfy 0 <= l <= k-1 = {H.k - 1}, got {l}")
     if l >= 1 and H.n < l:
         raise InvalidQueryError(f"no l-subsets: n = {H.n} < l = {l}")
+    return l
 
 
 def min_l_degree(H: KGraph, l: int) -> int:
     """Minimum, over all l-subsets T of the vertex set, of degree(H, T)."""
-    _check_l(H, l)
-    return min(_l_degrees(H, l))
+    return min(_l_degrees(H, _check_l(H, l)))
 
 
 def link(H: KGraph, v: int) -> KGraph:
@@ -292,8 +301,7 @@ def link(H: KGraph, v: int) -> KGraph:
     Remaining vertices are relabeled 1..n-1 preserving order (w stays w for
     w < v, and becomes w-1 for w > v).
     """
-    if not 1 <= v <= H.n:
-        raise InvalidQueryError(f"vertex {v} outside 1..{H.n}")
+    [v] = _vertex_range_check(H, [v], "[v]")
     if H.k < 3:
         raise InvalidQueryError("link of a 2-graph would not be 2-uniform")
     edges = []
@@ -305,8 +313,7 @@ def link(H: KGraph, v: int) -> KGraph:
 
 def induced(H: KGraph, S: Iterable[int]) -> KGraph:
     """Subgraph on S with edges fully inside S, relabeled 1..|S| in vertex order."""
-    ss = sorted(set(S))
-    _vertex_range_check(H, ss, "S")
+    ss = sorted(set(_vertex_range_check(H, S, "S")))
     pos = {v: i + 1 for i, v in enumerate(ss)}
     smask = _mask(ss)
     edges = []

@@ -12,8 +12,8 @@ exact fractional optimum of the augmented graph, certified by the cover
 step's own primal and dual witnesses.
 
 Also: the eta-padded clique-size rule, the first-round vertex sampler with
-its per-vertex incidence counts, and the Chernoff tail bounds used to set
-test bands.
+its per-vertex incidence counts, and the Chernoff band used to set test
+bands.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 import time
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -33,6 +32,7 @@ from .core import (
     EdgeT,
     KGraph,
     Matching,
+    _integers,
     independence_number,
     induced,
     is_stable,
@@ -59,28 +59,21 @@ from .lp import (
 from .matching import exact_nu, exact_nu_within
 
 
-# asymptotic shape of the first-round vertex sampler: keep probability
-# n^(-P_EXPONENT) and ceil(n^COPY_EXPONENT) copies
-P_EXPONENT = Fraction(9, 10)
-COPY_EXPONENT = Fraction(11, 10)
-
-
 @dataclass(frozen=True)
 class SamplerSettings:
-    """Vertex-sampler settings. keep_probability and copy_count default to
-    the asymptotic shape n^(-P_EXPONENT) and ceil(n^COPY_EXPONENT), which
-    only produces meaningful copies at astronomical n, so desk-scale callers
-    set them directly; seed fixes the copies.
-    """
+    """Vertex-sampler settings: keep probability, copy count and seed. The
+    paper's first round keeps each vertex with probability n^(-9/10) in
+    ceil(n^(11/10)) copies, meaningful only at astronomical n, so callers
+    set both."""
 
-    keep_probability: Fraction | float | None = None
-    copy_count: int | None = None
+    keep_probability: Fraction | float
+    copy_count: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.keep_probability is not None and not 0 <= self.keep_probability <= 1:
+        if not 0 <= self.keep_probability <= 1:
             raise InvalidQueryError("keep_probability must be in [0,1]")
-        if self.copy_count is not None and self.copy_count < 0:
+        if self.copy_count < 0:
             raise InvalidQueryError("copy_count must be nonnegative")
 
 
@@ -111,33 +104,28 @@ def padded_clique_size(n: int, k: int, m: int, eta) -> int:
     Raises InvalidQueryError when n - km - eta*n < 0. The rounding
     residual r(k-1) - (n - km - eta*n) is available via
     augmentation_residual. With this rounding rule the clique-size
-    hypothesis (r-k)(k-1) >= n-km never holds, so when eta*n >= k(k-1) it
-    warns rather than aborts (see the pipeline's precondition report for
-    the enforced form).
+    hypothesis (r-k)(k-1) >= n-km never holds; the pipeline reports it as
+    the precondition clique_ok.
     """
+    n, k, m = _integers(n=n, k=k, m=m)
     eta = Fraction(eta)
     slack = Fraction(n - k * m) - eta * n
     if slack < 0:
         raise InvalidQueryError(
             f"n - km - eta*n = {slack} < 0 (n={n}, k={k}, m={m}, eta={eta})"
         )
-    r = ceil(slack / (k - 1))
-    if eta * n >= k * (k - 1):
-        warnings.warn(
-            f"clique-size hypothesis (r-k)(k-1) >= n-km fails at r={r} "
-            f"(n={n}, k={k}, m={m}, eta={eta})",
-            stacklevel=2,
-        )
-    return r
+    return ceil(slack / (k - 1))
 
 
 def augmentation_residual(n: int, k: int, m: int, eta, r: int) -> Fraction:
     """How far the rounded clique size overshoots the exact padding rule."""
+    n, k, m, r = _integers(n=n, k=k, m=m, r=r)
     return r * (k - 1) - (Fraction(n - k * m) - Fraction(eta) * n)
 
 
 def minimal_feasible_r(n: int, k: int, m: int) -> int:
     """Smallest r with (r-k)(k-1) >= n-km, the clique-completion hypothesis."""
+    n, k, m = _integers(n=n, k=k, m=m)
     return k + max(0, ceil(Fraction(n - k * m, k - 1)))
 
 
@@ -276,6 +264,8 @@ def fractional_pm_pipeline(
 ) -> tuple[FractionalAssignment, PipelineTrace]:
     """Run the constructive proof as an algorithm; see the module docstring.
 
+    route "auto" tries an exact matching of the link and falls back to the
+    block route when it is short of m; "greedy" runs the block route alone.
     Returns a verified perfect fractional matching of the weight closure H'
     (on the weight-sorted labels; the trace carries the relabeling) plus the
     step trace. Structural certificates that hold unconditionally (stable
@@ -284,8 +274,8 @@ def fractional_pm_pipeline(
     error raised inside a step, a node budget hit included, carries the
     trace so far.
     """
-    if route not in ("auto", "exact", "greedy"):
-        raise InvalidQueryError(f"route must be auto|exact|greedy, got {route!r}")
+    if route not in ("auto", "greedy"):
+        raise InvalidQueryError(f"route must be auto|greedy, got {route!r}")
     n, k = H.n, H.k
     if m < 1 or n < k * m:
         raise InvalidQueryError(f"need 1 <= m <= n/k, got n={n}, m={m}")
@@ -379,7 +369,7 @@ def fractional_pm_pipeline(
 
     # integral matching of size m inside the core graph
     M = None
-    if route in ("auto", "exact"):
+    if route == "auto":
         with trace.step("find_matching") as st:
             nu_link, link_matching = exact_nu(link_graph)
             if nu_link >= m:
@@ -388,8 +378,6 @@ def fractional_pm_pipeline(
                 M = _transfer(st, picked, used, n)
                 trace.route_used = "exact"
                 st.details = {"route": "exact", "link_nu": nu_link, "size": m}
-            elif route == "exact":
-                st.fail(f"link matching has only {nu_link} < m = {m} edges", route="exact")
             else:
                 st.name, st.status = "find_matching_exact_attempt", "skipped"
                 st.details = {"link_nu": nu_link, "note": "falling back to the block route"}
@@ -580,20 +568,14 @@ class SampleFamily:
 def first_round_sampler(H: KGraph, settings: SamplerSettings) -> SampleFamily:
     """Draw independent vertex samples, trimmed so each size is divisible by k.
 
-    Keep probability and copy count come from settings, or default to the
-    asymptotic shapes n^(-P_EXPONENT) and ceil(n^COPY_EXPONENT). Copies use
-    sub-seeds derived from (settings.seed, copy index), so they are
-    reproducible and order-independent.
+    Keep probability and copy count come from settings. Copies use sub-seeds
+    derived from (settings.seed, copy index), so they are reproducible and
+    order-independent.
     """
     n, k = H.n, H.k
     keep = settings.keep_probability
-    if keep is None:
-        keep = n ** (-float(P_EXPONENT)) if n else 0.0
-    count = settings.copy_count
-    if count is None:
-        count = ceil(n ** float(COPY_EXPONENT)) if n else 0
     copies = []
-    for i in range(count):
+    for i in range(settings.copy_count):
         rng = random.Random(f"{settings.seed}:{i}")
         picked = [v for v in range(1, n + 1) if rng.random() < keep]
         t = len(picked) % k
@@ -604,33 +586,11 @@ def first_round_sampler(H: KGraph, settings: SamplerSettings) -> SampleFamily:
     return SampleFamily(host=H, copies=tuple(copies))
 
 
-def chernoff_tail(n: int, p, lam) -> tuple[float, float]:
-    """Tail bounds for Bin(n, p) at deviation lam, as (lower, upper) bounds.
-
-    With mu = np and delta = lam/mu, returns (exp(-delta^2 mu / 2),
-    exp(-delta^2 mu / 3)) bounding the lower and upper tails. Requires
-    lam < (3/2) np.
-    """
-    p = Fraction(p)
-    lam = Fraction(lam)
-    mu = n * p
-    if lam < 0:
-        raise InvalidQueryError(f"lam must be nonnegative, got {lam}")
-    if lam == 0:
-        return 1.0, 1.0
-    if mu == 0 or not lam < Fraction(3, 2) * mu:
-        raise InvalidQueryError(f"need lam < (3/2) np, got lam={lam}, np={mu}")
-    delta = lam / mu
-    expo = float(delta * delta * mu)
-    return math.exp(-expo / 2), math.exp(-expo / 3)
-
-
 def chernoff_band(n: int, p, fail_prob: float) -> tuple[float, float]:
-    """Deviation band [mu - lo, mu + hi] with each tail at most fail_prob.
-
-    Inverts the two exponential bounds and verifies the result through
-    chernoff_tail, so the band is exactly what the tail bounds certify.
-    """
+    """Band (mu - lam_lo, mu + lam_up) for Bin(n, p), mu = np, with each tail
+    at most fail_prob: it inverts the Chernoff bounds exp(-lam^2/(2 mu)) and
+    exp(-lam^2/(3 mu)), which need lam < (3/2) mu, and raises
+    InvalidQueryError for a wider band. mu = 0 gives (0, 0)."""
     if not 0 < fail_prob < 1:
         raise InvalidQueryError("fail_prob must be in (0,1)")
     mu = float(n * Fraction(p))
@@ -645,8 +605,4 @@ def chernoff_band(n: int, p, fail_prob: float) -> tuple[float, float]:
                 f"band at fail_prob={fail_prob} needs lam={lam:.3f} >= 1.5*mu={1.5 * mu:.3f}; "
                 "increase the expectation or the failure probability"
             )
-    lower_bound, _ = chernoff_tail(n, p, Fraction(lam_lo).limit_denominator(10**9))
-    _, upper_bound = chernoff_tail(n, p, Fraction(lam_up).limit_denominator(10**9))
-    if lower_bound > fail_prob * 1.0000001 or upper_bound > fail_prob * 1.0000001:
-        raise InternalContradictionError("band inversion failed", check="chernoff-band")
     return mu - lam_lo, mu + lam_up

@@ -282,20 +282,18 @@ def random_kgraph_conditioned(
     n: int,
     k: int,
     m: int,
-    floor: int | None = None,
     tries: int = 1000,
     seed: int = 0,
     p=None,
 ) -> KGraph:
-    """Rejection-sample random k-graphs until the minimum vertex degree is >= floor.
+    """Rejection-sample random k-graphs until the minimum vertex degree
+    strictly exceeds vertex_degree_threshold(n, k, m).
 
-    floor defaults to vertex_degree_threshold(n, k, m) + 1, so accepted graphs
-    strictly exceed the threshold. p defaults to min(1, 3*floor / (2*C(n-1,k-1))),
-    which keeps the acceptance rate workable near the threshold. Raises
-    SamplingExhaustedError when tries run out.
+    p defaults to min(1, 3*floor / (2*C(n-1,k-1))), where floor is the
+    threshold plus one, which keeps the acceptance rate workable near the
+    threshold. Raises SamplingExhaustedError when tries run out.
     """
-    if floor is None:
-        floor = vertex_degree_threshold(n, k, m) + 1
+    floor = vertex_degree_threshold(n, k, m) + 1
     if p is None:
         full = comb(n - 1, k - 1)
         p = min(Fraction(1), Fraction(3 * floor, 2 * full)) if full else Fraction(1)

@@ -125,8 +125,14 @@ class TestSolvers:
 
     @pytest.mark.parametrize(
         "argv",
-        [[], ["nu", "--bogus"], ["search", "--n", "9"], ["verify", "--ks", "3,x"], ["verify", "--ks", ""]],
-        ids=["no-command", "unknown", "missing", "verify-ks-word", "verify-ks-empty"],
+        [
+            [], ["nu", "--bogus"], ["search", "--n", "9"], ["verify", "--ks", "3,x"],
+            ["verify", "--ks", ""], ["pipeline", "--m", "3", "--route", "exact"],
+        ],
+        ids=[
+            "no-command", "unknown", "missing", "verify-ks-word", "verify-ks-empty",
+            "pipeline-route-exact",
+        ],
     )
     def test_usage_errors_exit_1_not_indeterminate(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -175,6 +181,25 @@ class TestSolvers:
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
         assert records[0]["step"] == "summary" and records[0]["value"] == "13/3"
+
+    def test_pipeline_greedy_route_runs_the_block_route(self, capsys, monkeypatch):
+        text = format_graph(complete(12, 3))
+        code, out = run(
+            capsys, "pipeline", "--m", "3", "--eta", "1/12", "--route", "greedy",
+            stdin=text, monkeypatch=monkeypatch,
+        )
+        records = [json.loads(line) for line in out.splitlines()]
+        status = {rec["step"]: rec["status"] for rec in records[1:]}
+        assert code == 0
+        assert (records[0]["route"], records[0]["value"]) == ("greedy", "13/3")
+        assert [step for step in status if step.startswith("block_route_")] == [
+            "block_route_classify",
+            "block_route_block_matching",
+            "block_route_transversal",
+            "block_route_extend",
+        ]
+        assert {status[step] for step in status if step.startswith("block_route_")} == {"ok"}
+        assert status["verify"] == "ok"
 
     def test_pipeline_step_failure_exit_code(self, capsys, monkeypatch):
         text = format_graph(parse_graph("3 12\n"))

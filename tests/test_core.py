@@ -25,7 +25,7 @@ from hypermatch import (
 )
 from hypermatch.core import DEFAULT_NODE_BUDGET, node_budget
 from hypermatch.errors import BudgetExceededError, InvalidQueryError
-from hypermatch.matching import NibbleConfig, exact_nu, nibble_matching_report
+from hypermatch.matching import NibbleConfig, exact_nu, exact_nu_within, nibble_matching_report
 
 
 @st.composite
@@ -83,6 +83,21 @@ class TestKGraphBasics:
     def test_non_integer_shape_is_rejected(self, build, args):
         with pytest.raises(InvalidQueryError, match="must be integers"):
             build(*args)
+
+    @pytest.mark.parametrize(
+        "query, args, message",
+        [
+            (degree, ([1.5],), "non-integer vertex"),
+            (induced, ([1.5, 2, 3],), "non-integer vertex"),
+            (exact_nu_within, ([1.0, 2, 3],), "non-integer vertex"),
+            (link, (2.5,), "non-integer vertex"),
+            (min_l_degree, (1.5,), "must be integers"),
+        ],
+        ids=["degree", "induced", "exact_nu_within", "link", "min_l_degree"],
+    )
+    def test_non_integer_vertex_or_l_is_rejected(self, query, args, message):
+        with pytest.raises(InvalidQueryError, match=message):
+            query(complete(9, 3), *args)
 
     def test_integer_like_shape_becomes_int(self):
         H = KGraph(np.int64(5), np.int32(3), [(1, 2, 3)])

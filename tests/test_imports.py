@@ -3,7 +3,9 @@ in that module, every parameter of a function is read in that function's
 body, every other name a function binds is read in that function or a
 function nested in it, and every public function, class, method and
 property of a `hypermatch` module has a reader outside its own definition
-and outside the unit tests.
+and outside the unit tests, and so has every option: every defaulted
+parameter of a public function or method, and every defaulted field of a
+public frozen dataclass, has a caller that passes it.
 
 `__init__.py` is skipped for imports: they are the package's exports. Dunder
 protocol methods (`__setattr__`, `__exit__`) are skipped for parameters: the
@@ -18,9 +20,16 @@ in `__init__.py` is one. Identifiers are matched by name alone, so two
 definitions that share a name count as reading each other. Methods of
 private classes (such as `cli._Parser.error`, an argparse override) are not
 checked.
+
+A caller of an option is a call in those same readers, outside the
+definition, whose callee has the definition's name and which passes the
+option by keyword, by position, or through `*args` or `**kwargs`. Callees
+are matched by name alone, as identifiers are. The first parameter of a
+method (self or cls) is not an option.
 """
 
 import ast
+import math
 from collections import Counter
 from functools import cache
 from pathlib import Path
@@ -36,6 +45,9 @@ READERS.append(ROOT / "tests" / "test_acceptance.py")
 # ROADMAP item 7 gives case_split_demo a reader; until then it is the one
 # public name kept without one
 UNREAD_BY_DESIGN = {"harness.py": ["case_split_demo"]}
+# ROADMAP item 4's CLI `--timings` sets it; until then it is the one option
+# kept without a caller
+UNSET_BY_DESIGN = {"harness.py": ["emit_report.include_timings"]}
 
 
 def _imported(tree: ast.AST) -> set[str]:
@@ -127,6 +139,70 @@ def _reader_reads() -> Counter:
     return sum(map(_identifier_reads, trees), Counter())
 
 
+def _is_frozen_dataclass(node: ast.AST) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(d, ast.Call)
+        and getattr(d.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in d.keywords)
+        for d in node.decorator_list
+    )
+
+
+def _options(tree: ast.Module) -> list[tuple[ast.AST, str, int | None]]:
+    """(definition, option, position) for each defaulted parameter of a public
+    function or method and each defaulted field of a public frozen dataclass;
+    position is None for a keyword-only parameter."""
+    options = []
+    for d in _public_definitions(tree):
+        if _is_frozen_dataclass(d):
+            fields = [f for f in d.body if isinstance(f, ast.AnnAssign)]
+            options += [(d, f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+        elif not isinstance(d, ast.ClassDef):
+            a = d.args
+            positional = a.posonlyargs + a.args
+            if d not in tree.body:  # a method: self or cls is bound, not passed
+                positional = positional[1:]
+            first = len(positional) - len(a.defaults)
+            options += [(d, p.arg, i) for i, p in enumerate(positional) if i >= first]
+            keyword_only = zip(a.kwonlyargs, a.kw_defaults)
+            options += [(d, p.arg, None) for p, v in keyword_only if v is not None]
+    return options
+
+
+def _calls(tree: ast.AST) -> Counter:
+    """(callee name, positional count, keyword names) of each call by name or
+    attribute; a *args passes any number of positionals and **kwargs any keyword."""
+    calls = Counter()
+    for c in ast.walk(tree):
+        if isinstance(c, ast.Call) and isinstance(c.func, (ast.Name, ast.Attribute)):
+            name = c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+            starred = any(isinstance(a, ast.Starred) for a in c.args)
+            keywords = frozenset(k.arg or "**" for k in c.keywords)
+            calls[name, math.inf if starred else len(c.args), keywords] += 1
+    return calls
+
+
+def _unset_options(tree: ast.Module, calls: Counter, skip=()) -> list[str]:
+    """Options defined in tree, as "callee.option", that no call in calls
+    passes outside their own definitions; calls covers every reader, tree
+    included. Definitions named in skip are not checked."""
+    unset = []
+    for d, option, position in _options(tree):
+        if d.name in skip:
+            continue
+        shapes = [(npos, kws) for name, npos, kws in calls - _calls(d) if name == d.name]
+        by_position = position is not None and any(npos > position for npos, _ in shapes)
+        if not by_position and not any(option in kws or "**" in kws for _, kws in shapes):
+            unset.append(f"{d.name}.{option}")
+    return unset
+
+
+@cache
+def _reader_calls() -> Counter:
+    trees = (ast.parse(p.read_text(encoding="utf-8")) for p in READERS)
+    return sum(map(_calls, trees), Counter())
+
+
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -211,3 +287,37 @@ def test_a_public_name_without_a_reader_is_reported():
         "        return Report\n"
     )
     assert _unread_public(tree, _identifier_reads(tree)) == ["walk", "total", "label"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_option_has_a_caller(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unset = _unset_options(tree, _reader_calls(), skip=UNREAD_BY_DESIGN.get(path.name, []))
+    assert unset == UNSET_BY_DESIGN.get(path.name, [])
+
+
+def test_an_option_without_a_caller_is_reported():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "def draw(n, tries=10, *, seed=0, p=None):\n"
+        "    return draw(n, tries, seed=seed, p=p)\n"
+        "def solve(n, budget=5, trace=False):\n"
+        "    return n\n"
+        "def _private(n, depth=0):\n"
+        "    return draw(n, 3) + solve(*[n]) + _private(n, 1)\n"
+        "class Runner:\n"
+        "    def run(self, fast=True, **kw):\n"
+        "        return Runner().run(**kw)\n"
+        "@dataclass(frozen=True)\n"
+        "class Config:\n"
+        "    n: int\n"
+        "    eta: int = 1\n"
+        "    rho: int = 0\n"
+        "@dataclass\n"
+        "class Loose:\n"
+        "    x: int = 0\n"
+        "Config(1, rho=2)\n"
+    )
+    assert _unset_options(tree, _calls(tree), skip=["solve"]) == [
+        "draw.seed", "draw.p", "Config.eta", "run.fast"
+    ]

@@ -31,7 +31,6 @@ from hypermatch.pipeline import (
     augmentation_residual,
     check_pipeline_preconditions,
     chernoff_band,
-    chernoff_tail,
     first_round_sampler,
     fractional_pm_pipeline,
     minimal_feasible_r,
@@ -64,11 +63,19 @@ class TestBuildAugmented:
         for v in (1, 5, 12):
             assert degree(aug, {v}) == degree(H, {v}) + gain
 
-    def test_large_eta_triggers_warning_not_error(self):
-        with pytest.warns(UserWarning) as record:
-            r = padded_clique_size(20, 3, 2, Fraction(1, 2))
-        assert record[0].filename == __file__  # the warning names its caller
-        assert (r - 3) * 2 < 20 - 6  # the warned-about inequality indeed fails
+    @pytest.mark.parametrize(
+        "rule, args",
+        [
+            (padded_clique_size, (9, 3, 2.5, Fraction(1, 10))),
+            (padded_clique_size, (9.5, 3, 2, Fraction(1, 10))),
+            (augmentation_residual, (9, 3, 2.5, Fraction(1, 10), 1)),
+            (minimal_feasible_r, (9, 3, 2.5)),
+        ],
+        ids=["padded-m-2.5", "padded-n-9.5", "residual-m-2.5", "minimal-m-2.5"],
+    )
+    def test_non_integer_sizes_are_rejected(self, rule, args):
+        with pytest.raises(InvalidQueryError, match="must be integers"):
+            rule(*args)
 
 
 class TestPreconditions:
@@ -119,7 +126,7 @@ class TestPipeline:
         extra = list(combinations(range(3, 9), 3))
         H = KGraph(20, 3, list(base.edges) + extra)
         r = minimal_feasible_r(20, 3, 3)
-        phi, trace = fractional_pm_pipeline(H, 3, r, PipelineConfig(), route="exact")
+        phi, trace = fractional_pm_pipeline(H, 3, r, PipelineConfig())
         assert trace.route_used == "exact"
         assert phi.is_perfect()
 
@@ -145,14 +152,6 @@ class TestPipeline:
         assert steps[-1].details == {
             "message": "block of 2 vertices cannot hold 1 disjoint edges", "block": 2, "needed": 3
         }
-
-    def test_exact_route_fails_when_the_link_matching_is_short(self):
-        H, _ = build_Hknm(9, 3, 2)
-        with pytest.raises(StepFailureError, match="only 1 < m = 2") as exc:
-            fractional_pm_pipeline(H, 2, 3, PipelineConfig(), route="exact")
-        last = exc.value.trace.steps[-1]
-        assert (last.name, last.status) == ("find_matching", "failed")
-        assert last.details["route"] == "exact"
 
     def test_residue_splice_with_an_empty_completion(self):
         # m = 3 covers all 9 vertices and r = 1 is the one residue vertex, so
@@ -367,6 +366,8 @@ class TestPipeline:
     def test_rejects_bad_route(self):
         with pytest.raises(InvalidQueryError):
             fractional_pm_pipeline(complete(9, 3), 3, 3, PipelineConfig(), route="magic")
+        with pytest.raises(InvalidQueryError, match=r"route must be auto\|greedy"):
+            fractional_pm_pipeline(complete(9, 3), 3, 3, PipelineConfig(), route="exact")
 
 
 def trace_relabel(H, trace):
@@ -400,31 +401,29 @@ class TestSampler:
         fam = first_round_sampler(H, SamplerSettings(keep_probability=1.0, copy_count=1))
         assert fam.copies[0] == tuple(range(1, 10))
 
-    def test_paper_default_shapes(self):
-        H = KGraph(50, 3, [])
-        fam = first_round_sampler(H, SamplerSettings(seed=2))
-        assert len(fam.copies) == math.ceil(50**1.1)
-        assert all(sz % 3 == 0 for sz in fam.sizes)
+    def test_keep_probability_and_copy_count_are_required(self):
+        with pytest.raises(TypeError):
+            SamplerSettings(seed=0)
 
 
 class TestChernoff:
-    def test_zero_deviation(self):
-        assert chernoff_tail(100, Fraction(1, 2), 0) == (1.0, 1.0)
-
-    def test_worked_example(self):
-        lower, upper = chernoff_tail(100, Fraction(1, 2), 15)
-        assert math.isclose(upper, math.exp(-1.5))
-        assert math.isclose(lower, math.exp(-2.25))
-
-    def test_boundary_rejected(self):
-        with pytest.raises(InvalidQueryError):
-            chernoff_tail(100, Fraction(1, 2), 75)
-
     def test_band_inverts_tails(self):
         lo, hi = chernoff_band(4000, 0.05, 1e-3)
         mu = 200.0
         assert lo < mu < hi
-        # the band edges actually meet the requested failure probability
-        lower, _ = chernoff_tail(4000, Fraction(1, 20), Fraction(mu - lo).limit_denominator(10**6))
-        _, upper = chernoff_tail(4000, Fraction(1, 20), Fraction(hi - mu).limit_denominator(10**6))
-        assert lower <= 1e-3 * 1.001 and upper <= 1e-3 * 1.001
+        # the band edges meet the requested failure probability
+        assert math.isclose(math.exp(-((mu - lo) ** 2) / (2 * mu)), 1e-3)
+        assert math.isclose(math.exp(-((hi - mu) ** 2) / (3 * mu)), 1e-3)
+
+    @pytest.mark.parametrize("fail_prob", [0, 1])
+    def test_fail_prob_outside_the_open_unit_interval_is_rejected(self, fail_prob):
+        with pytest.raises(InvalidQueryError, match="fail_prob"):
+            chernoff_band(100, Fraction(1, 2), fail_prob)
+
+    def test_band_wider_than_one_and_a_half_mu_is_rejected(self):
+        # mu = 1/2: the lower tail needs lam = sqrt(2 mu ln 1000) > 3/4
+        with pytest.raises(InvalidQueryError, match="1.5\\*mu"):
+            chernoff_band(10, Fraction(1, 20), 1e-3)
+
+    def test_zero_mean_gives_the_zero_band(self):
+        assert chernoff_band(100, 0, 1e-3) == (0.0, 0.0)
