@@ -139,7 +139,7 @@ def _cmd_contain(args) -> int:
 def _cmd_nibble(args) -> int:
     H = parse_graph(_read_input(args))
     if not 0 < args.sigma < 1:
-        raise InvalidQueryError(f"sigma_target must be in (0,1), got {args.sigma}")
+        raise InvalidQueryError(f"--sigma must be in (0,1), got {args.sigma}")
     cfg = NibbleConfig(
         bite_fraction=args.bite, max_rounds=args.rounds, seed=args.seed, tau_check=args.tau
     )

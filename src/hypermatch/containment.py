@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from operator import index
 
 from .constructions import VertexPartition, template_edge_count
-from .core import EdgeT, KGraph, _mask, node_budget
+from .core import EdgeT, KGraph, _integers, _mask, node_budget
 from .errors import BudgetExceededError, InvalidQueryError
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
@@ -69,10 +68,7 @@ def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentRepor
     any subset is examined, when C(n, m-1) exceeds node_budget(). The report
     labels which mode ran; satisfied means min deficiency <= eps * n^k.
     """
-    try:
-        m = index(m)
-    except TypeError:
-        raise InvalidQueryError(f"m must be an integer, got {m!r}") from None
+    [m] = _integers(m=m)
     if m < 1:
         raise InvalidQueryError(f"need m >= 1, got {m}")
     if m - 1 > H.n:

@@ -62,9 +62,9 @@ class KGraph:
     graph keeps the form it was built from (the tuple, or the array for
     `_from_array`) and builds the other on first use; `num_edges` reads
     whichever is present. A hash-set membership index, per-edge vertex
-    bitmasks, per-vertex incidence lists and degrees, and the independence
-    number are built lazily too and shared by every operation, so instances
-    are cheap to pass around and safe to share across concurrent readers.
+    bitmasks, and per-vertex incidence lists and degrees are built lazily
+    too and shared by every operation, so instances are cheap to pass
+    around and safe to share across concurrent readers.
     Assigning or deleting any attribute raises AttributeError.
     """
 
@@ -194,12 +194,6 @@ class KGraph:
                 deg[v] += 1
         return tuple(deg)
 
-    @cached_property
-    def _alpha(self) -> int:
-        """The independence number, searched on first use; a search that
-        raises caches nothing."""
-        return _independence_search(self)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, KGraph):
             return NotImplemented
@@ -268,18 +262,6 @@ def degree(H: KGraph, T: Iterable[int]) -> int:
     return sum(1 for m in H.edge_masks if m & mask == mask)
 
 
-def _l_degrees(H: KGraph, l: int) -> Iterable[int]:
-    if l == 0:
-        yield H.num_edges
-        return
-    if l == 1:
-        yield from H._vertex_degrees[1:]
-        return
-    masks = H.edge_masks
-    for tmask in map(_mask, combinations(H.vertices(), l)):
-        yield sum(1 for m in masks if m & tmask == tmask)
-
-
 def _check_l(H: KGraph, l: int) -> int:
     """l as an int, once 0 <= l <= k-1 and n >= l are checked."""
     [l] = _integers(l=l)
@@ -292,7 +274,10 @@ def _check_l(H: KGraph, l: int) -> int:
 
 def min_l_degree(H: KGraph, l: int) -> int:
     """Minimum, over all l-subsets T of the vertex set, of degree(H, T)."""
-    return min(_l_degrees(H, _check_l(H, l)))
+    l = _check_l(H, l)
+    if l == 1:  # the paper's delta_1, read off the cached vertex degrees
+        return min(H._vertex_degrees[1:])
+    return min(degree(H, T) for T in combinations(H.vertices(), l))
 
 
 def link(H: KGraph, v: int) -> KGraph:
@@ -352,12 +337,7 @@ def independence_number(H: KGraph) -> int:
     complete-block cover bound precomputed for every suffix. Runtime is
     exponential in the worst case; intended for n up to about 100 at k = 3.
     Raises BudgetExceededError once the search passes node_budget() nodes.
-    The value is cached on H, so later calls on the same graph do no search.
     """
-    return H._alpha
-
-
-def _independence_search(H: KGraph) -> int:
     n = H.n
     budget = node_budget()
     if not H.edges:

@@ -33,8 +33,6 @@ class InternalContradictionError(HypermatchError, RuntimeError):
     """A certified-true assertion failed on inputs meeting all preconditions.
 
     This indicates a bug in the implementation, never a property of the input.
+    The message says which assertion failed; inside the pipeline, the failed
+    step is the last step of the carried trace.
     """
-
-    def __init__(self, message: str, check: str = ""):
-        super().__init__(message)
-        self.check = check

@@ -166,7 +166,7 @@ def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fractio
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            raise InternalContradictionError("packing LP reported unbounded", check="lp-bounded")
+            raise InternalContradictionError("packing LP reported unbounded")
         p, prow, pval = d[leave], adj[leave], xb[leave]
         for i in range(m):
             f = d[i]
@@ -195,13 +195,9 @@ def solve_fractional(H: KGraph) -> tuple[Fraction, FractionalAssignment, VertexW
     value = assignment.value()
     cover = VertexWeights(duals)
     if not cover.is_cover_of(H):
-        raise InternalContradictionError(
-            "extracted dual vector is not a fractional cover", check="lp-dual-feasible"
-        )
+        raise InternalContradictionError("extracted dual vector is not a fractional cover")
     if cover.total() != value:
-        raise InternalContradictionError(
-            "cover value disagrees with simplex objective", check="lp-dual-value"
-        )
+        raise InternalContradictionError("cover total disagrees with the matching total")
     return value, assignment, cover
 
 

@@ -23,9 +23,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import ceil
+from numbers import Real
 from .constructions import VertexPartition, join_clique, vertex_degree_threshold
 from .containment import deficiency, vertex_template_deficits
 from .core import (
@@ -71,9 +71,10 @@ class SamplerSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.keep_probability <= 1:
-            raise InvalidQueryError("keep_probability must be in [0,1]")
-        if self.copy_count < 0:
+        keep = self.keep_probability
+        if not (isinstance(keep, Real) and 0 <= keep <= 1):
+            raise InvalidQueryError(f"keep_probability must be a real in [0,1], got {keep!r}")
+        if _integers(copy_count=self.copy_count)[0] < 0:
             raise InvalidQueryError("copy_count must be nonnegative")
 
 
@@ -175,7 +176,7 @@ class TraceStep:
         """Mark the step failed like fail, and raise InternalContradictionError."""
         self.status = "failed"
         self.details = {"message": message, **details}
-        raise InternalContradictionError(message, check=self.name)
+        raise InternalContradictionError(message)
 
     def record(self) -> dict:
         return {"step": self.name, "status": self.status, **_plain(self.details)}
@@ -544,10 +545,8 @@ def _complete_through_clique(leftover: list[int], q_free: list[int], k: int) -> 
 
 @dataclass
 class SampleFamily:
-    """Independent vertex samples of a host graph, trimmed to size in kZ.
-
-    The per-vertex incidence counts are computed on first read and kept.
-    """
+    """Independent vertex samples of a host graph, trimmed to size in kZ,
+    with their per-vertex incidence counts."""
 
     host: KGraph
     copies: tuple[tuple[int, ...], ...]
@@ -556,7 +555,7 @@ class SampleFamily:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.copies)
 
-    @cached_property
+    @property
     def vertex_counts(self) -> dict[int, int]:
         counts = {v: 0 for v in self.host.vertices()}
         for c in self.copies:
@@ -591,6 +590,9 @@ def chernoff_band(n: int, p, fail_prob: float) -> tuple[float, float]:
     at most fail_prob: it inverts the Chernoff bounds exp(-lam^2/(2 mu)) and
     exp(-lam^2/(3 mu)), which need lam < (3/2) mu, and raises
     InvalidQueryError for a wider band. mu = 0 gives (0, 0)."""
+    [n] = _integers(n=n)
+    if n < 0 or not (isinstance(p, Real) and 0 <= p <= 1):
+        raise InvalidQueryError(f"need n >= 0 and p a real number in [0,1], got n={n}, p={p!r}")
     if not 0 < fail_prob < 1:
         raise InvalidQueryError("fail_prob must be in (0,1)")
     mu = float(n * Fraction(p))

@@ -74,6 +74,13 @@ class TestSolvers:
         assert code == 0
         assert out.splitlines()[0] == "nu 2"
 
+    def test_nu_writes_the_output_file(self, capsys, tmp_path):
+        (tmp_path / "h.txt").write_text(format_graph(complete(6, 3)))
+        out = tmp_path / "out.txt"
+        code = main(["nu", "-i", str(tmp_path / "h.txt"), "-o", str(out)])
+        assert (code, capsys.readouterr().out) == (0, "")
+        assert out.read_text().splitlines()[0] == "nu 2"
+
     def test_nu_budget_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "2")
         monkeypatch.setattr("sys.stdin", io.StringIO(format_graph(parity_construction(5, 4, 3))))
@@ -287,6 +294,16 @@ class TestVerifySearchReport:
         code2, rows = run(capsys, "report", "--input", str(path), "--format", "rows")
         assert code2 == 0
         assert rows.splitlines()[0].startswith("delta1")
+
+    def test_rows_quote_a_cell_with_a_comma_and_a_quote(self, capsys, monkeypatch):
+        records = harness.emit_report(harness.ExperimentReport("x", {}, [{"note": 'a,"b"'}]))
+        code, rows = run(capsys, "report", "--format", "rows", stdin=records, monkeypatch=monkeypatch)
+        assert (code, rows) == (0, 'note\n"a,""b"""\n')
+
+    def test_sigma_out_of_range_names_the_flag(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 6\n1 2 3\n4 5 6\n"))
+        assert main(["nibble", "--sigma", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --sigma must be in (0,1)")
 
     @pytest.mark.parametrize(
         "argv, stdin",

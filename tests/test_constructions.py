@@ -254,6 +254,19 @@ class TestSizeArguments:
             build(*args)
         assert named in str(info.value)
 
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (join_clique, (complete(5, 3), -1)),
+            (build_Hknm, (5, 3, 4)),
+            (vertex_degree_threshold, (5, 3, 4)),
+        ],
+        ids=["join-r-negative", "hknm-m-too-large", "threshold-m-too-large"],
+    )
+    def test_out_of_range_size_is_rejected(self, build, args):
+        with pytest.raises(InvalidQueryError, match="need"):
+            build(*args)
+
 
 # both generators reject these before drawing, so _draw_threshold never sees them
 OUT_OF_RANGE_P = [Fraction(-1, 2), Fraction(3, 2), 2, float("inf"), float("nan")]

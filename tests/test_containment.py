@@ -98,7 +98,7 @@ class TestEpsContains:
 
     @pytest.mark.parametrize("m", [2.5, 2.0, "2"])
     def test_non_integer_m_is_rejected(self, m):
-        with pytest.raises(InvalidQueryError, match="m must be an integer"):
+        with pytest.raises(InvalidQueryError, match="sizes must be integers"):
             eps_contains(complete(7, 3), m, Fraction(1, 10))
 
     def test_complete_contains_at_eps0(self):
@@ -202,3 +202,17 @@ class TestClassification:
         H, part = build_Hknm(9, 3, 3)
         with pytest.raises(InvalidQueryError):
             classify_good_bad(H, part, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (lambda: eps_contains(complete(7, 3), 2, Fraction(1, 10), mode="bogus"), "unknown mode"),
+        (lambda: deficiency(complete(7, 3), VertexPartition((1, 2, 3), (4, 5)), 2), "partition covers"),
+        (lambda: deficiency(complete(5, 3), VertexPartition((1, 2, 3), (4, 5)), 0), "need 1 <= l"),
+    ],
+    ids=["eps-contains-mode", "deficiency-partition-size", "deficiency-l-0"],
+)
+def test_out_of_range_query_is_rejected(query, message):
+    with pytest.raises(InvalidQueryError, match=message):
+        query()

@@ -277,11 +277,12 @@ class TestIndependence:
             independence_number(h933())
         assert info.value.nodes == 2
 
-    def test_second_call_does_no_search(self, monkeypatch):
+    def test_every_call_obeys_the_budget(self, monkeypatch):
         H = h933()
         assert independence_number(H) == 7
-        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")  # a search would raise at node 2
-        assert independence_number(H) == 7
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")  # the search raises at node 2
+        with pytest.raises(BudgetExceededError):
+            independence_number(H)
 
     def test_budget_hit_caches_nothing(self, monkeypatch):
         H = h933()
@@ -395,3 +396,16 @@ class TestTextFormat:
             parse_graph("3 x\n")
         with pytest.raises(InvalidQueryError, match="line 3"):
             parse_graph("3 4\n# comment\n1 2 z\n")
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (lambda: link(KGraph(4, 2, []), 1), "2-graph"),
+        (lambda: min_l_degree(KGraph(0, 3, []), 1), "no l-subsets"),
+    ],
+    ids=["link-of-2-graph", "min-l-degree-no-subsets"],
+)
+def test_out_of_range_query_is_rejected(query, message):
+    with pytest.raises(InvalidQueryError, match=message):
+        query()

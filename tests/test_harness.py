@@ -19,7 +19,7 @@ from hypermatch import (
     random_kgraph,
     vertex_degree_threshold,
 )
-from hypermatch.errors import BudgetExceededError
+from hypermatch.errors import BudgetExceededError, InvalidQueryError
 from hypermatch.harness import (
     ExperimentReport,
     TightnessFailure,
@@ -292,3 +292,18 @@ class TestCaseSplit:
             else:
                 assert rep.concludes is None and rep.matching_size is None
         assert {rep.concludes for _, _, rep in sweep} == {True, None}
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (lambda: emit_report(ExperimentReport("x", {}), "xml"), "unknown report format"),
+        (lambda: load_report("[1]\n"), "expected a JSON object"),
+        (lambda: load_report('{"record": "x"}\n'), "unknown record kind"),
+        (lambda: conjecture_search(9, 3, 2, model="bogus", trials=1), "unknown model"),
+    ],
+    ids=["emit-xml", "load-not-an-object", "load-unknown-record", "search-unknown-model"],
+)
+def test_bad_query_is_rejected(query, message):
+    with pytest.raises(InvalidQueryError, match=message):
+        query()

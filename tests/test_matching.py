@@ -18,7 +18,7 @@ from hypermatch import (
     verify_matching,
 )
 from hypermatch.core import min_l_degree
-from hypermatch.errors import BudgetExceededError
+from hypermatch.errors import BudgetExceededError, InvalidQueryError
 from hypermatch.harness import _sample_for_model, tightness_grid
 from hypermatch.lp import max_fractional_matching
 from hypermatch.matching import (
@@ -318,3 +318,11 @@ class TestNibbleMatchesOracle:
         H = KGraph(5, 3, [])
         assert _regularity_gate(H, Fraction(1, 20)) == oracles._regularity_gate(H, Fraction(1, 20))
         assert H.regularity_stats == (0, 0, 0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "field", [{"bite_fraction": 1}, {"max_rounds": -1}, {"tau_check": 0}], ids=lambda f: next(iter(f))
+)
+def test_out_of_range_config_is_rejected(field):
+    with pytest.raises(InvalidQueryError, match=next(iter(field))):
+        NibbleConfig(**field)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
 import oracles
@@ -255,7 +256,6 @@ class TestPipeline:
         monkeypatch.setattr("hypermatch.pipeline.is_stable", lambda H: False)
         with pytest.raises(InternalContradictionError) as exc:
             fractional_pm_pipeline(complete(12, 3), 3, 1, PipelineConfig(eta=Fraction(1, 12)))
-        assert exc.value.check == "link_stability"
         last = exc.value.trace.steps[-1]
         assert (last.name, last.status) == ("link_stability", "failed")
         assert last.details == {"message": "link of the closure is not stable"}
@@ -271,7 +271,6 @@ class TestPipeline:
         monkeypatch.setattr(pipeline, "permute_weights", zero_one_weight)
         with pytest.raises(InternalContradictionError) as exc:
             fractional_pm_pipeline(complete(12, 3), 3, 1, PipelineConfig(eta=Fraction(1, 12)))
-        assert exc.value.check == "closure"
         last = exc.value.trace.steps[-1]
         assert (last.name, last.status) == ("closure", "failed")
 
@@ -316,7 +315,6 @@ class TestPipeline:
         )
         with pytest.raises(InternalContradictionError) as exc:
             fractional_pm_pipeline(complete(12, 3), 3, 3, PipelineConfig())
-        assert exc.value.check == "verify"
         assemble, verify = exc.value.trace.steps[-2:]
         assert (assemble.name, assemble.status) == ("assemble", "ok")
         assert assemble.details == {"value": Fraction(4)}
@@ -405,6 +403,23 @@ class TestSampler:
         with pytest.raises(TypeError):
             SamplerSettings(seed=0)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"keep_probability": 0.5, "copy_count": 2.5}, "sizes must be integers"),
+            ({"keep_probability": "x", "copy_count": 1}, "keep_probability"),
+        ],
+        ids=["copy-count-2.5", "keep-probability-str"],
+    )
+    def test_settings_that_are_not_numbers_are_rejected(self, settings, message):
+        with pytest.raises(InvalidQueryError, match=message):
+            SamplerSettings(**settings)
+
+    def test_numpy_copy_count_draws_the_same_copies(self):
+        H = KGraph(30, 3, [])
+        a = first_round_sampler(H, SamplerSettings(0.5, np.int64(6), seed=5))
+        assert a.copies == first_round_sampler(H, SamplerSettings(0.5, 6, seed=5)).copies
+
 
 class TestChernoff:
     def test_band_inverts_tails(self):
@@ -427,3 +442,33 @@ class TestChernoff:
 
     def test_zero_mean_gives_the_zero_band(self):
         assert chernoff_band(100, 0, 1e-3) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "n, p, message",
+        [
+            (10, -1, "p a real number"),
+            (10, Fraction(3, 2), "p a real number"),
+            (10.5, Fraction(1, 2), "sizes must be integers"),
+        ],
+        ids=["p-negative", "p-above-1", "n-10.5"],
+    )
+    def test_bad_n_or_p_is_rejected(self, n, p, message):
+        with pytest.raises(InvalidQueryError, match=message):
+            chernoff_band(n, p, 0.1)
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (lambda: PipelineConfig(eta=0), "eta"),
+        (lambda: PipelineConfig(eps=1), "eps"),
+        (lambda: PipelineConfig(rho=-1), "rho"),
+        (lambda: SamplerSettings(2, 1), "keep_probability"),
+        (lambda: SamplerSettings(0.5, -1), "copy_count"),
+        (lambda: fractional_pm_pipeline(complete(12, 3), 0, 3, PipelineConfig()), "m=0"),
+    ],
+    ids=["eta-0", "eps-1", "rho-negative", "keep-2", "copies-negative", "pipeline-m-0"],
+)
+def test_out_of_range_query_is_rejected(query, message):
+    with pytest.raises(InvalidQueryError, match=message):
+        query()
