@@ -86,6 +86,7 @@ def complete(n: int, k: int) -> KGraph:
     """
     import numpy as np
 
+    n, k = _check_shape(n, k)
     if n < k:
         raise InvalidQueryError(f"need n >= k, got n={n}, k={k}")
     arr = np.arange(k, n + 1, dtype=np.int32).reshape(-1, 1)
@@ -179,6 +180,7 @@ def _draw_threshold(p) -> float:
 
 def random_kgraph(n: int, k: int, p, seed: int) -> KGraph:
     """Each k-set included independently with probability p; seed-deterministic."""
+    n, k = _check_shape(n, k)
     if not 0 <= p <= 1:
         raise InvalidQueryError(f"need 0 <= p <= 1, got {p}")
     draw, t = random.Random(seed).random, _draw_threshold(p)
@@ -202,6 +204,7 @@ def random_kgraph_conditioned(
     threshold; a p given outside [0, 1] raises InvalidQueryError. Raises
     SamplingExhaustedError when tries run out.
     """
+    [tries] = _integers(tries=tries)
     floor = vertex_degree_threshold(n, k, m) + 1
     if p is None:
         full = comb(n - 1, k - 1)

@@ -1,6 +1,6 @@
 """Experiment orchestration: tightness verification of the degree threshold,
-randomized counterexample search for the degree-threshold conjecture, the
-containment case split, and deterministic report files.
+randomized counterexample search for the degree-threshold conjecture, and
+deterministic report files.
 
 Counterexamples are reported, never asserted absent: the conjecture is open
 and the theorem behind the threshold needs large n, so small-n surprises
@@ -15,7 +15,6 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -26,23 +25,15 @@ from .constructions import (
     random_kgraph_conditioned,
     vertex_degree_threshold,
 )
-from .containment import ContainmentReport, _template_edges, eps_contains
-from .core import KGraph, Matching, format_graph, min_l_degree, parse_graph, verify_matching
+from .core import KGraph, _integers, format_graph, min_l_degree, parse_graph, verify_matching
 from .errors import (
     BudgetExceededError,
     HypermatchError,
     InvalidQueryError,
     SamplingExhaustedError,
-    StepFailureError,
 )
-from .matching import exact_nu, exact_nu_within
-from .pipeline import (
-    PipelineConfig,
-    PipelineTrace,
-    _plain,
-    fractional_pm_pipeline,
-    padded_clique_size,
-)
+from .matching import exact_nu
+from .pipeline import _plain
 
 class TightnessFailure(HypermatchError, AssertionError):
     """An exact tightness assertion failed; carries the offending instance."""
@@ -163,8 +154,10 @@ def graph_fingerprint(H: KGraph) -> str:
 def tightness_grid(ks: Sequence[int] = (3, 4), n_max: int = 14) -> list[tuple[int, int, int]]:
     """Grid of (n, k, m) with k <= n <= n_max and 1 <= m <= n // k, once per
     distinct k in ks; k >= 2 and m >= 1 give k + m - 1 <= km <= n."""
+    [n_max] = _integers(n_max=n_max)
     grid = []
     for k in dict.fromkeys(ks):
+        [k] = _integers(k=k)
         if k < 2:
             raise InvalidQueryError(f"uniformity k must be >= 2, got {k}")
         for n in range(k, n_max + 1):
@@ -254,6 +247,7 @@ def conjecture_search(
     before being reported as a counterexample, with its fingerprint.
     Budget exhaustion marks the report incomplete instead of aborting.
     """
+    [trials] = _integers(trials=trials)
     if k < 2 or not k * m < n:
         raise InvalidQueryError(f"need k >= 2 and m < n/k, got n={n}, k={k}, m={m}")
     t0 = time.perf_counter()
@@ -313,71 +307,3 @@ def _reverify_counterexample(H: KGraph, m: int, thr: int) -> bool:
     nu, M = exact_nu(G)
     return nu < m and verify_matching(G, M)
 
-
-@dataclass
-class CaseSplitReport:
-    """Outcome of the containment case split for one instance."""
-
-    branch: str  # "contains" | "non-contains"
-    containment: ContainmentReport
-    matching_size: int | None = None
-    concludes: bool | None = None  # whether nu(H) >= m was certified
-    pipeline_trace: PipelineTrace | None = None
-    augmented_nu: int | None = None
-    notes: tuple[str, ...] = ()
-
-
-def case_split_demo(H: KGraph, m: int, eps, rho, eta=Fraction(1, 10)) -> CaseSplitReport:
-    """Route an instance through the containment split and report what follows.
-
-    Contains branch: an exact matching restricted to template edges (capped
-    at m - 1 by the template structure) is extended by an exact matching on
-    the untouched remainder; the close case is handled by the exact solver
-    at this scale. Non-contains branch: pad with an r-clique and run the
-    fractional pipeline for the fractional certificate; r, the value and a
-    failure (the last step, failed, with its message) are read from its
-    trace. The augmented graph's matching number follows from nu(H) by
-    nu(join_clique(H, r)) = min(nu(H) + r, floor((n + r)/k)); when it
-    reaches m + r, nu(H) >= m and the split concludes with matching_size
-    nu(H). A node budget hit in either branch propagates as
-    BudgetExceededError, with the pipeline's trace when the pipeline raised it.
-    """
-    containment = eps_contains(H, m, eps)
-    if containment.satisfied:
-        template_edges = _template_edges(H, containment.partition.W, H.k - 1)
-        nu_t, M_t = exact_nu(KGraph._from_sorted(H.n, H.k, template_edges))
-        used = M_t.vertices()
-        nu_r, M_r = exact_nu_within(H, (v for v in H.vertices() if v not in used))
-        combined = Matching.from_edges(M_t.edges + M_r.edges)
-        if not verify_matching(H, combined):
-            raise HypermatchError("case split assembled an invalid matching")
-        return CaseSplitReport(
-            branch="contains",
-            containment=containment,
-            matching_size=len(combined),
-            concludes=len(combined) >= m,
-            notes=(f"template part {nu_t}, remainder part {nu_r}",),
-        )
-
-    cfg = PipelineConfig(eta=Fraction(eta), rho=Fraction(rho), eps=Fraction(eps))
-    r = padded_clique_size(H.n, H.k, m, cfg.eta)
-    try:
-        _, trace = fractional_pm_pipeline(H, m, r, cfg)
-    except StepFailureError as ex:
-        trace = ex.trace
-    nu, M = exact_nu(H)
-    if not verify_matching(H, M):
-        raise HypermatchError("exact matching is invalid in the base graph")
-    aug_nu = min(nu + r, (H.n + r) // H.k)
-    concludes = aug_nu >= m + r or None
-    return CaseSplitReport(
-        branch="non-contains",
-        containment=containment,
-        matching_size=nu if concludes else None,
-        concludes=concludes,
-        pipeline_trace=trace,
-        augmented_nu=aug_nu,
-        notes=() if concludes else (
-            f"augmented matching {aug_nu} below m+r={m + r}; no integral conclusion",
-        ),
-    )

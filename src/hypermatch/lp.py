@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from typing import Mapping, Sequence
 
 from .constructions import complete
-from .core import EdgeT, KGraph
+from .core import EdgeT, KGraph, _check_shape
 from .errors import InternalContradictionError, InvalidQueryError
 
 ZERO = Fraction(0)
@@ -182,13 +183,15 @@ def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fractio
     return phi, tuple(Fraction(t, det) for t in y)
 
 
+@lru_cache(maxsize=1)  # a matching query followed by a cover query on H solves once
 def solve_fractional(H: KGraph) -> tuple[Fraction, FractionalAssignment, VertexWeights]:
     """Exact optimum fractional matching and cover from one solve, both verified.
 
     The matching is validated as a FractionalAssignment (loads at most 1),
     the cover as a fractional cover of H with weights in [0,1], and the two
     witness totals must be equal, which certifies optimality of both by weak
-    duality.
+    duality. The last graph's result is kept, so asking again for the same
+    graph returns the same witnesses without a second solve.
     """
     phi, duals = _solve_incidence_lp(H)
     assignment = FractionalAssignment(H, phi)  # validates loads <= 1 exactly
@@ -219,6 +222,7 @@ def clique_window_matching(n: int, k: int) -> FractionalAssignment:
     Every vertex lies in exactly k windows, so all loads are 1 and the value
     is n/k: a perfect fractional matching of the complete k-graph.
     """
+    n, k = _check_shape(n, k)
     if n <= k:
         raise InvalidQueryError(f"need n > k, got n={n}, k={k}")
     wk = Fraction(1, k)

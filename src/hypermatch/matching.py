@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .core import EdgeT, KGraph, Matching, induced, node_budget
+from .core import EdgeT, KGraph, Matching, _integers, induced, node_budget
 from .errors import BudgetExceededError, InvalidQueryError
 
 
@@ -29,12 +29,13 @@ class NibbleConfig:
     def __post_init__(self):
         if not 0 < self.bite_fraction < 1:
             raise InvalidQueryError(f"bite_fraction must be in (0,1), got {self.bite_fraction}")
-        if self.max_rounds < 0:
+        max_rounds, seed = _integers(max_rounds=self.max_rounds, seed=self.seed)
+        if max_rounds < 0:
             raise InvalidQueryError("max_rounds must be nonnegative")
         if self.tau_check <= 0:
             raise InvalidQueryError("tau_check must be positive")
-        if self.seed < 0:
-            raise InvalidQueryError(f"seed must be nonnegative, got {self.seed}")
+        if seed < 0:
+            raise InvalidQueryError(f"seed must be nonnegative, got {seed}")
 
 
 def greedy_matching(H: KGraph) -> Matching:

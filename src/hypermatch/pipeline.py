@@ -475,10 +475,11 @@ def _block_route_matching(
         }
 
     with trace.step("block_route_block_matching") as st:
-        block = sorted(set(b_bad) | set(range(m, min(block_top, n) + 1)))
-        if (b + 1) * k > len(block):
+        room = min(block_top, n) - m  # ceil(eps*n), cut off at n
+        block = sorted(set(b_bad) | set(range(m, m + room + 1)))
+        if (b + 1) * (k - 1) > room:
             st.fail(
-                f"block of {len(block)} vertices cannot hold {b + 1} disjoint edges",
+                f"block room (b + 1)(k - 1) <= ceil(eps*n) fails: ({b} + 1)({k} - 1) > {room}",
                 block=len(block),
                 needed=(b + 1) * k,
             )

@@ -246,8 +246,9 @@ class TestSizeArguments:
             (build_Hkl, ((3, 4, 5), (1, 2), 3, 2.0), "l=2.0"),
             (vertex_degree_threshold, (9, 3, 2.5), "m=2.5"),
             (parity_construction, ("3", 4, 3), "a='3'"),
+            (random_kgraph_conditioned, (9, 3, 2, 2.5), "tries=2.5"),
         ],
-        ids=["hknm-m", "join-r", "hkl-l", "threshold-m", "parity-a-str"],
+        ids=["hknm-m", "join-r", "hkl-l", "threshold-m", "parity-a-str", "conditioned-tries"],
     )
     def test_non_integer_size_is_rejected(self, build, args, named):
         with pytest.raises(InvalidQueryError, match="must be integers") as info:

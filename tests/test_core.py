@@ -20,11 +20,13 @@ from hypermatch import (
     min_l_degree,
     parity_construction,
     parse_graph,
+    random_kgraph,
     space_barrier,
     verify_matching,
 )
 from hypermatch.core import DEFAULT_NODE_BUDGET, node_budget
 from hypermatch.errors import BudgetExceededError, InvalidQueryError
+from hypermatch.lp import clique_window_matching
 from hypermatch.matching import NibbleConfig, exact_nu, exact_nu_within, nibble_matching_report
 
 
@@ -77,8 +79,14 @@ class TestKGraphBasics:
             (build_Hknm, (9.0, 3, 2)),
             (space_barrier, (6, 3.0)),
             (parity_construction, (3.0, 4, 3)),
+            (complete, (7.5, 3)),
+            (random_kgraph, (7.5, 3, 1 / 2, 1)),
+            (clique_window_matching, (7.5, 3)),
         ],
-        ids=["n-5.5", "n-4.0", "k-3.0", "trusted-k-str", "hknm-n-9.0", "barrier-k-3.0", "parity-a-3.0"],
+        ids=[
+            "n-5.5", "n-4.0", "k-3.0", "trusted-k-str", "hknm-n-9.0", "barrier-k-3.0", "parity-a-3.0",
+            "complete-n-7.5", "random-n-7.5", "windows-n-7.5",
+        ],
     )
     def test_non_integer_shape_is_rejected(self, build, args):
         with pytest.raises(InvalidQueryError, match="must be integers"):

@@ -1,7 +1,5 @@
 import hashlib
 import json
-import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -10,20 +8,14 @@ from hypermatch import (
     KGraph,
     Matching,
     build_Hknm,
-    complete,
-    constructions,
-    join_clique,
     min_l_degree,
-    parity_construction,
     parse_graph,
-    random_kgraph,
     vertex_degree_threshold,
 )
-from hypermatch.errors import BudgetExceededError, InvalidQueryError
+from hypermatch.errors import InvalidQueryError
 from hypermatch.harness import (
     ExperimentReport,
     TightnessFailure,
-    case_split_demo,
     conjecture_search,
     emit_report,
     graph_fingerprint,
@@ -31,7 +23,6 @@ from hypermatch.harness import (
     tightness_grid,
     verify_tightness,
 )
-from hypermatch.matching import exact_nu
 
 
 class TestTightness:
@@ -195,105 +186,6 @@ class TestReports:
         assert graph_fingerprint(H) == graph_fingerprint(KGraph(9, 3, H.edges))
 
 
-class TestCaseSplit:
-    def test_template_contains_branch(self):
-        H, _ = build_Hknm(12, 4, 3)
-        rep = case_split_demo(H, 3, Fraction(1, 100), Fraction(1, 10000))
-        assert rep.branch == "contains"
-        assert rep.containment.deficiency == 0
-
-    def test_complete_graph_concludes_on_contains_branch(self):
-        H = complete(12, 3)
-        rep = case_split_demo(H, 3, Fraction(1, 10**6), Fraction(1, 10000))
-        assert rep.branch == "contains"
-        assert rep.matching_size >= 3 and rep.concludes
-
-    def test_edgeless_no_conclusion(self):
-        H = KGraph(12, 3, [])
-        rep = case_split_demo(H, 3, Fraction(1, 10**6), Fraction(1, 10000))
-        assert rep.branch == "non-contains"
-        last = rep.pipeline_trace.steps[-1]
-        assert last.status == "failed" and last.details["message"]
-        assert rep.pipeline_trace.preconditions["degree_ok"] is False
-        assert rep.concludes is None
-
-    def test_budget_hit_propagates_from_the_contains_branch(self, monkeypatch):
-        # the parity graph is within eps = 1/10 of H_3(9, 2), and exact_nu
-        # on the remainder of its template matching walks past the root
-        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
-        with pytest.raises(BudgetExceededError, match="exact_nu"):
-            case_split_demo(parity_construction(5, 4, 3), 2, Fraction(1, 10), Fraction(1, 10000))
-
-    def test_budget_hit_in_the_pipeline_propagates_with_its_trace(self, monkeypatch):
-        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")
-        with pytest.raises(BudgetExceededError) as exc:
-            case_split_demo(build_Hknm(12, 3, 4)[0], 2, Fraction(1, 10**9), Fraction(1, 10000))
-        last = exc.value.trace.steps[-1]
-        assert (last.name, last.status) == ("preconditions", "indeterminate")
-
-    def test_budget_hit_in_the_augmented_matching_propagates(self, monkeypatch):
-        def out_of_budget(H):
-            raise BudgetExceededError("exact_nu node budget exceeded", nodes=3)
-
-        monkeypatch.setattr("hypermatch.harness.exact_nu", out_of_budget)
-        with pytest.raises(BudgetExceededError):
-            case_split_demo(KGraph(12, 3, []), 3, Fraction(1, 10**6), Fraction(1, 10000))
-
-    def test_dense_random_non_contains_concludes_integrally(self):
-        from hypermatch import random_kgraph
-
-        H = random_kgraph(12, 3, Fraction(7, 10), seed=8)
-        rep = case_split_demo(H, 2, Fraction(1, 10**9), Fraction(1, 10000), eta=Fraction(1, 12))
-        if rep.branch == "non-contains":
-            assert rep.concludes or rep.augmented_nu is not None
-        else:
-            assert rep.matching_size >= 2
-
-    def test_non_contains_branch_joins_the_clique_once(self, monkeypatch):
-        # the pipeline's cover step builds the only join; every module that
-        # holds join_clique gets the counting wrapper
-        calls = []
-
-        def counting(H, r):
-            calls.append(r)
-            return original(H, r)
-
-        original = constructions.join_clique
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "hypermatch" and getattr(module, "join_clique", None) is original:
-                monkeypatch.setattr(module, "join_clique", counting)
-        H = random_kgraph(12, 3, Fraction(7, 10), seed=8)
-        rep = case_split_demo(H, 2, Fraction(1, 10**9), Fraction(1, 10000), eta=Fraction(1, 12))
-        assert rep.branch == "non-contains"
-        assert calls == [rep.pipeline_trace.r]
-
-    @staticmethod
-    def _non_contains_sweep(count):
-        """(H, m, report) for the first `count` seeded non-contains splits."""
-        found, seed = [], 0
-        while len(found) < count:
-            rng = random.Random(seed)
-            n = rng.randint(9, 12)
-            m = rng.randint(2, (n - 2) // 3)  # n - 3m - n/12 >= 0
-            eps = rng.choice([Fraction(1, 10**9), Fraction(1, 100)])
-            H = random_kgraph(n, 3, rng.choice([Fraction(1, 2), Fraction(7, 10), Fraction(9, 10)]), seed=seed)
-            rep = case_split_demo(H, m, eps, Fraction(1, 10000), eta=Fraction(1, 12))
-            if rep.branch == "non-contains":
-                found.append((H, m, rep))
-            seed += 1
-        return found
-
-    def test_augmented_nu_is_the_join_identity(self):
-        sweep = self._non_contains_sweep(30)
-        for H, m, rep in sweep:
-            assert rep.augmented_nu == exact_nu(join_clique(H, rep.pipeline_trace.r))[0]
-            if rep.concludes:
-                assert rep.matching_size == exact_nu(H)[0] >= m
-            else:
-                assert rep.concludes is None and rep.matching_size is None
-        assert {rep.concludes for _, _, rep in sweep} == {True, None}
-
-
 @pytest.mark.parametrize(
     "query, message",
     [
@@ -301,8 +193,14 @@ class TestCaseSplit:
         (lambda: load_report("[1]\n"), "expected a JSON object"),
         (lambda: load_report('{"record": "x"}\n'), "unknown record kind"),
         (lambda: conjecture_search(9, 3, 2, model="bogus", trials=1), "unknown model"),
+        (lambda: conjecture_search(9, 3, 2, trials=2.5), "got trials=2.5"),
+        (lambda: tightness_grid((3,), 5.5), "got n_max=5.5"),
+        (lambda: tightness_grid((3.5,), 9), "got k=3.5"),
     ],
-    ids=["emit-xml", "load-not-an-object", "load-unknown-record", "search-unknown-model"],
+    ids=[
+        "emit-xml", "load-not-an-object", "load-unknown-record", "search-unknown-model",
+        "search-trials-2.5", "grid-n-max-5.5", "grid-k-3.5",
+    ],
 )
 def test_bad_query_is_rejected(query, message):
     with pytest.raises(InvalidQueryError, match=message):

@@ -42,9 +42,6 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 READERS.append(ROOT / "tests" / "test_acceptance.py")
-# ROADMAP item 7 gives case_split_demo a reader; until then it is the one
-# public name kept without one
-UNREAD_BY_DESIGN = {"harness.py": ["case_split_demo"]}
 # ROADMAP item 4's CLI `--timings` sets it; until then it is the one option
 # kept without a caller
 UNSET_BY_DESIGN = {"harness.py": ["emit_report.include_timings"]}
@@ -182,14 +179,12 @@ def _calls(tree: ast.AST) -> Counter:
     return calls
 
 
-def _unset_options(tree: ast.Module, calls: Counter, skip=()) -> list[str]:
+def _unset_options(tree: ast.Module, calls: Counter) -> list[str]:
     """Options defined in tree, as "callee.option", that no call in calls
     passes outside their own definitions; calls covers every reader, tree
-    included. Definitions named in skip are not checked."""
+    included."""
     unset = []
     for d, option, position in _options(tree):
-        if d.name in skip:
-            continue
         shapes = [(npos, kws) for name, npos, kws in calls - _calls(d) if name == d.name]
         by_position = position is not None and any(npos > position for npos, _ in shapes)
         if not by_position and not any(option in kws or "**" in kws for _, kws in shapes):
@@ -263,7 +258,7 @@ def test_an_unread_local_is_reported():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_public_name_has_a_reader(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    assert _unread_public(tree, _reader_reads()) == UNREAD_BY_DESIGN.get(path.name, [])
+    assert _unread_public(tree, _reader_reads()) == []
 
 
 def test_a_public_name_without_a_reader_is_reported():
@@ -292,8 +287,7 @@ def test_a_public_name_without_a_reader_is_reported():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_option_has_a_caller(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    unset = _unset_options(tree, _reader_calls(), skip=UNREAD_BY_DESIGN.get(path.name, []))
-    assert unset == UNSET_BY_DESIGN.get(path.name, [])
+    assert _unset_options(tree, _reader_calls()) == UNSET_BY_DESIGN.get(path.name, [])
 
 
 def test_an_option_without_a_caller_is_reported():
@@ -318,6 +312,5 @@ def test_an_option_without_a_caller_is_reported():
         "    x: int = 0\n"
         "Config(1, rho=2)\n"
     )
-    assert _unset_options(tree, _calls(tree), skip=["solve"]) == [
-        "draw.seed", "draw.p", "Config.eta", "run.fast"
-    ]
+    # solve(*[n]) may pass any number of positionals, so it sets both of solve's options
+    assert _unset_options(tree, _calls(tree)) == ["draw.seed", "draw.p", "Config.eta", "run.fast"]

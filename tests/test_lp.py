@@ -210,6 +210,18 @@ class TestDuality:
         assert phi.value() == w.total() == value == max_fractional_matching(H)[0]
         assert w.is_cover_of(H)
 
+    def test_matching_then_cover_solves_once(self, monkeypatch):
+        calls = []
+        solve = lp._solve_incidence_lp
+        monkeypatch.setattr(lp, "_solve_incidence_lp", lambda H: calls.append(H) or solve(H))
+        H = build_Hknm(9, 3, 3)[0]
+        nu_frac, phi = max_fractional_matching(H)
+        tau_frac, w = min_fractional_cover(KGraph(9, 3, H.edges))  # an equal graph
+        assert calls == [H]
+        assert nu_frac == tau_frac == phi.value() == w.total()
+        max_fractional_matching(complete(5, 3))
+        assert len(calls) == 2
+
     def test_sandwich_on_random(self, rng):
         for trial in range(10):
             H = random_kgraph(rng.randint(5, 8), 3, 0.5, seed=100 + trial)

@@ -321,7 +321,15 @@ class TestNibbleMatchesOracle:
 
 
 @pytest.mark.parametrize(
-    "field", [{"bite_fraction": 1}, {"max_rounds": -1}, {"tau_check": 0}], ids=lambda f: next(iter(f))
+    "field",
+    [
+        {"bite_fraction": 1},
+        {"max_rounds": -1},
+        {"tau_check": 0},
+        pytest.param({"max_rounds": 2.5}, id="max_rounds-2.5"),
+        pytest.param({"seed": 1.5}, id="seed-1.5"),
+    ],
+    ids=lambda f: next(iter(f)),
 )
 def test_out_of_range_config_is_rejected(field):
     with pytest.raises(InvalidQueryError, match=next(iter(field))):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -134,7 +135,7 @@ class TestPipeline:
     def test_auto_route_falls_back_to_the_block_route(self):
         # the closure's link has nu = 1 < m, so the exact attempt is skipped
         H, _ = build_Hknm(9, 3, 2)
-        with pytest.raises(StepFailureError, match="block of 2 vertices cannot hold 1 disjoint edges") as exc:
+        with pytest.raises(StepFailureError, match=re.escape("(0 + 1)(3 - 1) > 1")) as exc:
             fractional_pm_pipeline(H, 2, 3, PipelineConfig(), route="auto")
         steps = exc.value.trace.steps
         assert [(st.name, st.status) for st in steps] == [
@@ -151,7 +152,9 @@ class TestPipeline:
         ]
         assert steps[7].details["link_nu"] == 1
         assert steps[-1].details == {
-            "message": "block of 2 vertices cannot hold 1 disjoint edges", "block": 2, "needed": 3
+            "message": "block room (b + 1)(k - 1) <= ceil(eps*n) fails: (0 + 1)(3 - 1) > 1",
+            "block": 2,
+            "needed": 3,
         }
 
     def test_residue_splice_with_an_empty_completion(self):
