@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb
+from numbers import Real
 from operator import index
 
 from .core import KGraph, _check_shape, _integers
@@ -181,7 +182,7 @@ def _draw_threshold(p) -> float:
 def random_kgraph(n: int, k: int, p, seed: int) -> KGraph:
     """Each k-set included independently with probability p; seed-deterministic."""
     n, k = _check_shape(n, k)
-    if not 0 <= p <= 1:
+    if not (isinstance(p, Real) and 0 <= p <= 1):
         raise InvalidQueryError(f"need 0 <= p <= 1, got {p}")
     draw, t = random.Random(seed).random, _draw_threshold(p)
     edges = [e for e in combinations(range(1, n + 1), k) if draw() < t]
@@ -204,12 +205,13 @@ def random_kgraph_conditioned(
     threshold; a p given outside [0, 1] raises InvalidQueryError. Raises
     SamplingExhaustedError when tries run out.
     """
-    [tries] = _integers(tries=tries)
+    if _integers(tries=tries)[0] < 0:
+        raise InvalidQueryError(f"need tries >= 0, got {tries}")
     floor = vertex_degree_threshold(n, k, m) + 1
     if p is None:
         full = comb(n - 1, k - 1)
         p = min(Fraction(1), Fraction(3 * floor, 2 * full)) if full else Fraction(1)
-    elif not 0 <= p <= 1:
+    elif not (isinstance(p, Real) and 0 <= p <= 1):
         raise InvalidQueryError(f"need 0 <= p <= 1, got {p}")
     draw, t = random.Random(seed).random, _draw_threshold(p)
     all_sets = list(combinations(range(1, n + 1), k))

@@ -248,6 +248,8 @@ def conjecture_search(
     Budget exhaustion marks the report incomplete instead of aborting.
     """
     [trials] = _integers(trials=trials)
+    if trials < 0:
+        raise InvalidQueryError(f"need trials >= 0, got {trials}")
     if k < 2 or not k * m < n:
         raise InvalidQueryError(f"need k >= 2 and m < n/k, got n={n}, k={k}, m={m}")
     t0 = time.perf_counter()

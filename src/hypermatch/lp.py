@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
+from numbers import Real
 from typing import Mapping, Sequence
 
 from .constructions import complete
@@ -88,7 +89,7 @@ class VertexWeights:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if any(not 0 <= w <= 1 for w in self.weights):
+        if not all(isinstance(w, Real) and 0 <= w <= 1 for w in self.weights):
             raise InvalidQueryError("vertex weights must lie in [0, 1]")
 
     def __getitem__(self, v: int) -> Fraction:

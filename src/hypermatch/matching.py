@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable
 
 from .core import EdgeT, KGraph, Matching, _integers, induced, node_budget
@@ -27,12 +28,12 @@ class NibbleConfig:
     tau_check: Fraction = Fraction(1, 20)
 
     def __post_init__(self):
-        if not 0 < self.bite_fraction < 1:
+        if not (isinstance(self.bite_fraction, Real) and 0 < self.bite_fraction < 1):
             raise InvalidQueryError(f"bite_fraction must be in (0,1), got {self.bite_fraction}")
         max_rounds, seed = _integers(max_rounds=self.max_rounds, seed=self.seed)
         if max_rounds < 0:
             raise InvalidQueryError("max_rounds must be nonnegative")
-        if self.tau_check <= 0:
+        if not (isinstance(self.tau_check, Real) and self.tau_check > 0):
             raise InvalidQueryError("tau_check must be positive")
         if seed < 0:
             raise InvalidQueryError(f"seed must be nonnegative, got {seed}")

@@ -91,11 +91,11 @@ class PipelineConfig:
     eps: Fraction = Fraction(1, 10)
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not (isinstance(self.eta, Real) and self.eta > 0):
             raise InvalidQueryError(f"eta must be positive, got {self.eta}")
-        if not 0 < self.eps < 1:
+        if not (isinstance(self.eps, Real) and 0 < self.eps < 1):
             raise InvalidQueryError(f"eps must be in (0,1), got {self.eps}")
-        if self.rho < 0:
+        if not (isinstance(self.rho, Real) and self.rho >= 0):
             raise InvalidQueryError(f"rho must be nonnegative, got {self.rho}")
 
 
@@ -134,13 +134,12 @@ class TraceStep:
     """One pipeline step, timed from its creation; use as
     ``with trace.step(name) as st:``.
 
-    status is "ok", "failed", "skipped" or "indeterminate". The block may set
-    name, status and details. The step is appended to its trace however the
-    block ends: as the block left it when no exception is raised;
-    "indeterminate" with the message and node count on a budget hit; and
-    "failed" with the message for any other exception that fail or
-    contradict did not already mark. A HypermatchError leaving the block
-    carries the trace.
+    status is "ok", "failed" or "indeterminate". The block may set details.
+    The step is appended to its trace however the block ends: as the block
+    left it when no exception is raised; "indeterminate" with the message
+    and node count on a budget hit; and "failed" with the message for any
+    other exception that fail or contradict did not already mark. A
+    HypermatchError leaving the block carries the trace.
     """
 
     def __init__(self, trace: PipelineTrace, name: str):
@@ -265,8 +264,8 @@ def fractional_pm_pipeline(
 ) -> tuple[FractionalAssignment, PipelineTrace]:
     """Run the constructive proof as an algorithm; see the module docstring.
 
-    route "auto" tries an exact matching of the link and falls back to the
-    block route when it is short of m; "greedy" runs the block route alone.
+    route "auto" takes an exact maximum matching of the link and fails at
+    find_matching when it is short of m; "greedy" runs the block route.
     Returns a verified perfect fractional matching of the weight closure H'
     (on the weight-sorted labels; the trace carries the relabeling) plus the
     step trace. Structural certificates that hold unconditionally (stable
@@ -369,23 +368,17 @@ def fractional_pm_pipeline(
                     )
 
     # integral matching of size m inside the core graph
-    M = None
-    if route == "auto":
+    if route == "greedy":
+        M = _block_route_matching(link_graph, m, block_top, cfg.rho, trace)
+    else:
         with trace.step("find_matching") as st:
             nu_link, link_matching = exact_nu(link_graph)
-            if nu_link >= m:
-                picked = link_matching.edges[:m]
-                used = {v for e in picked for v in e}
-                M = _transfer(st, picked, used, n)
-                trace.route_used = "exact"
-                st.details = {"route": "exact", "link_nu": nu_link, "size": m}
-            else:
-                st.name, st.status = "find_matching_exact_attempt", "skipped"
-                st.details = {"link_nu": nu_link, "note": "falling back to the block route"}
-
-    if M is None:
-        M = _block_route_matching(link_graph, m, block_top, cfg.rho, trace)
-        trace.route_used = "greedy"
+            if nu_link < m:
+                st.fail(f"the link's matching number {nu_link} is below m = {m}", link_nu=nu_link)
+            picked = link_matching.edges[:m]
+            M = _transfer(st, picked, {v for e in picked for v in e}, n)
+            st.details = {"route": "exact", "link_nu": nu_link, "size": m}
+    trace.route_used = "greedy" if route == "greedy" else "exact"
 
     with trace.step("matching_verify") as st:
         if not (verify_matching(core_graph, Matching.from_edges(M)) and len(M) == m):
@@ -594,7 +587,7 @@ def chernoff_band(n: int, p, fail_prob: float) -> tuple[float, float]:
     [n] = _integers(n=n)
     if n < 0 or not (isinstance(p, Real) and 0 <= p <= 1):
         raise InvalidQueryError(f"need n >= 0 and p a real number in [0,1], got n={n}, p={p!r}")
-    if not 0 < fail_prob < 1:
+    if not (isinstance(fail_prob, Real) and 0 < fail_prob < 1):
         raise InvalidQueryError("fail_prob must be in (0,1)")
     mu = float(n * Fraction(p))
     if mu == 0:

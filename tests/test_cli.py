@@ -318,6 +318,7 @@ class TestVerifySearchReport:
             (["pipeline", "--m", "3", "--r", "-2"], "3 12\n"),
             (["search", "--n", "9", "--k", "0", "--m", "2"], None),
             (["search", "--n", "9", "--k", "-1", "--m", "2"], None),
+            (["search", "--n", "9", "--k", "3", "--m", "2", "--trials", "-5"], None),
             (["gen", "--family", "barrier", "--n", "6", "--k", "0"], None),
             (["nibble", "--seed", "-1"], "3 6\n1 2 3\n4 5 6\n"),
             (["nibble", "--sigma", "0"], "3 6\n1 2 3\n4 5 6\n"),
@@ -334,6 +335,7 @@ class TestVerifySearchReport:
             "search-m-too-large", "search-p-out-of-range",
             "report-empty", "report-not-json", "report-header-incomplete", "verify-ks-zero",
             "pipeline-k-2", "pipeline-r-negative", "search-k-0", "search-k-negative",
+            "search-trials-negative",
             "gen-barrier-k-0", "nibble-seed-negative", "nibble-sigma-0", "nibble-sigma-1",
             "gen-hkl-m-above-n-plus-1", "gen-parity-m-above-n",
             "nu-header-one-number", "nu-edge-too-short", "nu-vertex-out-of-range",

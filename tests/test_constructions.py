@@ -261,8 +261,12 @@ class TestSizeArguments:
             (join_clique, (complete(5, 3), -1)),
             (build_Hknm, (5, 3, 4)),
             (vertex_degree_threshold, (5, 3, 4)),
+            (random_kgraph_conditioned, (9, 3, 2, -5)),
         ],
-        ids=["join-r-negative", "hknm-m-too-large", "threshold-m-too-large"],
+        ids=[
+            "join-r-negative", "hknm-m-too-large", "threshold-m-too-large",
+            "conditioned-tries-negative",
+        ],
     )
     def test_out_of_range_size_is_rejected(self, build, args):
         with pytest.raises(InvalidQueryError, match="need"):
@@ -270,7 +274,7 @@ class TestSizeArguments:
 
 
 # both generators reject these before drawing, so _draw_threshold never sees them
-OUT_OF_RANGE_P = [Fraction(-1, 2), Fraction(3, 2), 2, float("inf"), float("nan")]
+OUT_OF_RANGE_P = [Fraction(-1, 2), Fraction(3, 2), 2, float("inf"), float("nan"), "x"]
 
 
 class TestRandomGraphs:

@@ -194,12 +194,13 @@ class TestReports:
         (lambda: load_report('{"record": "x"}\n'), "unknown record kind"),
         (lambda: conjecture_search(9, 3, 2, model="bogus", trials=1), "unknown model"),
         (lambda: conjecture_search(9, 3, 2, trials=2.5), "got trials=2.5"),
+        (lambda: conjecture_search(9, 3, 2, trials=-5), "need trials >= 0, got -5"),
         (lambda: tightness_grid((3,), 5.5), "got n_max=5.5"),
         (lambda: tightness_grid((3.5,), 9), "got k=3.5"),
     ],
     ids=[
         "emit-xml", "load-not-an-object", "load-unknown-record", "search-unknown-model",
-        "search-trials-2.5", "grid-n-max-5.5", "grid-k-3.5",
+        "search-trials-2.5", "search-trials-negative", "grid-n-max-5.5", "grid-k-3.5",
     ],
 )
 def test_bad_query_is_rejected(query, message):

@@ -347,10 +347,11 @@ FOUR_HALVES = VertexWeights((Fraction(1, 2),) * 4)
     "query, message",
     [
         (lambda: VertexWeights((Fraction(3, 2),)), "must lie in"),
+        (lambda: VertexWeights((Fraction(1, 2), "x")), "must lie in"),
         (lambda: weight_closure(5, 3, FOUR_HALVES), "cover 4 vertices, expected 5"),
         (lambda: relabel_by_weights(complete(5, 3), FOUR_HALVES), "cover 4 vertices, expected 5"),
     ],
-    ids=["weight-above-1", "closure-length", "relabel-length"],
+    ids=["weight-above-1", "weight-x", "closure-length", "relabel-length"],
 )
 def test_out_of_range_query_is_rejected(query, message):
     with pytest.raises(InvalidQueryError, match=message):

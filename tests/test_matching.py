@@ -328,6 +328,8 @@ class TestNibbleMatchesOracle:
         {"tau_check": 0},
         pytest.param({"max_rounds": 2.5}, id="max_rounds-2.5"),
         pytest.param({"seed": 1.5}, id="seed-1.5"),
+        pytest.param({"bite_fraction": "x"}, id="bite_fraction-x"),
+        pytest.param({"tau_check": "x"}, id="tau_check-x"),
     ],
     ids=lambda f: next(iter(f)),
 )

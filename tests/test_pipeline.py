@@ -132,10 +132,10 @@ class TestPipeline:
         assert trace.route_used == "exact"
         assert phi.is_perfect()
 
-    def test_auto_route_falls_back_to_the_block_route(self):
-        # the closure's link has nu = 1 < m, so the exact attempt is skipped
+    def test_auto_route_fails_at_find_matching_when_the_link_is_short(self):
+        # the closure's link has nu = 1 < m, and auto never runs the block route
         H, _ = build_Hknm(9, 3, 2)
-        with pytest.raises(StepFailureError, match=re.escape("(0 + 1)(3 - 1) > 1")) as exc:
+        with pytest.raises(StepFailureError, match=re.escape("number 1 is below m = 2")) as exc:
             fractional_pm_pipeline(H, 2, 3, PipelineConfig(), route="auto")
         steps = exc.value.trace.steps
         assert [(st.name, st.status) for st in steps] == [
@@ -146,16 +146,23 @@ class TestPipeline:
             ("link_stability", "ok"),
             ("complete_block", "ok"),
             ("neighborhood_transfer", "ok"),
-            ("find_matching_exact_attempt", "skipped"),
-            ("block_route_classify", "ok"),
-            ("block_route_block_matching", "failed"),
+            ("find_matching", "failed"),
         ]
-        assert steps[7].details["link_nu"] == 1
-        assert steps[-1].details == {
-            "message": "block room (b + 1)(k - 1) <= ceil(eps*n) fails: (0 + 1)(3 - 1) > 1",
-            "block": 2,
-            "needed": 3,
-        }
+        assert steps[-1].details["link_nu"] == 1
+        assert exc.value.trace.route_used is None
+
+    def test_only_greedy_reaches_verify_on_a_lone_block(self):
+        # K_6 on [6] in 12 vertices, m = 1 and r = 3 < minimal_feasible_r: the
+        # closure's link is empty, so auto stops where the block route's one
+        # block edge would finish
+        H = KGraph(12, 3, list(combinations(range(1, 7), 3)))
+        with pytest.raises(StepFailureError) as exc:
+            fractional_pm_pipeline(H, 1, 3, PipelineConfig())
+        last = exc.value.trace.steps[-1]
+        assert (last.name, last.status, last.details["link_nu"]) == ("find_matching", "failed", 0)
+        phi, trace = fractional_pm_pipeline(H, 1, 3, PipelineConfig(), route="greedy")
+        assert trace.route_used == "greedy" and phi.is_perfect()
+        assert not trace.preconditions["clique_ok"]
 
     def test_residue_splice_with_an_empty_completion(self):
         # m = 3 covers all 9 vertices and r = 1 is the one residue vertex, so
@@ -184,6 +191,9 @@ class TestPipeline:
                 H = random_kgraph(n, 3, rng.choice([0.2, 0.5, 0.8]), seed=seed)
             r = minimal_feasible_r(n, 3, m) + rng.randint(0, 2)
             cfg = PipelineConfig(rho=(Fraction(1, 10000), Fraction(1, 2), Fraction(1000))[seed % 3])
+            # auto reaches verify on every host here, so also wherever greedy does
+            auto_phi, auto_trace = fractional_pm_pipeline(H, m, r, cfg)
+            assert auto_trace.route_used == "exact" and auto_phi.is_perfect(), seed
             try:
                 phi, trace = fractional_pm_pipeline(H, m, r, cfg, route="greedy")
             except StepFailureError as exc:
@@ -433,7 +443,7 @@ class TestChernoff:
         assert math.isclose(math.exp(-((mu - lo) ** 2) / (2 * mu)), 1e-3)
         assert math.isclose(math.exp(-((hi - mu) ** 2) / (3 * mu)), 1e-3)
 
-    @pytest.mark.parametrize("fail_prob", [0, 1])
+    @pytest.mark.parametrize("fail_prob", [0, 1, "x"])
     def test_fail_prob_outside_the_open_unit_interval_is_rejected(self, fail_prob):
         with pytest.raises(InvalidQueryError, match="fail_prob"):
             chernoff_band(100, Fraction(1, 2), fail_prob)
@@ -466,11 +476,17 @@ class TestChernoff:
         (lambda: PipelineConfig(eta=0), "eta"),
         (lambda: PipelineConfig(eps=1), "eps"),
         (lambda: PipelineConfig(rho=-1), "rho"),
+        (lambda: PipelineConfig(eta="x"), "eta"),
+        (lambda: PipelineConfig(eps="x"), "eps"),
+        (lambda: PipelineConfig(rho="x"), "rho"),
         (lambda: SamplerSettings(2, 1), "keep_probability"),
         (lambda: SamplerSettings(0.5, -1), "copy_count"),
         (lambda: fractional_pm_pipeline(complete(12, 3), 0, 3, PipelineConfig()), "m=0"),
     ],
-    ids=["eta-0", "eps-1", "rho-negative", "keep-2", "copies-negative", "pipeline-m-0"],
+    ids=[
+        "eta-0", "eps-1", "rho-negative", "eta-x", "eps-x", "rho-x", "keep-2", "copies-negative",
+        "pipeline-m-0",
+    ],
 )
 def test_out_of_range_query_is_rejected(query, message):
     with pytest.raises(InvalidQueryError, match=message):
