@@ -3,13 +3,13 @@
 One simplex solve (revised simplex, Dantzig pricing, Bland's rule after a
 run of degenerate pivots) yields both optima: the fractional matching from
 the primal basis and the fractional vertex cover from the duals of the
-final basis. The pivot loop is fraction-free: it runs on Python ints,
-keeping D = det B > 0 and the integer adjugate A = adj B of the basis
-matrix B, so B^-1 = A / D; every update divides exactly by the old D, and
-Fraction appears only in the returned values. solve_fractional returns both
-witnesses after re-verifying them by direct exact arithmetic, so their
-equal values certify optimality of both via weak duality independently of
-the pivoting path.
+final basis. The incidence is transposed once per solve, so each pivot
+prices every edge column in k C-level passes. The pivot loop is
+fraction-free: on Python ints it keeps D = det B > 0 and A = adj B, so
+B^-1 = A / D, and every update divides exactly by the old D; Fraction
+appears only in the returned values. solve_fractional re-verifies both
+witnesses by direct exact arithmetic, so their equal values certify
+optimality of both via weak duality, independently of the pivoting path.
 
 Also: cyclic windows and the cyclic-window perfect fractional matching of
 complete graphs, the weight-closure hypergraph of a vertex weighting, and
@@ -24,7 +24,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from numbers import Real
-from typing import Mapping, Sequence
+from operator import add
+from typing import Callable, Mapping, Sequence
 
 from .constructions import complete
 from .core import EdgeT, KGraph, _check_shape
@@ -82,6 +83,19 @@ def _common_denominator(weights) -> tuple[int, list[int]]:
     return den, [0] + [w.numerator * (den // w.denominator) for w in weights]
 
 
+def _edge_sums(edges: Sequence[EdgeT]) -> Callable[[Sequence[int]], list[int]]:
+    """vals -> [sum(vals[v] for v in e) for e in edges]: edges transposed once, k C-level passes."""
+    positions = list(zip(*edges)) or [()]
+
+    def sums(vals: Sequence[int]) -> list[int]:
+        s = map(vals.__getitem__, positions[0])
+        for rows in positions[1:]:
+            s = map(add, s, map(vals.__getitem__, rows))
+        return list(s)
+
+    return sums
+
+
 @dataclass(frozen=True)
 class VertexWeights:
     """Vertex weights in [0,1]; weights[v-1] is the weight of vertex v."""
@@ -103,23 +117,24 @@ class VertexWeights:
         return sum(self.weights, ZERO)
 
     def is_cover_of(self, H: KGraph) -> bool:
+        if self.n != H.n:
+            raise InvalidQueryError(f"weights cover {self.n} vertices, expected {H.n}")
         den, nums = _common_denominator(self.weights)
-        return all(sum(map(nums.__getitem__, e)) >= den for e in H.edges)
+        return all(s >= den for s in _edge_sums(H.edges)(nums))
 
 
 def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fraction, ...]]:
     """Maximize total edge weight subject to unit vertex loads.
 
-    Revised simplex with an explicit basis inverse: the constraint matrix is
-    a 0/1 incidence matrix with k ones per edge column, so reduced costs are
-    priced in O(k) per column and only the m x m inverse is updated per
-    pivot. The slack basis is feasible (all right-hand sides are 1), so no
-    phase 1 is needed. Deterministic: Dantzig's rule enters the edge column
-    of largest reduced cost (lowest index on ties), else the first slack
-    with a negative dual; after DEGENERATE_RUN degenerate pivots in a row,
-    Bland's rule (lowest eligible column, edges first, then slacks; it
-    cannot cycle) prices until the next nondegenerate pivot. Ratio ties go
-    to the lowest basic variable.
+    Revised simplex on the 0/1 incidence matrix (k ones per edge column),
+    transposed once, so a pivot prices every edge column in k C-level passes
+    and updates only the m x m basis inverse. The slack basis is feasible
+    (all right-hand sides are 1), so no phase 1 is needed. Deterministic:
+    Dantzig's rule enters the edge column of largest reduced cost (lowest
+    index on ties), else the first slack with a negative dual; after
+    DEGENERATE_RUN degenerate pivots in a row, Bland's rule (lowest eligible
+    column, edges first, then slacks; it cannot cycle) prices until the next
+    nondegenerate pivot. Ratio ties go to the lowest basic variable.
 
     Fraction-free: the loop runs on ints. For the basis matrix B it keeps
     det = D = det B > 0 and adj = A = adj B, so B^-1 = A / D, plus the
@@ -133,9 +148,7 @@ def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fractio
     """
     m = H.n
     ncols = len(H.edges)
-    # edge columns as 0-based row index tuples; positions[t][j] is the t-th row of column j
-    cols = [tuple(v - 1 for v in e) for e in H.edges]
-    positions = list(zip(*cols))
+    price = _edge_sums(H.edges)
     adj = [[int(i == t) for t in range(m)] for i in range(m)]
     xb = [1] * m
     det = 1
@@ -146,7 +159,7 @@ def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fractio
         # y = cB^T adj, summing only edge (cost 1) basis rows
         y = list(map(sum, zip([0] * m, *(row for row, j in zip(adj, basis) if j < ncols))))
         # s[j] = y a_j, so the reduced cost of edge column j is (det - s[j]) / det
-        s = list(map(sum, zip(*(map(y.__getitem__, rows) for rows in positions))))
+        s = price([0, *y])
         if degenerate < DEGENERATE_RUN:
             enter = s.index(low) if (low := min(s, default=det)) < det else None
         else:
@@ -155,7 +168,7 @@ def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fractio
             enter = next((ncols + i for i in range(m) if y[i] < 0), None)
             if enter is None:
                 break
-        enter_rows = cols[enter] if enter < ncols else (enter - ncols,)
+        enter_rows = [v - 1 for v in H.edges[enter]] if enter < ncols else (enter - ncols,)
         # direction d = adj a_enter, so B^-1 a_enter = d / det
         d = [sum(map(row.__getitem__, enter_rows)) for row in adj]
         leave = None
@@ -234,6 +247,8 @@ def clique_window_matching(n: int, k: int) -> FractionalAssignment:
 def cyclic_windows(verts: Sequence[int], k: int) -> list[EdgeT]:
     """The cyclic windows of k consecutive entries of verts, sorted, by start entry."""
     nn = len(verts)
+    if nn < k:
+        raise InvalidQueryError(f"need at least k={k} vertices for a window, got {nn}")
     return [tuple(sorted(verts[(i + j) % nn] for j in range(k))) for i in range(nn)]
 
 

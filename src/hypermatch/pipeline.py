@@ -34,7 +34,6 @@ from .core import (
     Matching,
     _integers,
     independence_number,
-    induced,
     is_stable,
     link,
     min_l_degree,
@@ -329,7 +328,7 @@ def fractional_pm_pipeline(
         closure = weight_closure(n + r, k, w)
         if not closure.edge_set.issuperset(H_aug_sorted.edges):
             st.contradict("augmented graph escapes its weight closure")
-        core_graph = induced(closure, range(1, n + 1))  # clique labels are on top
+        core_graph = KGraph._from_sorted(n, k, [e for e in closure.edges if e[-1] <= n])  # clique on top
         link_graph = link(core_graph, n)
         st.details = {
             "closure_edges": len(closure.edges),

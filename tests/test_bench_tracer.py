@@ -78,12 +78,19 @@ import sys
 from fractions import Fraction
 from hypermatch import KGraph, format_graph, random_kgraph
 from hypermatch.harness import conjecture_search
+from hypermatch.lp import solve_fractional
+from hypermatch.matching import exact_nu
 from hypermatch.pipeline import PipelineConfig, fractional_pm_pipeline, minimal_feasible_r
 
-conjecture_search(9, 3, 2, trials=5)
+conjecture_search(9, 3, 2, trials=20)
 format_graph(KGraph(5, 3, [(1, 2, 3), (2, 4, 5)]))
 H = random_kgraph(9, 3, Fraction(17, 20), seed=1)
 fractional_pm_pipeline(H, 2, minimal_feasible_r(9, 3, 2), PipelineConfig())
+H = random_kgraph(12, 3, Fraction(7, 10), seed=0)  # c04-sized
+solve_fractional(H)
+exact_nu(H)
+phi, _ = fractional_pm_pipeline(H, 2, minimal_feasible_r(12, 3, 2), PipelineConfig())
+assert phi.is_perfect()
 assert "numpy" not in sys.modules, "numpy was imported"
 """
 

@@ -14,6 +14,7 @@ from hypermatch.lp import (
     FractionalAssignment,
     VertexWeights,
     clique_window_matching,
+    cyclic_windows,
     max_fractional_matching,
     min_fractional_cover,
     permute_weights,
@@ -113,6 +114,22 @@ class TestFractionFreeSimplex:
         assert w.is_cover_of(KGraph(5, 3, [(1, 2, 3)]))  # 1/2 + 1/3 + 1/6 = 1
         assert not w.is_cover_of(KGraph(5, 3, [(1, 2, 3), (2, 3, 4)]))  # 3/4
         assert weight_closure(5, 3, w).edges == ((1, 2, 3), (1, 2, 4))  # 1 and 13/12
+
+
+class TestEdgeSums:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_equals_per_edge_sums(self, data):
+        k = data.draw(st.integers(min_value=2, max_value=5))
+        n = data.draw(st.integers(min_value=k, max_value=8))
+        ksets = list(combinations(range(1, n + 1), k))
+        H = KGraph(n, k, data.draw(st.lists(st.sampled_from(ksets), unique=True)))
+        vals = data.draw(st.lists(st.integers(-(10**30), 10**30), min_size=n + 1, max_size=n + 1))
+        assert lp._edge_sums(H.edges)(vals) == [sum(vals[v] for v in e) for e in H.edges]
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_edgeless_graph_has_no_sums(self, k):
+        assert lp._edge_sums(KGraph(6, k, []).edges)([0, 1, -2, 3, -4, 5, -6]) == []
 
 
 def _without_a_positive_entry(phi):
@@ -251,6 +268,9 @@ class TestCliqueWindows:
         with pytest.raises(InvalidQueryError):
             clique_window_matching(3, 3)
 
+    def test_windows_of_exactly_k_entries_repeat_the_one_k_set(self):
+        assert cyclic_windows([4, 6, 5], 3) == [(4, 5, 6)] * 3
+
     def test_complete_graph_lp_equals_n_over_k(self):
         for n, k in [(5, 3), (7, 3), (6, 4)]:
             val, _ = max_fractional_matching(complete(n, k))
@@ -350,8 +370,19 @@ FOUR_HALVES = VertexWeights((Fraction(1, 2),) * 4)
         (lambda: VertexWeights((Fraction(1, 2), "x")), "must lie in"),
         (lambda: weight_closure(5, 3, FOUR_HALVES), "cover 4 vertices, expected 5"),
         (lambda: relabel_by_weights(complete(5, 3), FOUR_HALVES), "cover 4 vertices, expected 5"),
+        (lambda: VertexWeights((Fraction(1),) * 3).is_cover_of(complete(5, 3)), "cover 3 vertices, expected 5"),
+        (lambda: FOUR_HALVES.is_cover_of(complete(3, 3)), "cover 4 vertices, expected 3"),
+        (lambda: cyclic_windows([1, 2], 3), "need at least k=3 vertices for a window, got 2"),
     ],
-    ids=["weight-above-1", "weight-x", "closure-length", "relabel-length"],
+    ids=[
+        "weight-above-1",
+        "weight-x",
+        "closure-length",
+        "relabel-length",
+        "cover-fewer-weights",
+        "cover-more-weights",
+        "windows-fewer-than-k",
+    ],
 )
 def test_out_of_range_query_is_rejected(query, message):
     with pytest.raises(InvalidQueryError, match=message):

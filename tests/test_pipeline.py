@@ -20,6 +20,7 @@ from hypermatch import (
     pipeline,
     random_kgraph,
 )
+from hypermatch.core import induced
 from hypermatch.errors import (
     BudgetExceededError,
     InternalContradictionError,
@@ -373,6 +374,27 @@ class TestPipeline:
         _, trace = fractional_pm_pipeline(complete(12, 3), 3, 3, PipelineConfig())
         assert trace.value == 5
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n, m", [(12, 2), (13, 3), (14, 4)])
+    def test_closure_core_is_the_closure_induced_on_the_original_vertices(self, monkeypatch, n, m):
+        seen = {}
+        real_closure, real_link = pipeline.weight_closure, pipeline.link
+
+        def closure(*args):
+            seen["closure"] = real_closure(*args)
+            return seen["closure"]
+
+        def link(G, v):
+            seen["core"] = G
+            return real_link(G, v)
+
+        monkeypatch.setattr(pipeline, "weight_closure", closure)
+        monkeypatch.setattr(pipeline, "link", link)
+        H = random_kgraph(n, 3, Fraction(7, 10), seed=n)
+        _, trace = fractional_pm_pipeline(H, m, minimal_feasible_r(n, 3, m), PipelineConfig())
+        assert trace.steps[-1].name == "verify"
+        assert seen["core"] == induced(seen["closure"], range(1, n + 1))
+        assert seen["core"].n == n and seen["closure"].n > n
 
     def test_rejects_bad_route(self):
         with pytest.raises(InvalidQueryError):
