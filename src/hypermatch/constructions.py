@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb
+from math import comb
 from numbers import Real
 from operator import index
 
@@ -168,23 +168,31 @@ def vertex_degree_threshold(n: int, k: int, m: int) -> int:
 _TWO53 = 2**53
 
 
+def _probability(p):
+    """p itself, once 0 <= p <= 1 is checked."""
+    if not (isinstance(p, Real) and 0 <= p <= 1):
+        raise InvalidQueryError(f"need 0 <= p <= 1, got {p}")
+    return p
+
+
 def _draw_threshold(p) -> float:
     """The float T such that rng.random() < T exactly when rng.random() < p.
 
     random() returns a / 2**53 for an integer a, and a < p * 2**53 holds
     exactly when a < ceil(p * 2**53). That ceiling over 2**53 is a float
     with no rounding, and a float compare is far cheaper than comparing a
-    float with a Fraction. Callers check 0 <= p <= 1 first.
+    float with a Fraction. The ceiling is taken in integers. Callers check
+    0 <= p <= 1 first.
     """
-    return ceil(Fraction(p) * _TWO53) / _TWO53
+    f = Fraction(p)
+    return -(-(f.numerator << 53) // f.denominator) / _TWO53
 
 
 def random_kgraph(n: int, k: int, p, seed: int) -> KGraph:
     """Each k-set included independently with probability p; seed-deterministic."""
     n, k = _check_shape(n, k)
-    if not (isinstance(p, Real) and 0 <= p <= 1):
-        raise InvalidQueryError(f"need 0 <= p <= 1, got {p}")
-    draw, t = random.Random(seed).random, _draw_threshold(p)
+    t = _draw_threshold(_probability(p))
+    draw = random.Random(seed).random
     edges = [e for e in combinations(range(1, n + 1), k) if draw() < t]
     return KGraph._from_sorted(n, k, edges)
 
@@ -209,11 +217,12 @@ def random_kgraph_conditioned(
         raise InvalidQueryError(f"need tries >= 0, got {tries}")
     floor = vertex_degree_threshold(n, k, m) + 1
     if p is None:
-        full = comb(n - 1, k - 1)
-        p = min(Fraction(1), Fraction(3 * floor, 2 * full)) if full else Fraction(1)
-    elif not (isinstance(p, Real) and 0 <= p <= 1):
-        raise InvalidQueryError(f"need 0 <= p <= 1, got {p}")
-    draw, t = random.Random(seed).random, _draw_threshold(p)
+        full = comb(n - 1, k - 1)  # >= 1: the threshold needs n >= m + k - 1 >= k
+        p = Fraction(min(3 * floor, 2 * full), 2 * full)
+    else:
+        p = _probability(p)
+    t = _draw_threshold(p)
+    draw = random.Random(seed).random
     all_sets = list(combinations(range(1, n + 1), k))
     for _ in range(tries):
         H = KGraph._from_sorted(n, k, [e for e in all_sets if draw() < t])

@@ -314,15 +314,15 @@ def _greedy_block_cover_bound(H: KGraph, candidates: Sequence[int]) -> int:
     Greedily partitions the candidates into blocks spanning complete
     sub-k-graphs (ties broken by lowest vertex index); an independent set
     meets a complete block on s >= k vertices in at most k-1 of them.
+    Candidates must ascend: each block then ascends, and v comes after
+    every member, so sub + (v,) is already a sorted edge.
     """
     k = H.k
     es = H.edge_set
     blocks: list[list[int]] = []
     for v in candidates:
         for blk in blocks:
-            if len(blk) < k - 1 or all(
-                tuple(sorted(sub + (v,))) in es for sub in combinations(blk, k - 1)
-            ):
+            if len(blk) < k - 1 or all(sub + (v,) in es for sub in combinations(blk, k - 1)):
                 blk.append(v)
                 break
         else:

@@ -16,10 +16,11 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .constructions import (
+    _probability,
     build_Hknm,
     random_kgraph,
     random_kgraph_conditioned,
@@ -216,20 +217,30 @@ def verify_tightness(grid: Iterable[tuple[int, int, int]]) -> ExperimentReport:
     return report
 
 
-def _sample_for_model(model: str, n: int, k: int, m: int, p, trial_seed: str) -> KGraph:
-    seed = int.from_bytes(hashlib.sha256(trial_seed.encode()).digest()[:8], "big")
+def _model_sampler(model: str, n: int, k: int, m: int, p) -> Callable[[str], KGraph]:
+    """The model's draw of one trial graph from its trial key.
+
+    The model and p are checked, and any part shared by every trial is
+    built, once per search, before the first draw.
+    """
     if model == "uniform-p":
-        return random_kgraph(n, k, 0.5 if p is None else p, seed=seed)
+        p = _probability(0.5 if p is None else p)
+        return lambda key: random_kgraph(n, k, p, seed=_trial_seed(key))
     if model == "conditioned":
-        return random_kgraph_conditioned(n, k, m, tries=500, seed=seed, p=p)
+        if p is not None:
+            _probability(p)
+        return lambda key: random_kgraph_conditioned(n, k, m, tries=500, seed=_trial_seed(key), p=p)
     if model == "planted":
         # extremal core plus independent extras: concentrates sampling where
         # the threshold filter is tight
-        base, _ = build_Hknm(n, k, m)
-        extra_p = 0.25 if p is None else p
-        noise = random_kgraph(n, k, extra_p, seed=seed)
-        return KGraph(n, k, list(base.edges) + list(noise.edges))
+        base = list(build_Hknm(n, k, m)[0].edges)
+        p = _probability(0.25 if p is None else p)
+        return lambda key: KGraph(n, k, base + list(random_kgraph(n, k, p, seed=_trial_seed(key)).edges))
     raise InvalidQueryError(f"unknown model {model!r}")
+
+
+def _trial_seed(key: str) -> int:
+    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "big")
 
 
 def conjecture_search(
@@ -254,6 +265,7 @@ def conjecture_search(
         raise InvalidQueryError(f"need k >= 2 and m < n/k, got n={n}, k={k}, m={m}")
     t0 = time.perf_counter()
     thr = vertex_degree_threshold(n, k, m)
+    sample = _model_sampler(model, n, k, m, p)
     report = ExperimentReport(
         "conjecture-search",
         params={"n": n, "k": k, "m": m, "model": model, "trials": trials, "p": _plain(p),
@@ -263,9 +275,8 @@ def conjecture_search(
     histogram: dict[int, int] = {}
     exhausted = 0
     for t in range(trials):
-        trial_seed = f"{seed}:{t}"
         try:
-            H = _sample_for_model(model, n, k, m, p, trial_seed)
+            H = sample(f"{seed}:{t}")
         except SamplingExhaustedError:
             exhausted += 1
             continue

@@ -41,38 +41,13 @@ class NibbleConfig:
 
 def greedy_matching(H: KGraph) -> Matching:
     """Maximal matching from a single ascending lexicographic edge scan."""
-    used = 0
+    used: set[int] = set()
     picked = []
-    for e, m in zip(H.edges, H.edge_masks):
-        if not m & used:
+    for e in H.edges:
+        if used.isdisjoint(e):
             picked.append(e)
-            used |= m
+            used.update(e)
     return Matching(tuple(picked))
-
-
-def _greedy_cover_bound(edge_masks: list[int], cap: int) -> int:
-    """Size of a greedy vertex cover of the given edges, stopped at cap.
-
-    Any vertex cover bounds any matching (each matching edge consumes a
-    distinct cover vertex). The result never exceeds cap: when edges remain,
-    the greedy stopped at cap, which bounds the matching by itself.
-    """
-    live = edge_masks
-    size = 0
-    while live and size < cap:
-        counts: dict[int, int] = {}
-        for m in live:
-            mm = m
-            while mm:
-                low = mm & -mm
-                counts[low] = counts.get(low, 0) + 1
-                mm ^= low
-        best_bit = min(
-            counts, key=lambda b: (-counts[b], b)
-        )  # max degree, lowest vertex on ties
-        size += 1
-        live = [m for m in live if not m & best_bit]
-    return size
 
 
 def exact_nu(H: KGraph) -> tuple[int, Matching]:
@@ -80,12 +55,16 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
 
     Branches on the lowest-indexed vertex still covered by a live edge:
     either one of its live edges joins the matching, or the vertex is set
-    aside uncovered. A node's whole state is the chosen edges and one mask
-    of blocked vertices (covered by a chosen edge or set aside); an edge is
-    live when it misses the mask. Every vertex tries its edges in one order:
-    by the edge's total vertex degree, ties by index. Pruning uses the
-    floor((free vertices)/k) bound and a greedy vertex-cover bound on the
-    live edges, which stops at the first bound and so never exceeds it.
+    aside uncovered. An edge is live when it misses every vertex covered by
+    a chosen edge or set aside. A node's live edges are one bitset over edge
+    indices: choosing an edge clears the stars (the bitsets of the edges
+    through a vertex) of its k vertices, and setting a vertex aside clears
+    its star. Every vertex tries its edges in one order: by the edge's total
+    vertex degree, ties by index. Pruning uses the floor((free vertices)/k)
+    bound and a greedy vertex cover of the live edges, which takes the
+    vertex whose star holds the most live edges (counted with popcounts;
+    lowest vertex on ties) until no edge is left or the cover exceeds what
+    the matching could still gain.
     The walk starts from two greedy seeds: greedy_matching's lexicographic
     scan, then, unless that one is perfect, a scan in the branching order
     above, kept only when strictly larger. A seed with floor(n/k) edges is
@@ -95,7 +74,6 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
     """
     budget = node_budget()
     n, k = H.n, H.k
-    masks = H.edge_masks
     edges = H.edges
 
     seed_matching = greedy_matching(H)
@@ -104,26 +82,33 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
         return best, seed_matching
     best_edges = list(seed_matching.edges)
 
-    # in v's list, other endpoints' degree w(e) - deg v orders like w(e)
     deg = H._vertex_degrees.__getitem__
     weight = [sum(map(deg, e)) for e in edges]
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
-    used = 0
+    order = sorted(range(len(edges)), key=weight.__getitem__)
+    used: set[int] = set()
     degree_seed = []
-    for i in sorted(range(len(edges)), key=weight.__getitem__):
-        for v in edges[i]:
-            by_vertex[v - 1].append(i)
-        if not masks[i] & used:
-            degree_seed.append(edges[i])
-            used |= masks[i]
+    for e in map(edges.__getitem__, order):
+        if used.isdisjoint(e):
+            degree_seed.append(e)
+            used.update(e)
     if len(degree_seed) > best:
         best, best_edges = len(degree_seed), degree_seed
         if best == n // k:
             return best, Matching.from_edges(best_edges)
 
+    # by_vertex[v]: v's edges in branching order (in v's list, the other
+    # endpoints' degree w(e) - deg v orders like w(e)); star[v]: the same
+    # edges as a bitset over edge indices
+    by_vertex: list[list[int]] = [[] for _ in range(n + 1)]
+    star = [0] * (n + 1)
+    for i in order:
+        bit = 1 << i
+        for v in edges[i]:
+            by_vertex[v].append(i)
+            star[v] |= bit
     nodes = 0
 
-    def walk(blocked: int, chosen: list[EdgeT]) -> None:
+    def walk(live: int, free: int, chosen: list[EdgeT]) -> None:
         nonlocal nodes, best, best_edges
         nodes += 1
         if nodes > budget:
@@ -131,27 +116,34 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
         if len(chosen) > best:
             best = len(chosen)
             best_edges = list(chosen)
-        for v in range(1, n + 1):
-            if blocked & (1 << v):
-                continue
-            live = [i for i in by_vertex[v - 1] if not masks[i] & blocked]
-            if live:
-                break
-        else:
+        if not live:
             return
-        cap = (n - bin(blocked).count("1")) // k
-        if len(chosen) + cap <= best:
+        # edges are in lexicographic order, so the lowest live edge starts
+        # at the lowest vertex that any live edge covers
+        v = edges[(live & -live).bit_length() - 1][0]
+        slack = best - len(chosen)
+        if free // k <= slack:
             return
-        live_masks = [m for m in masks if not m & blocked]
-        if len(chosen) + _greedy_cover_bound(live_masks, cap) <= best:
+        # a cover of the live edges bounds their matchings; the greedy one
+        # only has to be known up to slack + 1 vertices
+        rest, size = live, 0
+        while rest and size <= slack:
+            counts = list(map(int.bit_count, map(rest.__and__, star)))
+            rest &= ~star[counts.index(max(counts))]
+            size += 1
+        if size <= slack:
             return
-        for i in live:
-            chosen.append(edges[i])
-            walk(blocked | masks[i], chosen)
-            chosen.pop()
-        walk(blocked | (1 << v), chosen)
+        for i in by_vertex[v]:
+            if live >> i & 1:
+                hit = 0
+                for u in edges[i]:
+                    hit |= star[u]
+                chosen.append(edges[i])
+                walk(live & ~hit, free - k, chosen)
+                chosen.pop()
+        walk(live & ~star[v], free - 1, chosen)
 
-    walk(0, [])
+    walk((1 << len(edges)) - 1, n, [])
     return best, Matching.from_edges(best_edges)
 
 

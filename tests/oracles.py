@@ -5,10 +5,11 @@ implementations it is used to check. The exceptions are copies of code
 the package replaced with faster equivalents (the Fraction simplex, under
 Bland's rule and under the current pricing, the Fraction-compare
 generators, the uncached nibble report, the tuple-built complete graph,
-exact_nu with per-vertex edge sorts, the independence search that scans
-edges at every node, the line-by-line format_graph, the containment local
-search with nested swap loops, the clique completion that pops clique
-vertices one at a time); the fast versions must reproduce them exactly.
+exact_nu with per-vertex edge sorts and a list of live edge masks at every
+node, the independence search that scans edges at every node, the
+line-by-line format_graph, the containment local search with nested swap
+loops, the clique completion that pops clique vertices one at a time); the
+fast versions must reproduce them exactly.
 """
 
 import random
@@ -29,7 +30,6 @@ from hypermatch.matching import (
     NibbleConfig,
     NibbleReport,
     NibbleRound,
-    _greedy_cover_bound,
     greedy_matching,
 )
 
@@ -396,9 +396,35 @@ def nibble_matching_report(H: KGraph, cfg: NibbleConfig) -> NibbleReport:
 
 # -- exact_nu before its one global edge sort and its early exit -------------
 #
-# Each vertex sorts its own edges by the other endpoints' total degree, and
-# the walk runs even when a greedy seed is already perfect. The package
+# Each vertex sorts its own edges by the other endpoints' total degree, the
+# walk runs even when a greedy seed is already perfect, and every node lists
+# its live edges' vertex masks for a dict-counted greedy cover. The package
 # version must return the same nu and the same witness.
+
+
+def _greedy_cover_bound(edge_masks: list[int], cap: int) -> int:
+    """Size of a greedy vertex cover of the given edges, stopped at cap.
+
+    Any vertex cover bounds any matching (each matching edge consumes a
+    distinct cover vertex). The result never exceeds cap: when edges remain,
+    the greedy stopped at cap, which bounds the matching by itself.
+    """
+    live = edge_masks
+    size = 0
+    while live and size < cap:
+        counts: dict[int, int] = {}
+        for m in live:
+            mm = m
+            while mm:
+                low = mm & -mm
+                counts[low] = counts.get(low, 0) + 1
+                mm ^= low
+        best_bit = min(
+            counts, key=lambda b: (-counts[b], b)
+        )  # max degree, lowest vertex on ties
+        size += 1
+        live = [m for m in live if not m & best_bit]
+    return size
 
 
 def degree_order_greedy(H: KGraph) -> list[EdgeT]:

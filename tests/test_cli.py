@@ -310,6 +310,7 @@ class TestVerifySearchReport:
         [
             (["search", "--n", "5", "--k", "3", "--m", "9"], None),
             (["search", "--n", "7", "--k", "3", "--m", "2", "--trials", "3", "--p", "3/2"], None),
+            (["search", "--n", "9", "--k", "3", "--m", "2", "--p", "2", "--trials", "0"], None),
             (["report"], "\n"),
             (["report"], "x\n"),
             (["report"], '{"record": "report"}\n'),
@@ -332,7 +333,7 @@ class TestVerifySearchReport:
             (["contain", "--m", "9", "--eps", "1/10"], "3 5\n1 2 3\n"),
         ],
         ids=[
-            "search-m-too-large", "search-p-out-of-range",
+            "search-m-too-large", "search-p-out-of-range", "search-p-out-of-range-no-trials",
             "report-empty", "report-not-json", "report-header-incomplete", "verify-ks-zero",
             "pipeline-k-2", "pipeline-r-negative", "search-k-0", "search-k-negative",
             "search-trials-negative",

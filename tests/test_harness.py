@@ -92,14 +92,23 @@ class TestConjectureSearch:
     def test_extremal_instance_excluded_by_strict_filter(self, monkeypatch):
         H, _ = build_Hknm(9, 3, 2)
         assert min_l_degree(H, 1) == vertex_degree_threshold(9, 3, 2) == 7
-        monkeypatch.setattr("hypermatch.harness._sample_for_model", lambda *args: H)
+        monkeypatch.setattr("hypermatch.harness._model_sampler", lambda *args: lambda key: H)
         rep = conjecture_search(9, 3, 2, trials=3)
         assert (rep.params["accepted"], rep.instances) == (0, [])
         assert rep.params["delta1_histogram"] == {"7": 3}
 
-    def test_planted_model_runs(self):
-        rep = conjecture_search(9, 3, 2, model="planted", trials=10, seed=2)
-        assert rep.params["accepted"] >= 0
+    def test_planted_model_runs(self, monkeypatch):
+        import hypermatch.harness as hmod
+
+        calls = []
+        real = hmod.build_Hknm
+        monkeypatch.setattr(hmod, "build_Hknm", lambda *args: calls.append(args) or real(*args))
+        text = emit_report(conjecture_search(9, 3, 2, model="planted", trials=10, seed=2))
+        # the extremal core is built once per search, and the report has the
+        # bytes it had when the core was built once per trial
+        assert calls == [(9, 3, 2)]
+        digest = "9c70f3e835133008b618c545b630d6d2b9677a730c88d79b22590ad0bbae8659"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_counterexample_record_reparses_to_its_fingerprint(self, monkeypatch):
         # a stand-in exact_nu that finds one true edge makes every complete
@@ -193,6 +202,10 @@ class TestReports:
         (lambda: load_report("[1]\n"), "expected a JSON object"),
         (lambda: load_report('{"record": "x"}\n'), "unknown record kind"),
         (lambda: conjecture_search(9, 3, 2, model="bogus", trials=1), "unknown model"),
+        (lambda: conjecture_search(9, 3, 2, model="bogus", trials=0), "unknown model"),
+        (lambda: conjecture_search(9, 3, 2, p=2, trials=0), "need 0 <= p <= 1, got 2"),
+        (lambda: conjecture_search(9, 3, 2, model="uniform-p", p=-1, trials=0), "got -1"),
+        (lambda: conjecture_search(9, 3, 2, model="planted", p=2, trials=0), "got 2"),
         (lambda: conjecture_search(9, 3, 2, trials=2.5), "got trials=2.5"),
         (lambda: conjecture_search(9, 3, 2, trials=-5), "need trials >= 0, got -5"),
         (lambda: tightness_grid((3,), 5.5), "got n_max=5.5"),
@@ -200,6 +213,8 @@ class TestReports:
     ],
     ids=[
         "emit-xml", "load-not-an-object", "load-unknown-record", "search-unknown-model",
+        "search-unknown-model-no-trials", "search-conditioned-p-2-no-trials",
+        "search-uniform-p-negative-no-trials", "search-planted-p-2-no-trials",
         "search-trials-2.5", "search-trials-negative", "grid-n-max-5.5", "grid-k-3.5",
     ],
 )

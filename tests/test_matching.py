@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,7 +20,7 @@ from hypermatch import (
 )
 from hypermatch.core import min_l_degree
 from hypermatch.errors import BudgetExceededError, InvalidQueryError
-from hypermatch.harness import _sample_for_model, tightness_grid
+from hypermatch.harness import _model_sampler, tightness_grid
 from hypermatch.lp import max_fractional_matching
 from hypermatch.matching import (
     NibbleConfig,
@@ -36,7 +37,8 @@ def search_pool_graphs():
     """The 200 conditioned graphs of the first item of the seed-0 `search`
     benchmark pool: conjecture_search(9, 3, 2, trials=200) at that item's seed."""
     item_seed = random.Random("search:0").getrandbits(32)
-    return [_sample_for_model("conditioned", 9, 3, 2, None, f"{item_seed}:{t}") for t in range(200)]
+    sample = _model_sampler("conditioned", 9, 3, 2, None)
+    return [sample(f"{item_seed}:{t}") for t in range(200)]
 
 
 class TestExactNu:
@@ -150,6 +152,9 @@ class TestExactNu:
         for seed in range(300):
             n, k = 7 + seed % 7, 3 + seed % 2
             graphs.append(random_kgraph(n, k, Fraction(1 + seed % 3, 6), seed=seed))
+        # 2-graphs: the pipeline walks links, which are (k-1)-graphs
+        for seed in range(120):
+            graphs.append(random_kgraph(6 + seed % 8, 2, Fraction(1 + seed % 3, 6), seed=1000 + seed))
         graphs = [
             H
             for H in graphs
@@ -158,12 +163,12 @@ class TestExactNu:
             and len(oracles.degree_order_greedy(H)) < H.n // H.k
         ]
         assert len(graphs) >= 40
-        walked = 0
+        walked = Counter()
         for H in graphs:
             nodes, result = smallest_passing_budget(exact_nu, H)
             assert (nodes, result) == smallest_passing_budget(oracles.exact_nu, H)
-            walked += nodes > 1
-        assert walked >= 10
+            walked[H.k] += nodes > 1
+        assert sum(walked.values()) >= 10 and walked[2] >= 10
 
     @settings(max_examples=200, deadline=None)
     @given(small_kgraphs(max_n=13, ks=(2, 3, 4), max_edges=60, min_n=0))
