@@ -159,7 +159,8 @@ def space_barrier(n: int, k: int) -> KGraph:
 
 def vertex_degree_threshold(n: int, k: int, m: int) -> int:
     """C(n-1, k-1) - C(n-m, k-1), the tight minimum-vertex-degree bound."""
-    n, k, m = _integers(n=n, k=k, m=m)
+    n, k = _check_shape(n, k)
+    [m] = _integers(m=m)
     if m < 1 or n < m + k - 1:
         raise InvalidQueryError(f"need m >= 1 and n >= m+k-1, got n={n}, k={k}, m={m}")
     return comb(n - 1, k - 1) - comb(n - m, k - 1)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
-from operator import index
+from itertools import accumulate, chain, combinations, compress
+from operator import index, ne
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, InvalidQueryError
@@ -62,9 +62,10 @@ class KGraph:
     graph keeps the form it was built from (the tuple, or the array for
     `_from_array`) and builds the other on first use; `num_edges` reads
     whichever is present. A hash-set membership index, per-edge vertex
-    bitmasks, and per-vertex incidence lists and degrees are built lazily
-    too and shared by every operation, so instances are cheap to pass
-    around and safe to share across concurrent readers.
+    bitmasks, per-vertex incidence lists and degrees, and the (k-1)-prefix
+    index that the exact LP prices edges through are built lazily too and
+    shared by every operation, so instances are cheap to pass around and
+    safe to share across concurrent readers.
     Assigning or deleting any attribute raises AttributeError.
     """
 
@@ -146,6 +147,17 @@ class KGraph:
                 m |= 1 << v
             masks.append(m)
         return tuple(masks)
+
+    @cached_property
+    def _prefix_index(self) -> tuple[list[tuple[int, ...]], list[int], tuple[int, ...]]:
+        """(cols, owner, last): edge i is prefix owner[i] plus vertex last[i]; prefix j
+        has vertices cols[0][j], ..., cols[k-2][j]. Lexicographic edges list each (k-1)-
+        prefix once, in one run; prefix 0 is a vertex-0 pad; owner shares one int per prefix."""
+        *head_cols, last = list(zip(*self.edges)) or [()] * self.k
+        heads = list(zip(*head_cols))
+        firsts = list(map(ne, heads, [None, *heads]))
+        owner = map(list(range(len(heads) + 1)).__getitem__, accumulate(firsts))
+        return [(0, *compress(c, firsts)) for c in head_cols], list(owner), last
 
     @cached_property
     def vertex_edges(self) -> tuple[tuple[int, ...], ...]:

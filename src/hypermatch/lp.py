@@ -3,8 +3,9 @@
 One simplex solve (revised simplex, Dantzig pricing, Bland's rule after a
 run of degenerate pivots) yields both optima: the fractional matching from
 the primal basis and the fractional vertex cover from the duals of the
-final basis. The incidence is transposed once per solve, so each pivot
-prices every edge column in k C-level passes. The pivot loop is
+final basis. Each pivot sums the duals over the graph's (k-1)-prefixes
+once, then prices every edge column in one C-level add pass with its last
+vertex, through the prefix index cached on the KGraph. The pivot loop is
 fraction-free: on Python ints it keeps D = det B > 0 and A = adj B, so
 B^-1 = A / D, and every update divides exactly by the old D; Fraction
 appears only in the returned values. solve_fractional re-verifies both
@@ -21,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import lcm
-from numbers import Real
+from numbers import Rational, Real
 from operator import add
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .constructions import complete
-from .core import EdgeT, KGraph, _check_shape
+from .core import EdgeT, KGraph, _check_shape, _integers
 from .errors import InternalContradictionError, InvalidQueryError
 
 ZERO = Fraction(0)
@@ -39,9 +40,10 @@ DEGENERATE_RUN = 8  # consecutive degenerate pivots before Bland's rule takes ov
 class FractionalAssignment:
     """Edge weights phi in [0,1] with every vertex load at most 1.
 
-    Validated on construction: support must lie in the host's edge set and
-    loads are checked exactly. "Perfect" means the total weight is n/k, which
-    forces every vertex load to equal 1.
+    Validated on construction: support must lie in the host's edge set,
+    values must be rationals, and range and loads are checked exactly, in
+    integers over the lcm of the denominators. "Perfect" means the total
+    weight is n/k, which forces every vertex load to equal 1.
     """
 
     host: KGraph
@@ -51,21 +53,31 @@ class FractionalAssignment:
         for e, val in self.phi.items():
             if e not in self.host.edge_set:
                 raise InvalidQueryError(f"support edge {e} is not a host edge")
-            if not 0 <= val <= 1:
+            if not isinstance(val, Rational):
+                raise InvalidQueryError(f"phi({e}) = {val!r} is not a rational number")
+            if not 0 <= val.numerator <= val.denominator:
                 raise InvalidQueryError(f"phi({e}) = {val} outside [0, 1]")
-        bad = {v: l for v, l in self.loads().items() if l > 1}
-        if bad:
+        den, loads = self._scaled_loads()
+        if max(loads) > den:
+            bad = {v: l for v, l in self.loads().items() if l > 1}
             raise InvalidQueryError(f"vertex loads exceed 1: {bad}")
 
+    def _scaled_loads(self) -> tuple[int, list[int]]:
+        """(D, loads) with D the lcm of phi's denominators and vertex v's load loads[v] / D."""
+        den, nums = _common_denominator(self.phi.values())
+        loads = [0] * (self.host.n + 1)
+        for e, num in zip(self.phi, nums[1:]):
+            for v in e:
+                loads[v] += num
+        return den, loads
+
     def value(self) -> Fraction:
-        return sum(self.phi.values(), ZERO)
+        den, nums = _common_denominator(self.phi.values())
+        return Fraction(sum(nums), den)
 
     def loads(self) -> dict[int, Fraction]:
-        out = {v: ZERO for v in self.host.vertices()}
-        for e, val in self.phi.items():
-            for v in e:
-                out[v] += val
-        return out
+        den, loads = self._scaled_loads()
+        return {v: Fraction(loads[v], den) for v in self.host.vertices()}
 
     def is_perfect(self) -> bool:
         return self.value() == Fraction(self.host.n, self.host.k)
@@ -83,17 +95,14 @@ def _common_denominator(weights) -> tuple[int, list[int]]:
     return den, [0] + [w.numerator * (den // w.denominator) for w in weights]
 
 
-def _edge_sums(edges: Sequence[EdgeT]) -> Callable[[Sequence[int]], list[int]]:
-    """vals -> [sum(vals[v] for v in e) for e in edges]: edges transposed once, k C-level passes."""
-    positions = list(zip(*edges)) or [()]
-
-    def sums(vals: Sequence[int]) -> list[int]:
-        s = map(vals.__getitem__, positions[0])
-        for rows in positions[1:]:
-            s = map(add, s, map(vals.__getitem__, rows))
-        return list(s)
-
-    return sums
+def _edge_sums(H: KGraph, vals: Sequence[int]) -> list[int]:
+    """[sum(vals[v] for v in e) for e in H.edges], in k - 1 C-level passes over
+    H's (k-1)-prefixes and one add pass over its edges (KGraph._prefix_index)."""
+    cols, owner, last = H._prefix_index
+    s = map(vals.__getitem__, cols[0])
+    for rows in cols[1:]:
+        s = map(add, s, map(vals.__getitem__, rows))
+    return list(map(add, map(list(s).__getitem__, owner), map(vals.__getitem__, last)))
 
 
 @dataclass(frozen=True)
@@ -120,14 +129,15 @@ class VertexWeights:
         if self.n != H.n:
             raise InvalidQueryError(f"weights cover {self.n} vertices, expected {H.n}")
         den, nums = _common_denominator(self.weights)
-        return all(s >= den for s in _edge_sums(H.edges)(nums))
+        return min(_edge_sums(H, nums), default=den) >= den
 
 
 def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fraction, ...]]:
     """Maximize total edge weight subject to unit vertex loads.
 
-    Revised simplex on the 0/1 incidence matrix (k ones per edge column),
-    transposed once, so a pivot prices every edge column in k C-level passes
+    Revised simplex on the 0/1 incidence matrix (k ones per edge column). A
+    pivot prices every edge column through H's (k-1)-prefix index (the duals
+    summed once per prefix, then one add pass with each edge's last vertex)
     and updates only the m x m basis inverse. The slack basis is feasible
     (all right-hand sides are 1), so no phase 1 is needed. Deterministic:
     Dantzig's rule enters the edge column of largest reduced cost (lowest
@@ -148,7 +158,6 @@ def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fractio
     """
     m = H.n
     ncols = len(H.edges)
-    price = _edge_sums(H.edges)
     adj = [[int(i == t) for t in range(m)] for i in range(m)]
     xb = [1] * m
     det = 1
@@ -159,7 +168,7 @@ def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fractio
         # y = cB^T adj, summing only edge (cost 1) basis rows
         y = list(map(sum, zip([0] * m, *(row for row, j in zip(adj, basis) if j < ncols))))
         # s[j] = y a_j, so the reduced cost of edge column j is (det - s[j]) / det
-        s = price([0, *y])
+        s = _edge_sums(H, [0, *y])
         if degenerate < DEGENERATE_RUN:
             enter = s.index(low) if (low := min(s, default=det)) < det else None
         else:
@@ -246,10 +255,18 @@ def clique_window_matching(n: int, k: int) -> FractionalAssignment:
 
 def cyclic_windows(verts: Sequence[int], k: int) -> list[EdgeT]:
     """The cyclic windows of k consecutive entries of verts, sorted, by start entry."""
+    [k] = _integers(k=k)
+    if k < 1:
+        raise InvalidQueryError(f"window size k must be >= 1, got {k}")
     nn = len(verts)
     if nn < k:
         raise InvalidQueryError(f"need at least k={k} vertices for a window, got {nn}")
     return [tuple(sorted(verts[(i + j) % nn] for j in range(k))) for i in range(nn)]
+
+
+@lru_cache(maxsize=1)  # a pipeline run closes every item over the same n + r and k
+def _all_ksets(n: int, k: int) -> KGraph:
+    return KGraph._from_sorted(n, k, combinations(range(1, n + 1), k))
 
 
 def weight_closure(n_total: int, k: int, w: VertexWeights) -> KGraph:
@@ -257,9 +274,16 @@ def weight_closure(n_total: int, k: int, w: VertexWeights) -> KGraph:
     if w.n != n_total:
         raise InvalidQueryError(f"weights cover {w.n} vertices, expected {n_total}")
     den, nums = _common_denominator(w.weights)
-    weight = nums.__getitem__
-    edges = [e for e in combinations(range(1, n_total + 1), k) if sum(map(weight, e)) >= den]
-    return KGraph._from_sorted(n_total, k, edges)
+    ksets = _all_ksets(n_total, k)
+    heavy = map(den.__le__, _edge_sums(ksets, nums))
+    return KGraph._from_sorted(n_total, k, compress(ksets.edges, heavy))
+
+
+def _weight_labels(w: VertexWeights) -> tuple[int, ...]:
+    """p with p[old_vertex - 1] = new label, the labels sorted so that weights
+    are non-increasing; ties keep index order."""
+    order = sorted(range(w.n), key=lambda i: (-w.weights[i], i))  # order[new - 1] = old - 1
+    return tuple(1 + new for new in sorted(range(w.n), key=order.__getitem__))
 
 
 def relabel_by_weights(H: KGraph, w: VertexWeights) -> tuple[KGraph, tuple[int, ...]]:
@@ -271,12 +295,9 @@ def relabel_by_weights(H: KGraph, w: VertexWeights) -> tuple[KGraph, tuple[int, 
     """
     if w.n != H.n:
         raise InvalidQueryError(f"weights cover {w.n} vertices, expected {H.n}")
-    order = sorted(H.vertices(), key=lambda v: (-w[v], v))
-    label = [0] * (H.n + 1)  # label[old vertex] = new label
-    for new_label, old in enumerate(order, start=1):
-        label[old] = new_label
+    label = (0, *_weight_labels(w))
     edges = [tuple(sorted(map(label.__getitem__, e))) for e in H.edges]
-    return KGraph._from_sorted(H.n, H.k, sorted(edges)), tuple(label[1:])
+    return KGraph._from_sorted(H.n, H.k, sorted(edges)), label[1:]
 
 
 def permute_weights(w: VertexWeights, old_to_new: tuple[int, ...]) -> VertexWeights:

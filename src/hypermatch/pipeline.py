@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import ceil
 from numbers import Real
 from .constructions import VertexPartition, join_clique, vertex_degree_threshold
@@ -49,10 +50,10 @@ from .errors import (
 from .lp import (
     FractionalAssignment,
     VertexWeights,
+    _weight_labels,
     cyclic_windows,
     min_fractional_cover,
     permute_weights,
-    relabel_by_weights,
     weight_closure,
 )
 from .matching import exact_nu, exact_nu_within
@@ -276,6 +277,7 @@ def fractional_pm_pipeline(
     if route not in ("auto", "greedy"):
         raise InvalidQueryError(f"route must be auto|greedy, got {route!r}")
     n, k = H.n, H.k
+    m, r = _integers(m=m, r=r)
     if m < 1 or n < k * m:
         raise InvalidQueryError(f"need 1 <= m <= n/k, got n={n}, m={m}")
     if k < 3:
@@ -315,19 +317,18 @@ def fractional_pm_pipeline(
     # sort the original vertices by weight; weight 0 on the clique keeps its
     # labels on top, since ties go by index
     with trace.step("relabel") as st:
-        sort_weights = VertexWeights(cover.weights[:n] + (Fraction(0),) * r)
-        H_aug_sorted, full_map = relabel_by_weights(H_aug, sort_weights)
+        full_map = _weight_labels(VertexWeights(cover.weights[:n] + (Fraction(0),) * r))
         old_to_new = full_map[:n]
         w = permute_weights(cover, full_map)
         trace.relabel_old_to_new = old_to_new
         st.details = {"old_to_new": old_to_new}
 
     # weight closure and its core/link; it holds exactly the k-sets of w-weight
-    # >= 1, so the superset test also certifies w as a cover of H_aug_sorted
+    # >= 1, so it contains the relabeled H_aug exactly when w[label[.]] covers H_aug
     with trace.step("closure") as st:
-        closure = weight_closure(n + r, k, w)
-        if not closure.edge_set.issuperset(H_aug_sorted.edges):
+        if not VertexWeights(tuple(map(w.__getitem__, full_map))).is_cover_of(H_aug):
             st.contradict("augmented graph escapes its weight closure")
+        closure = weight_closure(n + r, k, w)
         core_graph = KGraph._from_sorted(n, k, [e for e in closure.edges if e[-1] <= n])  # clique on top
         link_graph = link(core_graph, n)
         st.details = {
@@ -357,8 +358,13 @@ def fractional_pm_pipeline(
             )
         st.details = {"block_top": block_top}
 
+    # a link edge e transfers when all n - k + 1 sets e + {i} are core edges, so
+    # only an e with fewer core edges through it is probed i by i, in order
     with trace.step("neighborhood_transfer") as st:
+        through = Counter(chain.from_iterable(map(combinations, core_graph.edges, repeat(k - 1))))
         for e in link_graph.edges:
+            if through[e] == n - k + 1:
+                continue
             ev = set(e)
             for i in range(1, n + 1):
                 if i not in ev and tuple(sorted(e + (i,))) not in core_graph.edge_set:

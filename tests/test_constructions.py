@@ -272,6 +272,14 @@ class TestSizeArguments:
         with pytest.raises(InvalidQueryError, match="need"):
             build(*args)
 
+    @pytest.mark.parametrize(
+        "build", [build_Hknm, vertex_degree_threshold, random_kgraph_conditioned],
+        ids=["hknm", "threshold", "conditioned"],
+    )
+    def test_uniformity_below_two_is_rejected(self, build):
+        with pytest.raises(InvalidQueryError, match="uniformity k must be >= 2, got 0"):
+            build(9, 0, 2)
+
 
 # both generators reject these before drawing, so _draw_threshold never sees them
 OUT_OF_RANGE_P = [Fraction(-1, 2), Fraction(3, 2), 2, float("inf"), float("nan"), "x"]

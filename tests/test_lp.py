@@ -125,11 +125,32 @@ class TestEdgeSums:
         ksets = list(combinations(range(1, n + 1), k))
         H = KGraph(n, k, data.draw(st.lists(st.sampled_from(ksets), unique=True)))
         vals = data.draw(st.lists(st.integers(-(10**30), 10**30), min_size=n + 1, max_size=n + 1))
-        assert lp._edge_sums(H.edges)(vals) == [sum(vals[v] for v in e) for e in H.edges]
+        assert lp._edge_sums(H, vals) == [sum(vals[v] for v in e) for e in H.edges]
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_edgeless_graph_has_no_sums(self, k):
-        assert lp._edge_sums(KGraph(6, k, []).edges)([0, 1, -2, 3, -4, 5, -6]) == []
+        assert lp._edge_sums(KGraph(6, k, []), [0, 1, -2, 3, -4, 5, -6]) == []
+
+    @pytest.mark.parametrize(
+        "H, prefixes",
+        [
+            (augmented_18(12, 0), None),
+            # every (k-1)-prefix on 1..7 owns one edge, then exactly two
+            (KGraph(8, 3, [p + (8,) for p in combinations(range(1, 8), 2)]), 21),
+            (KGraph(9, 3, [p + (p[1] + d,) for p in combinations(range(1, 8), 2) for d in (1, 2)]), 21),
+            (KGraph(9, 4, [p + (9,) for p in combinations(range(1, 9), 3)]), 56),
+        ],
+        ids=["augmented-18", "one-edge-per-prefix", "two-edges-per-prefix", "k4-one-edge-per-prefix"],
+    )
+    def test_shared_prefixes(self, H, prefixes):
+        rng = random.Random(H.num_edges)
+        vals = [rng.randint(-(10**40), 10**40) for _ in range(H.n + 1)]
+        assert lp._edge_sums(H, vals) == [sum(vals[v] for v in e) for e in H.edges]
+        cols, owner, _ = H._prefix_index
+        heads = sorted({e[:-1] for e in H.edges})
+        assert list(zip(*cols))[1:] == heads  # each prefix once, after the pad
+        assert prefixes in (None, len(heads))
+        assert [heads[j - 1] for j in owner] == [e[:-1] for e in H.edges]
 
 
 def _without_a_positive_entry(phi):
@@ -329,6 +350,15 @@ class TestRelabel:
         _, perm = relabel_by_weights(H, w)
         assert perm == (1, 2, 3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_weights)
+    def test_weight_labels_are_the_relabeling(self, weights):
+        w = VertexWeights(tuple(weights))
+        vs = range(1, w.n + 1)
+        # the new label of v is 1 + the number of vertices ranked before it
+        rank = tuple(1 + sum(w[u] > w[v] or (w[u] == w[v] and u < v) for u in vs) for v in vs)
+        assert lp._weight_labels(w) == rank == relabel_by_weights(KGraph(w.n, 3, []), w)[1]
+
     def test_closure_after_relabel_is_stable(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -359,6 +389,42 @@ class TestAssignmentValidation:
         with pytest.raises(InvalidQueryError):
             FractionalAssignment(H, {(1, 2, 3): Fraction(3, 2)})
 
+    @pytest.mark.parametrize(
+        "phi, message",
+        [
+            ({(1, 2, 4): Fraction(1)}, "support edge (1, 2, 4) is not a host edge"),
+            ({(1, 2, 3): Fraction(-1, 2)}, "phi((1, 2, 3)) = -1/2 outside [0, 1]"),
+            ({(1, 2, 3): 2}, "phi((1, 2, 3)) = 2 outside [0, 1]"),
+            (
+                {(1, 2, 3): 1, (1, 3, 5): Fraction(1, 2), (1, 4, 5): Fraction(1, 3)},
+                "vertex loads exceed 1: {1: Fraction(11, 6), 3: Fraction(3, 2)}",
+            ),
+            ({(1, 2, 3): 0.5}, "phi((1, 2, 3)) = 0.5 is not a rational number"),
+            ({(1, 2, 3): "x"}, "phi((1, 2, 3)) = 'x' is not a rational number"),
+        ],
+        ids=["not-a-host-edge", "negative", "int-above-1", "overload", "float", "str"],
+    )
+    def test_names_the_bad_entry(self, phi, message):
+        H = KGraph(5, 3, [(1, 2, 3), (1, 3, 5), (1, 4, 5)])
+        with pytest.raises(InvalidQueryError) as info:
+            FractionalAssignment(H, phi)
+        assert str(info.value) == message
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_integer_checks_agree_with_fraction_loads(self, data):
+        H = complete(6, 3)
+        support = data.draw(st.lists(st.sampled_from(H.edges), unique=True, max_size=6))
+        phi = {e: data.draw(mixed_weights.map(lambda ws: ws[0])) for e in support}
+        loads = {v: sum((x for e, x in phi.items() if v in e), Fraction(0)) for v in H.vertices()}
+        if max(loads.values()) > 1:
+            with pytest.raises(InvalidQueryError, match="vertex loads exceed 1"):
+                FractionalAssignment(H, phi)
+        else:
+            assignment = FractionalAssignment(H, phi)
+            assert assignment.loads() == loads
+            assert assignment.value() == sum(phi.values(), Fraction(0))
+
 
 FOUR_HALVES = VertexWeights((Fraction(1, 2),) * 4)
 
@@ -373,6 +439,8 @@ FOUR_HALVES = VertexWeights((Fraction(1, 2),) * 4)
         (lambda: VertexWeights((Fraction(1),) * 3).is_cover_of(complete(5, 3)), "cover 3 vertices, expected 5"),
         (lambda: FOUR_HALVES.is_cover_of(complete(3, 3)), "cover 4 vertices, expected 3"),
         (lambda: cyclic_windows([1, 2], 3), "need at least k=3 vertices for a window, got 2"),
+        (lambda: cyclic_windows([1, 2, 3], 0), "window size k must be >= 1, got 0"),
+        (lambda: cyclic_windows([1, 2, 3], 1.5), "sizes must be integers, got k=1.5"),
     ],
     ids=[
         "weight-above-1",
@@ -382,6 +450,8 @@ FOUR_HALVES = VertexWeights((Fraction(1, 2),) * 4)
         "cover-fewer-weights",
         "cover-more-weights",
         "windows-fewer-than-k",
+        "windows-k-0",
+        "windows-k-not-an-integer",
     ],
 )
 def test_out_of_range_query_is_rejected(query, message):

@@ -396,6 +396,40 @@ class TestPipeline:
         assert seen["core"] == induced(seen["closure"], range(1, n + 1))
         assert seen["core"].n == n and seen["closure"].n > n
 
+    @pytest.mark.parametrize("m, r", [("3", 1), (3, 1.5)], ids=["m-str", "r-float"])
+    def test_non_integer_m_or_r_is_rejected(self, m, r):
+        with pytest.raises(InvalidQueryError, match="sizes must be integers"):
+            fractional_pm_pipeline(complete(12, 3), m, r, PipelineConfig())
+
+    @pytest.mark.parametrize("removed", [(1, 6, 11), (2, 7, 9), (6, 10, 11)])
+    def test_transfer_names_the_first_failing_link_edge(self, monkeypatch, removed):
+        seen = {}
+        real_closure, real_link = pipeline.weight_closure, pipeline.link
+
+        def closure_without_one_edge(*args):
+            G = real_closure(*args)
+            return KGraph._from_sorted(G.n, G.k, [e for e in G.edges if e != removed])
+
+        def link(G, v):
+            seen["core"] = G
+            return real_link(G, v)
+
+        monkeypatch.setattr(pipeline, "weight_closure", closure_without_one_edge)
+        monkeypatch.setattr(pipeline, "link", link)
+        with pytest.raises(InternalContradictionError) as exc:
+            fractional_pm_pipeline(complete(12, 3), 3, 1, PipelineConfig(eta=Fraction(1, 12)))
+        last = exc.value.trace.steps[-1]
+        assert (last.name, last.status) == ("neighborhood_transfer", "failed")
+        # the first (e, i) in link order, then vertex order, as a probe of every pair finds it
+        core = seen["core"].edge_set
+        expected = next(
+            (e, i)
+            for e in real_link(seen["core"], 12).edges
+            for i in range(1, 13)
+            if i not in e and tuple(sorted(e + (i,))) not in core
+        )
+        assert last.details["witness"] == expected == (removed[:2], removed[2])
+
     def test_rejects_bad_route(self):
         with pytest.raises(InvalidQueryError):
             fractional_pm_pipeline(complete(9, 3), 3, 3, PipelineConfig(), route="magic")
