@@ -108,7 +108,8 @@ def join_clique(H: KGraph, r: int) -> KGraph:
     """H plus a clique on r new vertices Q = {n+1..n+r} plus every k-set meeting Q.
 
     Its matching number is min(nu(H) + r, floor((n + r)/k)). r = 0 returns H
-    unchanged (degenerate join, accepted by design).
+    unchanged (degenerate join, accepted by design). The join records
+    `_top_split = (r, H)`; the exact LP prices the k-sets meeting Q from it.
     """
     [r] = _integers(r=r)
     if r < 0:
@@ -123,7 +124,9 @@ def join_clique(H: KGraph, r: int) -> KGraph:
         for qs in combinations(Q, j):
             for vs in combinations(base, k - j):
                 edges.append(vs + qs)
-    return KGraph._from_sorted(n + r, k, sorted(edges))
+    joined = KGraph._from_sorted(n + r, k, sorted(edges))
+    object.__setattr__(joined, "_top_split", (r, H))
+    return joined
 
 
 def parity_construction(a: int, b: int, k: int) -> KGraph:

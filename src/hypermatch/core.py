@@ -65,12 +65,15 @@ class KGraph:
     bitmasks, per-vertex incidence lists and degrees, and the (k-1)-prefix
     index that the exact LP prices edges through are built lazily too and
     shared by every operation, so instances are cheap to pass around and
-    safe to share across concurrent readers.
+    safe to share across concurrent readers. A join_clique graph holds `_top_split
+    = (r, base)`: every k-set meeting its top r vertices is an edge, and the
+    rest are base's edges; every other graph reads the class default None.
     Assigning or deleting any attribute raises AttributeError.
     """
 
     n: int
     k: int
+    _top_split: tuple[int, KGraph] | None = None
 
     def __init__(self, n: int, k: int, edges: Iterable[Sequence[int]]):
         n, k = _check_shape(n, k)

@@ -5,12 +5,15 @@ run of degenerate pivots) yields both optima: the fractional matching from
 the primal basis and the fractional vertex cover from the duals of the
 final basis. Each pivot sums the duals over the graph's (k-1)-prefixes
 once, then prices every edge column in one C-level add pass with its last
-vertex, through the prefix index cached on the KGraph. The pivot loop is
-fraction-free: on Python ints it keeps D = det B > 0 and A = adj B, so
-B^-1 = A / D, and every update divides exactly by the old D; Fraction
-appears only in the returned values. solve_fractional re-verifies both
-witnesses by direct exact arithmetic, so their equal values certify
-optimality of both via weak duality, independently of the pivoting path.
+vertex, through the prefix index cached on the KGraph. On a clique join
+(KGraph._top_split) Dantzig pricing sums the base graph's edges alone: the
+clique vertices are interchangeable, so the cheapest k-set with j of them
+is read off the sorted duals. The pivot loop is fraction-free: on Python
+ints it keeps D = det B > 0 and A = adj B, so B^-1 = A / D, and every
+update divides exactly by the old D; Fraction appears only in the
+returned values. solve_fractional re-verifies both witnesses by direct
+exact arithmetic, so their equal values certify optimality of both via
+weak duality, independently of the pivoting path.
 
 Also: cyclic windows and the cyclic-window perfect fractional matching of
 complete graphs, the weight-closure hypergraph of a vertex weighting, and
@@ -19,12 +22,13 @@ weight-sorted vertex relabeling.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
 from math import lcm
-from numbers import Rational, Real
+from numbers import Rational
 from operator import add
 from typing import Mapping, Sequence
 
@@ -105,15 +109,34 @@ def _edge_sums(H: KGraph, vals: Sequence[int]) -> list[int]:
     return list(map(add, map(list(s).__getitem__, owner), map(vals.__getitem__, last)))
 
 
+def _cheapest(H: KGraph, vals: Sequence[int]) -> tuple[int, int] | None:
+    """(min sum, index of the first edge with that sum) over H's edges, or None if
+    H has none. On a join (KGraph._top_split = (r, base)) only base's edges are
+    summed; the cheapest k-set with j of the top r vertices, smallest on ties, is
+    the j top and k - j base vertices first in (vals[v], v) order."""
+    if H._top_split is None:
+        s = _edge_sums(H, vals)
+        return (low := min(s), s.index(low)) if s else None
+    r, base = H._top_split
+    n, k = base.n, H.k
+    best = _cheapest(base, vals)
+    cands = [] if best is None else [(best[0], base.edges[best[1]])]
+    bottom, top = (sorted(side, key=vals.__getitem__) for side in (range(1, n + 1), range(n + 1, n + r + 1)))
+    ksets = ((*sorted(bottom[: k - j]), *sorted(top[:j])) for j in range(max(1, k - n), min(k, r) + 1))
+    cands += [(sum(map(vals.__getitem__, e)), e) for e in ksets]
+    low, e = min(cands, default=(None, None))  # none: n + r < k, so H is edgeless
+    return None if e is None else (low, bisect_left(H.edges, e))  # smallest tuple, lowest index
+
+
 @dataclass(frozen=True)
 class VertexWeights:
-    """Vertex weights in [0,1]; weights[v-1] is the weight of vertex v."""
+    """Rational vertex weights in [0,1]; weights[v-1] is the weight of vertex v."""
 
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not all(isinstance(w, Real) and 0 <= w <= 1 for w in self.weights):
-            raise InvalidQueryError("vertex weights must lie in [0, 1]")
+        if not all(isinstance(w, Rational) and 0 <= w <= 1 for w in self.weights):
+            raise InvalidQueryError("vertex weights must lie in [0, 1] and be rational numbers")
 
     def __getitem__(self, v: int) -> Fraction:
         return self.weights[v - 1]
@@ -129,7 +152,7 @@ class VertexWeights:
         if self.n != H.n:
             raise InvalidQueryError(f"weights cover {self.n} vertices, expected {H.n}")
         den, nums = _common_denominator(self.weights)
-        return min(_edge_sums(H, nums), default=den) >= den
+        return (_cheapest(H, nums) or (den,))[0] >= den
 
 
 def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fraction, ...]]:
@@ -138,7 +161,9 @@ def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fractio
     Revised simplex on the 0/1 incidence matrix (k ones per edge column). A
     pivot prices every edge column through H's (k-1)-prefix index (the duals
     summed once per prefix, then one add pass with each edge's last vertex)
-    and updates only the m x m basis inverse. The slack basis is feasible
+    and updates only the m x m basis inverse; on a join, Dantzig pricing
+    sums the base's edges alone and the k-sets meeting the clique in closed
+    form (_cheapest), picking the same column. The slack basis is feasible
     (all right-hand sides are 1), so no phase 1 is needed. Deterministic:
     Dantzig's rule enters the edge column of largest reduced cost (lowest
     index on ties), else the first slack with a negative dual; after
@@ -167,12 +192,12 @@ def _solve_incidence_lp(H: KGraph) -> tuple[dict[EdgeT, Fraction], tuple[Fractio
     while True:
         # y = cB^T adj, summing only edge (cost 1) basis rows
         y = list(map(sum, zip([0] * m, *(row for row, j in zip(adj, basis) if j < ncols))))
-        # s[j] = y a_j, so the reduced cost of edge column j is (det - s[j]) / det
-        s = _edge_sums(H, [0, *y])
+        # y a_j is the sum of y over edge j, so its reduced cost is (det - y a_j) / det
+        vals = [0, *y]
         if degenerate < DEGENERATE_RUN:
-            enter = s.index(low) if (low := min(s, default=det)) < det else None
+            enter = best[1] if (best := _cheapest(H, vals)) and best[0] < det else None
         else:
-            enter = next((j for j, sj in enumerate(s) if sj < det), None)
+            enter = next((j for j, sj in enumerate(_edge_sums(H, vals)) if sj < det), None)
         if enter is None:
             enter = next((ncols + i for i in range(m) if y[i] < 0), None)
             if enter is None:
@@ -271,6 +296,7 @@ def _all_ksets(n: int, k: int) -> KGraph:
 
 def weight_closure(n_total: int, k: int, w: VertexWeights) -> KGraph:
     """All k-sets of 1..n_total whose weights sum to at least 1, exactly."""
+    n_total, k = _check_shape(n_total, k)
     if w.n != n_total:
         raise InvalidQueryError(f"weights cover {w.n} vertices, expected {n_total}")
     den, nums = _common_denominator(w.weights)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from math import ceil
-from numbers import Real
+from numbers import Rational, Real
 from .constructions import VertexPartition, join_clique, vertex_degree_threshold
 from .containment import deficiency, vertex_template_deficits
 from .core import (
@@ -109,7 +109,7 @@ def padded_clique_size(n: int, k: int, m: int, eta) -> int:
     the precondition clique_ok.
     """
     n, k, m = _integers(n=n, k=k, m=m)
-    eta = Fraction(eta)
+    eta = _padding(eta)
     slack = Fraction(n - k * m) - eta * n
     if slack < 0:
         raise InvalidQueryError(
@@ -121,7 +121,14 @@ def padded_clique_size(n: int, k: int, m: int, eta) -> int:
 def augmentation_residual(n: int, k: int, m: int, eta, r: int) -> Fraction:
     """How far the rounded clique size overshoots the exact padding rule."""
     n, k, m, r = _integers(n=n, k=k, m=m, r=r)
-    return r * (k - 1) - (Fraction(n - k * m) - Fraction(eta) * n)
+    return r * (k - 1) - (Fraction(n - k * m) - _padding(eta) * n)
+
+
+def _padding(eta) -> Fraction:
+    """eta as a Fraction, once it is checked to be a finite real >= 0."""
+    if not (isinstance(eta, Real) and 0 <= eta < math.inf):
+        raise InvalidQueryError(f"eta must be a finite real number >= 0, got {eta!r}")
+    return Fraction(eta) if isinstance(eta, Rational) else Fraction(float(eta))
 
 
 def minimal_feasible_r(n: int, k: int, m: int) -> int:

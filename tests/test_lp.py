@@ -153,6 +153,62 @@ class TestEdgeSums:
         assert [heads[j - 1] for j in owner] == [e[:-1] for e in H.edges]
 
 
+@st.composite
+def joins(draw):
+    """join_clique(H, r) with k 2..4, n <= 9 (fewer than k base vertices too) and r 1..6."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=9 if k < 4 else 7))
+    ksets = list(combinations(range(1, n + 1), k))
+    H = KGraph(n, k, draw(st.lists(st.sampled_from(ksets), unique=True)) if ksets else [])
+    return join_clique(H, draw(st.integers(min_value=1, max_value=6)))
+
+
+# Dantzig's rule meets DEGENERATE_RUN degenerate pivots on this join, so
+# Bland's rule prices the whole join there (found by scanning seeds)
+BLAND_JOIN = join_clique(random_kgraph(8, 3, Fraction(7, 10), seed=317), 2)
+
+
+class TestCliquePricing:
+    """A join's k-sets that meet the clique, priced in closed form (KGraph._top_split)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(joins(), st.data())
+    def test_same_pivots_as_fraction_simplex(self, G, data):
+        assert G._top_split is not None
+        vals = data.draw(st.lists(st.integers(-3, 3), min_size=G.n + 1, max_size=G.n + 1))  # many ties
+        s = lp._edge_sums(G, vals)
+        assert lp._cheapest(G, vals) == ((min(s), s.index(min(s))) if s else None)
+        got = lp._solve_incidence_lp(G)
+        want = oracles.fraction_simplex(G)[1:]
+        assert got == want
+        assert list(got[0]) == list(want[0])  # same basis order
+
+    def test_bland_fallback_prices_the_whole_join(self):
+        stats = {}
+        want = oracles.fraction_simplex(BLAND_JOIN, stats)
+        assert stats["bland_pivots"] > 0
+        got = lp._solve_incidence_lp(BLAND_JOIN)
+        assert got == want[1:]
+        assert list(got[0]) == list(want[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_weights, st.data())
+    def test_cover_check_agrees_with_fraction_sums(self, weights, data):
+        k = data.draw(st.integers(min_value=2, max_value=3))
+        r = data.draw(st.integers(min_value=1, max_value=len(weights)))
+        n = len(weights) - r
+        ksets = list(combinations(range(1, n + 1), k))
+        G = join_clique(KGraph(n, k, data.draw(st.lists(st.sampled_from(ksets), unique=True)) if ksets else []), r)
+        w = VertexWeights(tuple(weights))
+        assert w.is_cover_of(G) == all(sum(w[v] for v in e) >= 1 for e in G.edges)
+
+    def test_only_joins_carry_a_split(self):
+        H = random_kgraph(6, 3, Fraction(1, 2), seed=1)
+        assert H._top_split is None and join_clique(H, 0)._top_split is None
+        assert join_clique(H, 3)._top_split == (3, H)
+        assert join_clique(H, 3) == KGraph(9, 3, join_clique(H, 3).edges)
+
+
 def _without_a_positive_entry(phi):
     drop = next(e for e, x in phi.items() if x > 0)
     return {e: x for e, x in phi.items() if e != drop}
@@ -434,6 +490,9 @@ FOUR_HALVES = VertexWeights((Fraction(1, 2),) * 4)
     [
         (lambda: VertexWeights((Fraction(3, 2),)), "must lie in"),
         (lambda: VertexWeights((Fraction(1, 2), "x")), "must lie in"),
+        (lambda: VertexWeights((0.5,) * 3).is_cover_of(complete(3, 3)), "be rational numbers"),
+        (lambda: weight_closure(6, 2.5, VertexWeights((Fraction(1, 2),) * 6)), "sizes must be integers"),
+        (lambda: weight_closure(6, "3", VertexWeights((Fraction(1, 2),) * 6)), "sizes must be integers"),
         (lambda: weight_closure(5, 3, FOUR_HALVES), "cover 4 vertices, expected 5"),
         (lambda: relabel_by_weights(complete(5, 3), FOUR_HALVES), "cover 4 vertices, expected 5"),
         (lambda: VertexWeights((Fraction(1),) * 3).is_cover_of(complete(5, 3)), "cover 3 vertices, expected 5"),
@@ -445,6 +504,9 @@ FOUR_HALVES = VertexWeights((Fraction(1, 2),) * 4)
     ids=[
         "weight-above-1",
         "weight-x",
+        "weight-float",
+        "closure-k-2.5",
+        "closure-k-str",
         "closure-length",
         "relabel-length",
         "cover-fewer-weights",

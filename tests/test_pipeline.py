@@ -538,10 +538,14 @@ class TestChernoff:
         (lambda: SamplerSettings(2, 1), "keep_probability"),
         (lambda: SamplerSettings(0.5, -1), "copy_count"),
         (lambda: fractional_pm_pipeline(complete(12, 3), 0, 3, PipelineConfig()), "m=0"),
+        (lambda: padded_clique_size(20, 3, 2, -5), "eta must be a finite real number >= 0, got -5"),
+        (lambda: padded_clique_size(20, 3, 2, None), "eta"),
+        (lambda: augmentation_residual(20, 3, 2, "3", 4), "eta"),
+        (lambda: augmentation_residual(20, 3, 2, float("inf"), 4), "eta"),
     ],
     ids=[
         "eta-0", "eps-1", "rho-negative", "eta-x", "eps-x", "rho-x", "keep-2", "copies-negative",
-        "pipeline-m-0",
+        "pipeline-m-0", "padded-eta-negative", "padded-eta-none", "residual-eta-str", "residual-eta-inf",
     ],
 )
 def test_out_of_range_query_is_rejected(query, message):
