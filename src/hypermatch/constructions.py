@@ -1,21 +1,22 @@
 """Generators for the extremal families and the closed-form vertex-degree threshold.
 
-All threshold arithmetic is exact (Python integers / Fractions); no floats
-appear in any formula. W is always the set of lowest-indexed vertices.
+The extremal families are type graphs: the k-sets of [n] whose counts in
+consecutive vertex blocks form an allowed profile, built by type_graph and
+counted in closed form by type_edge_count. All threshold arithmetic is exact
+(Python integers / Fractions); no floats appear in any formula.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from numbers import Real
+from functools import lru_cache
+from itertools import accumulate, combinations
+from math import comb, prod
 from operator import index
 
-from .core import KGraph, _check_shape, _integers
+from .core import KGraph, _check_shape, _integers, _unit_interval
 from .errors import InvalidQueryError, SamplingExhaustedError
 
 
@@ -44,23 +45,64 @@ class VertexPartition:
         return len(self.U) + len(self.W)
 
 
+def _type_shape(sizes, profiles) -> tuple[tuple[int, ...], set[tuple[int, ...]]]:
+    """Sizes and distinct profiles as int tuples, once all are >= 0 and each profile has a count per block."""
+    try:
+        sizes, profiles = tuple(map(index, sizes)), {tuple(map(index, p)) for p in profiles}
+    except TypeError:
+        raise InvalidQueryError(f"sizes and profiles must be integers, got {sizes!r}, {profiles!r}") from None
+    if min(sizes, default=0) < 0 or any(len(p) != len(sizes) or min(p, default=0) < 0 for p in profiles):
+        raise InvalidQueryError(f"need counts >= 0, one per block, got sizes {sizes}, profiles {profiles}")
+    return sizes, profiles
+
+
+def _type_edges(sizes, profiles) -> list[tuple[int, ...]]:
+    """Each profile's k-sets as one ascending run: the product of the per-block
+    combinations, whose tuples join in block order, as the blocks ascend."""
+    edges = []
+    for p in profiles:
+        run = [()]
+        for lo, a, c in zip(accumulate(sizes, initial=0), sizes, p):
+            block = list(combinations(range(lo + 1, lo + a + 1), c))
+            run = [s + t for s in run for t in block]
+        edges += run
+    return edges
+
+
+def type_graph(sizes, profiles, k: int) -> KGraph:
+    """The k-sets of [n] whose counts in consecutive blocks of the given sizes
+    (n = their sum) form one of the profiles, each a count per block summing to k."""
+    sizes, profiles = _type_shape(sizes, profiles)
+    n, k = _check_shape(sum(sizes), k)
+    if any(sum(p) != k for p in profiles):
+        raise InvalidQueryError(f"every profile must sum to k={k}, got {profiles}")
+    return KGraph._from_sorted(n, k, sorted(_type_edges(sizes, profiles)))
+
+
+def type_edge_count(sizes, profiles) -> int:
+    """e(type_graph(sizes, profiles, k)) in closed form: sum over the profiles
+    of the product of comb(size, count) over the blocks."""
+    sizes, profiles = _type_shape(sizes, profiles)
+    return sum(prod(map(comb, sizes, p)) for p in profiles)
+
+
 def build_Hkl(U, W, k: int, l: int) -> KGraph:
-    """The template whose edges are the k-sets e with 1 <= |e & W| <= l."""
+    """The template whose edges are the k-sets e with 1 <= |e & W| <= l: the
+    (|W|, |U|) type graph, relabeled so that its blocks are W and U."""
     k, l = _integers(k=k, l=l)
     if not 1 <= l <= k:
         raise InvalidQueryError(f"need 1 <= l <= k, got l={l}, k={k}")
     part = VertexPartition(tuple(U), tuple(W))
-    edges = []
-    for j in range(1, min(l, len(part.W)) + 1):
-        for ws in combinations(part.W, j):
-            for us in combinations(part.U, k - j):
-                edges.append(tuple(sorted(ws + us)))
-    return KGraph._from_sorted(part.n, k, sorted(edges))
+    H = type_graph((len(part.W), len(part.U)), [(j, k - j) for j in range(1, l + 1)], k)
+    label = (0,) + part.W + part.U
+    return KGraph._from_sorted(part.n, k, sorted(tuple(sorted(label[v] for v in e)) for e in H.edges))
 
 
+@lru_cache(maxsize=256, typed=True)  # containment counts the same few templates on every call
 def template_edge_count(u_size: int, w_size: int, k: int, l: int) -> int:
     """e(H_{k,l}(U, W)) in closed form, without materializing the graph."""
-    return sum(comb(w_size, j) * comb(u_size, k - j) for j in range(1, min(l, w_size, k) + 1))
+    k, l = _integers(k=k, l=l)
+    return type_edge_count((w_size, u_size), [(j, k - j) for j in range(1, min(l, k) + 1)])
 
 
 def build_Hknm(n: int, k: int, m: int) -> tuple[KGraph, VertexPartition]:
@@ -73,9 +115,8 @@ def build_Hknm(n: int, k: int, m: int) -> tuple[KGraph, VertexPartition]:
     [m] = _integers(m=m)
     if m < 1 or m - 1 + k > n:
         raise InvalidQueryError(f"need m >= 1 and m-1+k <= n, got n={n}, k={k}, m={m}")
-    W = tuple(range(1, m))
-    U = tuple(range(m, n + 1))
-    return build_Hkl(U, W, k, k - 1), VertexPartition(U, W)
+    H = type_graph((m - 1, n - m + 1), [(j, k - j) for j in range(1, k)], k)
+    return H, VertexPartition(tuple(range(m, n + 1)), tuple(range(1, m)))
 
 
 def complete(n: int, k: int) -> KGraph:
@@ -107,24 +148,20 @@ def complete(n: int, k: int) -> KGraph:
 def join_clique(H: KGraph, r: int) -> KGraph:
     """H plus a clique on r new vertices Q = {n+1..n+r} plus every k-set meeting Q.
 
-    Its matching number is min(nu(H) + r, floor((n + r)/k)). r = 0 returns H
-    unchanged (degenerate join, accepted by design). The join records
-    `_top_split = (r, H)`; the exact LP prices the k-sets meeting Q from it.
+    Those k-sets are the (n, r) type graph's. Its matching number is
+    min(nu(H) + r, floor((n + r)/k)). r = 0 returns H unchanged (degenerate
+    join, accepted by design). The join records `_top_split = (r, H)`; the
+    exact LP prices the k-sets meeting Q from it.
     """
     [r] = _integers(r=r)
     if r < 0:
         raise InvalidQueryError(f"need r >= 0, got {r}")
     if r == 0:
         return H
-    n, k = H.n, H.k
-    edges = list(H.edges)
-    Q = range(n + 1, n + r + 1)
-    base = range(1, n + 1)
-    for j in range(1, min(k, r) + 1):
-        for qs in combinations(Q, j):
-            for vs in combinations(base, k - j):
-                edges.append(vs + qs)
-    joined = KGraph._from_sorted(n + r, k, sorted(edges))
+    k = H.k
+    edges = _type_edges((H.n, r), [(k - j, j) for j in range(1, min(k, r) + 1)])
+    edges += H.edges
+    joined = KGraph._from_sorted(H.n + r, k, sorted(edges))
     object.__setattr__(joined, "_top_split", (r, H))
     return joined
 
@@ -132,20 +169,13 @@ def join_clique(H: KGraph, r: int) -> KGraph:
 def parity_construction(a: int, b: int, k: int) -> KGraph:
     """k-sets of A + B (A = {1..a}, B = {a+1..a+b}) meeting A in an even count.
 
-    The intended obstruction has a odd and |a - b| <= 2; other parameters are
-    accepted with a warning.
+    The obstruction to a perfect matching has a odd and |a - b| <= 2.
     """
     a, b = _integers(a=a, b=b)
     n, k = _check_shape(a + b, k)
     if a < 0 or b < 0 or n < k:
         raise InvalidQueryError(f"need a, b >= 0 and a+b >= k, got a={a}, b={b}, k={k}")
-    if a % 2 == 0 or abs(a - b) > 2:
-        warnings.warn(
-            f"parity construction intended for odd a with |a-b| <= 2, got a={a}, b={b}",
-            stacklevel=2,
-        )
-    edges = [e for e in combinations(range(1, n + 1), k) if sum(1 for v in e if v <= a) % 2 == 0]
-    return KGraph._from_sorted(n, k, edges)
+    return type_graph((a, b), [(i, k - i) for i in range(0, k + 1, 2)], k)
 
 
 def space_barrier(n: int, k: int) -> KGraph:
@@ -157,7 +187,7 @@ def space_barrier(n: int, k: int) -> KGraph:
     if n % k != 0:
         raise InvalidQueryError(f"need k | n, got n={n}, k={k}")
     cutoff = min(n, n - n // k + 1)  # n = 0 has no W and no U
-    return build_Hkl(range(1, cutoff + 1), range(cutoff + 1, n + 1), k, k)
+    return type_graph((cutoff, n - cutoff), [(k - j, j) for j in range(1, k + 1)], k)
 
 
 def vertex_degree_threshold(n: int, k: int, m: int) -> int:
@@ -170,13 +200,6 @@ def vertex_degree_threshold(n: int, k: int, m: int) -> int:
 
 
 _TWO53 = 2**53
-
-
-def _probability(p):
-    """p itself, once 0 <= p <= 1 is checked."""
-    if not (isinstance(p, Real) and 0 <= p <= 1):
-        raise InvalidQueryError(f"need 0 <= p <= 1, got {p}")
-    return p
 
 
 def _draw_threshold(p) -> float:
@@ -195,8 +218,8 @@ def _draw_threshold(p) -> float:
 def random_kgraph(n: int, k: int, p, seed: int) -> KGraph:
     """Each k-set included independently with probability p; seed-deterministic."""
     n, k = _check_shape(n, k)
-    t = _draw_threshold(_probability(p))
-    draw = random.Random(seed).random
+    t = _draw_threshold(_unit_interval("p", p))
+    draw = random.Random(_integers(seed=seed)[0]).random
     edges = [e for e in combinations(range(1, n + 1), k) if draw() < t]
     return KGraph._from_sorted(n, k, edges)
 
@@ -224,9 +247,9 @@ def random_kgraph_conditioned(
         full = comb(n - 1, k - 1)  # >= 1: the threshold needs n >= m + k - 1 >= k
         p = Fraction(min(3 * floor, 2 * full), 2 * full)
     else:
-        p = _probability(p)
+        p = _unit_interval("p", p)
     t = _draw_threshold(p)
-    draw = random.Random(seed).random
+    draw = random.Random(_integers(seed=seed)[0]).random
     all_sets = list(combinations(range(1, n + 1), k))
     for _ in range(tries):
         H = KGraph._from_sorted(n, k, [e for e in all_sets if draw() < t])

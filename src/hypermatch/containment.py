@@ -15,7 +15,7 @@ from itertools import combinations, product
 from math import comb
 
 from .constructions import VertexPartition, template_edge_count
-from .core import EdgeT, KGraph, _integers, _mask, node_budget
+from .core import EdgeT, KGraph, _integers, _mask, _unit_interval, node_budget
 from .errors import BudgetExceededError, InvalidQueryError
 
 EXHAUSTIVE_SUBSET_BUDGET = 10**6
@@ -53,11 +53,6 @@ def deficiency(H: KGraph, P: VertexPartition, l: int) -> int:
     return template_edge_count(len(P.U), len(P.W), H.k, l) - len(_template_edges(H, P.W, l))
 
 
-def _partition_for_w(n: int, W) -> VertexPartition:
-    ws = set(W)
-    return VertexPartition(tuple(v for v in range(1, n + 1) if v not in ws), tuple(ws))
-
-
 def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentReport:
     """Minimum template deficiency over partitions with |W| = m - 1.
 
@@ -66,7 +61,8 @@ def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentRepor
     Mode "auto" is exhaustive while C(n, m-1) is within both the subset cap
     and node_budget(); mode "exhaustive" raises BudgetExceededError, before
     any subset is examined, when C(n, m-1) exceeds node_budget(). The report
-    labels which mode ran; satisfied means min deficiency <= eps * n^k.
+    labels which mode ran; satisfied means min deficiency <= eps * n^k, for a
+    real eps in [0, 1].
     """
     [m] = _integers(m=m)
     if m < 1:
@@ -75,7 +71,7 @@ def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentRepor
         raise InvalidQueryError(f"|W| = m-1 = {m - 1} exceeds n = {H.n}")
     if mode not in ("auto", "exhaustive", "local"):
         raise InvalidQueryError(f"unknown mode {mode!r}")
-    eps = Fraction(eps)
+    eps = Fraction(_unit_interval("eps", eps))
     n, k = H.n, H.k
     bound = eps * Fraction(n) ** k
     subsets, budget = comb(n, m - 1), node_budget()
@@ -108,7 +104,8 @@ def eps_contains(H: KGraph, m: int, eps, mode: str = "auto") -> ContainmentRepor
             else:
                 break
         mode = "local-search"
-    return ContainmentReport(_partition_for_w(n, W), cur, bound, cur <= bound, mode, eps)
+    P = VertexPartition(tuple(set(H.vertices()) - set(W)), tuple(W))
+    return ContainmentReport(P, cur, bound, cur <= bound, mode, eps)
 
 
 def vertex_template_deficits(H: KGraph, P: VertexPartition, l: int) -> dict[int, int]:
@@ -121,9 +118,9 @@ def vertex_template_deficits(H: KGraph, P: VertexPartition, l: int) -> dict[int,
     _check_template(H, P, l)
     k, u, w = H.k, len(P.U), len(P.W)
     # a vertex's template degree: the template minus its part on the other
-    # n - 1 vertices (U - v only when U is nonempty: comb rejects a negative size)
+    # n - 1 vertices (U - v or W - v only when that side is nonempty)
     total = template_edge_count(u, w, k, l)
-    in_w = total - template_edge_count(u, w - 1, k, l)
+    in_w = total - template_edge_count(u, w - 1, k, l) if w else 0
     in_u = total - template_edge_count(u - 1, w, k, l) if u else 0
     present = [0] * (H.n + 1)
     for e in _template_edges(H, P.W, l):

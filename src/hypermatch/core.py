@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations, compress
+from numbers import Real
 from operator import index, ne
 from typing import Iterable, Sequence
 
@@ -42,6 +43,13 @@ def _integers(**sizes) -> list[int]:
     except TypeError:
         got = ", ".join(f"{name}={v!r}" for name, v in sizes.items())
         raise InvalidQueryError(f"sizes must be integers, got {got}") from None
+
+
+def _unit_interval(name: str, x):
+    """x itself, once it is checked to be a real number with 0 <= x <= 1."""
+    if not (isinstance(x, Real) and 0 <= x <= 1):
+        raise InvalidQueryError(f"need 0 <= {name} <= 1, got {x}")
+    return x
 
 
 def _check_shape(n: int, k: int) -> tuple[int, int]:
@@ -304,10 +312,7 @@ def link(H: KGraph, v: int) -> KGraph:
     [v] = _vertex_range_check(H, [v], "[v]")
     if H.k < 3:
         raise InvalidQueryError("link of a 2-graph would not be 2-uniform")
-    edges = []
-    for i in H.vertex_edges[v - 1]:
-        e = H.edges[i]
-        edges.append(tuple(w if w < v else w - 1 for w in e if w != v))
+    edges = [tuple(w if w < v else w - 1 for w in H.edges[i] if w != v) for i in H.vertex_edges[v - 1]]
     return KGraph._from_sorted(H.n - 1, H.k - 1, sorted(edges))
 
 
@@ -316,10 +321,7 @@ def induced(H: KGraph, S: Iterable[int]) -> KGraph:
     ss = sorted(set(_vertex_range_check(H, S, "S")))
     pos = {v: i + 1 for i, v in enumerate(ss)}
     smask = _mask(ss)
-    edges = []
-    for e, m in zip(H.edges, H.edge_masks):
-        if m & smask == m:
-            edges.append(tuple(pos[v] for v in e))
+    edges = [tuple(pos[v] for v in e) for e, m in zip(H.edges, H.edge_masks) if m & smask == m]
     return KGraph._from_sorted(len(ss), H.k, sorted(edges))
 
 

@@ -19,14 +19,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import __version__
-from .constructions import (
-    _probability,
-    build_Hknm,
-    random_kgraph,
-    random_kgraph_conditioned,
-    vertex_degree_threshold,
-)
-from .core import KGraph, _integers, format_graph, min_l_degree, parse_graph, verify_matching
+from .constructions import build_Hknm, random_kgraph, random_kgraph_conditioned, vertex_degree_threshold
+from .core import KGraph, _integers, _unit_interval, format_graph, min_l_degree, parse_graph, verify_matching
 from .errors import (
     BudgetExceededError,
     HypermatchError,
@@ -186,14 +180,7 @@ def verify_tightness(grid: Iterable[tuple[int, int, int]]) -> ExperimentReport:
     for (n, k, m) in grid:
         H, delta1, nu = measure(n, k, m)
         thr = vertex_degree_threshold(n, k, m)
-        rec = {
-            "n": n,
-            "k": k,
-            "m": m,
-            "delta1": delta1,
-            "threshold": thr,
-            "nu": nu,
-        }
+        rec = {"n": n, "k": k, "m": m, "delta1": delta1, "threshold": thr, "nu": nu}
         if delta1 != thr:
             raise TightnessFailure("minimum degree differs from threshold", rec, format_graph(H))
         if nu != m - 1:
@@ -224,17 +211,17 @@ def _model_sampler(model: str, n: int, k: int, m: int, p) -> Callable[[str], KGr
     built, once per search, before the first draw.
     """
     if model == "uniform-p":
-        p = _probability(0.5 if p is None else p)
+        p = _unit_interval("p", 0.5 if p is None else p)
         return lambda key: random_kgraph(n, k, p, seed=_trial_seed(key))
     if model == "conditioned":
         if p is not None:
-            _probability(p)
+            _unit_interval("p", p)
         return lambda key: random_kgraph_conditioned(n, k, m, tries=500, seed=_trial_seed(key), p=p)
     if model == "planted":
         # extremal core plus independent extras: concentrates sampling where
         # the threshold filter is tight
         base = list(build_Hknm(n, k, m)[0].edges)
-        p = _probability(0.25 if p is None else p)
+        p = _unit_interval("p", 0.25 if p is None else p)
         return lambda key: KGraph(n, k, base + list(random_kgraph(n, k, p, seed=_trial_seed(key)).edges))
     raise InvalidQueryError(f"unknown model {model!r}")
 
@@ -258,7 +245,7 @@ def conjecture_search(
     before being reported as a counterexample, with its fingerprint.
     Budget exhaustion marks the report incomplete instead of aborting.
     """
-    [trials] = _integers(trials=trials)
+    trials, n, k, m, seed = _integers(trials=trials, n=n, k=k, m=m, seed=seed)
     if trials < 0:
         raise InvalidQueryError(f"need trials >= 0, got {trials}")
     if k < 2 or not k * m < n:
@@ -287,24 +274,13 @@ def conjecture_search(
         try:
             nu, _ = exact_nu(H)
         except BudgetExceededError:
-            report.instances.append(
-                {"trial": t, "delta1": delta1, "nu": None, "status": "indeterminate"}
-            )
+            report.instances.append({"trial": t, "delta1": delta1, "nu": None, "status": "indeterminate"})
             report.incomplete = True
             continue
         report.instances.append({"trial": t, "delta1": delta1, "nu": nu, "status": "ok"})
-        if nu < m:
-            confirmed = _reverify_counterexample(H, m, thr)
-            if confirmed:
-                report.counterexamples.append(
-                    {
-                        "trial": t,
-                        "delta1": delta1,
-                        "nu": nu,
-                        "graph": format_graph(H),
-                        "fingerprint": graph_fingerprint(H),
-                    }
-                )
+        if nu < m and _reverify_counterexample(H, m, thr):
+            report.counterexamples.append({"trial": t, "delta1": delta1, "nu": nu, "graph": format_graph(H),
+                                           "fingerprint": graph_fingerprint(H)})
     report.params["accepted"] = len(report.instances)
     report.params["exhausted_trials"] = exhausted
     report.params["delta1_histogram"] = {str(d): c for d, c in sorted(histogram.items())}

@@ -34,6 +34,7 @@ from .core import (
     KGraph,
     Matching,
     _integers,
+    _unit_interval,
     independence_number,
     is_stable,
     link,
@@ -71,9 +72,7 @@ class SamplerSettings:
     seed: int = 0
 
     def __post_init__(self):
-        keep = self.keep_probability
-        if not (isinstance(keep, Real) and 0 <= keep <= 1):
-            raise InvalidQueryError(f"keep_probability must be a real in [0,1], got {keep!r}")
+        _unit_interval("keep_probability", self.keep_probability)
         if _integers(copy_count=self.copy_count)[0] < 0:
             raise InvalidQueryError("copy_count must be nonnegative")
 

@@ -91,6 +91,18 @@ def brute_template_edges(n, k, W, l):
     return {e for e in combinations(range(1, n + 1), k) if 1 <= len(ws & set(e)) <= l}
 
 
+def brute_type_graph(sizes, profiles, k):
+    """All k-sets of 1..sum(sizes) whose counts in the consecutive blocks of
+    the given sizes form one of the profiles, in lexicographic order."""
+    block = [i for i, a in enumerate(sizes) for _ in range(a)]  # block[v - 1] holds v
+    allowed = {tuple(p) for p in profiles}
+    return [
+        e
+        for e in combinations(range(1, sum(sizes) + 1), k)
+        if tuple(sum(1 for v in e if block[v - 1] == i) for i in range(len(sizes))) in allowed
+    ]
+
+
 def brute_min_deficiency(H_edges, n, k, m):
     """Exhaustive minimum, over all W of size m-1, of |template - E(H)|."""
     es = set(H_edges)

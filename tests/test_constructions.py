@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil, comb
 
 import numpy as np
@@ -27,6 +27,8 @@ from hypermatch.constructions import (
     VertexPartition,
     _draw_threshold,
     template_edge_count,
+    type_edge_count,
+    type_graph,
 )
 from hypermatch.errors import InvalidQueryError, SamplingExhaustedError
 
@@ -184,10 +186,6 @@ class TestParity:
         with pytest.raises(InvalidQueryError):
             parity_construction(a, b, 3)
 
-    def test_warns_on_unintended_parameters(self):
-        with pytest.warns(UserWarning):
-            parity_construction(2, 2, 3)
-
     def test_no_perfect_matching_when_a_odd(self):
         for (a, b, k) in [(3, 3, 3), (5, 4, 3)]:
             if (a + b) % k == 0:
@@ -228,6 +226,109 @@ class TestSpaceBarrier:
         for n, k in [(6, 3), (9, 3), (8, 4)]:
             H = space_barrier(n, k)
             assert oracles.brute_nu(H.edges) < n // k
+
+
+@st.composite
+def type_shapes(draw):
+    """Up to three blocks on at most 12 vertices, k in 2..5, and any list of
+    profiles (repeats included) drawn from the compositions of k."""
+    t = draw(st.integers(min_value=1, max_value=3))
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=t, max_size=t))
+    if sum(sizes) > 12:
+        sizes = [a * 12 // sum(sizes) for a in sizes]
+    k = draw(st.integers(min_value=2, max_value=5))
+    compositions = [p for p in product(range(k + 1), repeat=t) if sum(p) == k]
+    profiles = draw(st.lists(st.sampled_from(compositions), max_size=len(compositions) + 2))
+    return tuple(sizes), profiles, k
+
+
+class TestTypeGraph:
+    @settings(max_examples=300, deadline=None)
+    @given(type_shapes())
+    def test_matches_the_brute_force_filter(self, shape):
+        sizes, profiles, k = shape
+        H = type_graph(sizes, profiles, k)
+        assert (H.n, H.k) == (sum(sizes), k)
+        assert H.edges == tuple(oracles.brute_type_graph(sizes, profiles, k))
+        assert type_edge_count(sizes, profiles) == len(H.edges)
+
+    def test_integer_like_counts_become_int(self):
+        H = type_graph((np.int64(2), True), [(np.int32(1), 1)], 2)
+        assert H == KGraph(3, 2, [(1, 3), (2, 3)])
+        assert type_edge_count([np.int64(4), 3], [[2, True]]) == 18
+
+    @pytest.mark.parametrize(
+        "sizes, profiles, k",
+        [
+            ((3, -1), [(1, 1)], 2),
+            ((-2,), [(2,)], 2),
+            ((3, 2.0), [(1, 1)], 2),
+            (("3", 2), [(1, 1)], 2),
+            ((3, 2), [(1, 1.5)], 2),
+            ((3, 2), [(2,)], 2),
+            ((3, 2), [(1, 1, 0)], 2),
+            ((3, 2), [(3, -1)], 2),
+            ((3, 2), [(1, 1), (2, 1)], 2),
+            ((3, 2), [(1, 1)], 3),
+            ((3, 2), [(1, 1)], 1),
+            (3, [(3,)], 3),
+        ],
+        ids=[
+            "negative-size", "negative-only-size", "float-size", "str-size", "float-count",
+            "short-profile", "long-profile", "negative-count", "profile-sums-above-k",
+            "profile-sums-below-k", "uniformity-1", "sizes-not-a-sequence",
+        ],
+    )
+    def test_malformed_shape_is_rejected(self, sizes, profiles, k):
+        with pytest.raises(InvalidQueryError):
+            type_graph(sizes, profiles, k)
+
+    @pytest.mark.parametrize(
+        "sizes, profiles",
+        [((3, -1), [(1, 1)]), ((3, 2.5), [(1, 1)]), ((3, 2), [(1,)]), ((3, 2), [(3, -1)])],
+        ids=["negative-size", "float-size", "short-profile", "negative-count"],
+    )
+    def test_malformed_count_is_rejected(self, sizes, profiles):
+        with pytest.raises(InvalidQueryError):
+            type_edge_count(sizes, profiles)
+
+    @pytest.mark.parametrize(
+        "args", [(6, 3, 3, 2.5), (6, 3.0, 3, 2), (-1, 3, 3, 2), (6, 3, "3", 2)],
+        ids=["l-float", "w-float", "u-negative", "k-str"],
+    )
+    def test_template_edge_count_rejects_bad_sizes(self, args):
+        with pytest.raises(InvalidQueryError):
+            template_edge_count(*args)
+
+    def test_template_edge_count_caps_l_at_k(self):
+        assert template_edge_count(5, 3, 3, 7) == template_edge_count(5, 3, 3, 3) == comb(8, 3) - comb(5, 3)
+
+
+class TestFamiliesMatchDefinitions:
+    """parity_construction and join_clique against their set definitions, as
+    TestSpaceBarrier and TestBuildHkl check the other families."""
+
+    @pytest.mark.parametrize(
+        "a, b, k",
+        [(0, 3, 3), (3, 0, 3), (1, 3, 4), (3, 3, 3), (5, 4, 3), (2, 2, 3), (4, 6, 2), (5, 5, 4), (7, 5, 5), (6, 8, 5)],
+    )
+    def test_parity(self, a, b, k):
+        expected = [e for e in combinations(range(1, a + b + 1), k) if sum(v <= a for v in e) % 2 == 0]
+        assert parity_construction(a, b, k) == KGraph(a + b, k, expected)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "base",
+        [KGraph(0, 3, []), KGraph(2, 3, []), KGraph(6, 2, [(1, 2), (3, 6)]), build_Hknm(9, 3, 2)[0],
+         random_kgraph(10, 4, Fraction(1, 3), seed=7), complete(6, 5)],
+        ids=["empty", "n-below-k", "k2", "hknm", "random-k4", "complete-k5"],
+    )
+    def test_join(self, base, r):
+        n, k = base.n, base.k
+        added = [e for e in combinations(range(1, n + r + 1), k) if e[-1] > n]
+        H = join_clique(base, r)
+        assert H == KGraph(n + r, k, list(base.edges) + added)
+        assert H._top_split[0] == r and H._top_split[1] is base
 
 
 class TestThresholds:
@@ -310,6 +411,19 @@ class TestRandomGraphs:
     def test_random_kgraph_rejects_p_outside_unit_interval(self, p):
         with pytest.raises(InvalidQueryError, match="need 0 <= p <= 1"):
             random_kgraph(7, 3, p, seed=0)
+
+    @pytest.mark.parametrize("seed", [2.5, "3", None, 1.0])
+    def test_non_integer_seed_is_rejected(self, seed):
+        with pytest.raises(InvalidQueryError, match="must be integers"):
+            random_kgraph(7, 3, 0.5, seed=seed)
+        with pytest.raises(InvalidQueryError, match="must be integers"):
+            random_kgraph_conditioned(7, 3, 2, tries=3, seed=seed)
+
+    def test_numpy_seed_draws_like_the_int(self):
+        assert random_kgraph(8, 3, 0.4, seed=np.int64(1)) == random_kgraph(8, 3, 0.4, seed=1)
+        assert random_kgraph_conditioned(9, 3, 2, tries=50, seed=np.int32(5)) == (
+            random_kgraph_conditioned(9, 3, 2, tries=50, seed=5)
+        )
 
     def test_conditioned_exhaustion_is_distinct(self):
         with pytest.raises(SamplingExhaustedError):

@@ -159,6 +159,16 @@ class TestEpsContains:
         assert not eps_contains(G, 3, Fraction(1, 9**3 + 1)).satisfied
 
 
+    @pytest.mark.parametrize("eps", [2.5, "3", -1, None, "x", Fraction(3, 2), float("nan")])
+    def test_eps_outside_unit_interval_is_rejected(self, eps):
+        with pytest.raises(InvalidQueryError, match="need 0 <= eps <= 1"):
+            eps_contains(complete(7, 3), 2, eps)
+
+    @pytest.mark.parametrize("eps", [0, 1, 0.25, Fraction(1, 3), True])
+    def test_eps_in_unit_interval_is_accepted(self, eps):
+        assert eps_contains(complete(7, 3), 2, eps).eps == Fraction(eps)
+
+
 class TestClassification:
     def test_template_all_good(self):
         H, part = build_Hknm(9, 3, 3)

@@ -143,6 +143,26 @@ class TestConjectureSearch:
         b = conjecture_search(9, 3, 2, trials=25, seed=9)
         assert emit_report(a) == emit_report(b)
 
+    def test_numpy_arguments_emit_the_int_bytes(self):
+        import numpy as np
+
+        a = conjecture_search(np.int64(9), np.int32(3), np.int64(2), trials=np.int64(5), seed=np.int64(9))
+        b = conjecture_search(9, 3, 2, trials=5, seed=9)
+        assert emit_report(a) == emit_report(b)
+        assert {type(a.params[key]) for key in ("n", "k", "m", "trials")} | {type(a.seed)} == {int}
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [({"n": "9"}, "n='9'"), ({"k": 3.0}, "k=3.0"), ({"m": 2.5}, "m=2.5"), ({"seed": None}, "seed=None"),
+         ({"seed": 1.5}, "seed=1.5")],
+        ids=["n-str", "k-float", "m-float", "seed-none", "seed-float"],
+    )
+    def test_non_integer_arguments_are_rejected(self, kwargs, named):
+        args = {"n": 9, "k": 3, "m": 2, **kwargs}
+        with pytest.raises(InvalidQueryError, match="must be integers") as info:
+            conjecture_search(args.pop("n"), args.pop("k"), args.pop("m"), trials=1, **args)
+        assert named in str(info.value)
+
 
 class TestReports:
     def _sample(self):
