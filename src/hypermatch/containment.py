@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, inf
+from numbers import Real
 
 from .constructions import VertexPartition, template_edge_count
 from .core import EdgeT, KGraph, _integers, _mask, _unit_interval, node_budget
@@ -40,6 +41,7 @@ def _template_edges(H: KGraph, W, l: int) -> list[EdgeT]:
 
 
 def _check_template(H: KGraph, P: VertexPartition, l: int) -> None:
+    [l] = _integers(l=l)
     if P.n != H.n:
         raise InvalidQueryError(f"partition covers {P.n} vertices, graph has {H.n}")
     if not 1 <= l <= H.k:
@@ -141,6 +143,8 @@ def classify_good_bad(
     """
     if l not in (H.k - 1, H.k - 2) or l < 1:
         raise InvalidQueryError(f"classification supports l in {{k-2, k-1}}, got l={l}, k={H.k}")
+    if not (isinstance(theta, Real) and -inf < theta < inf):
+        raise InvalidQueryError(f"theta must be a finite real number, got {theta!r}")
     theta = Fraction(theta)
     bound = theta * Fraction(H.n) ** (H.k - 1)
     deficits = vertex_template_deficits(H, P, l)

@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Sized
 
 from . import __version__
 from .constructions import build_Hknm, random_kgraph, random_kgraph_conditioned, vertex_degree_threshold
@@ -177,7 +177,10 @@ def verify_tightness(grid: Iterable[tuple[int, int, int]]) -> ExperimentReport:
         H, _ = build_Hknm(n, k, m)
         return H, min_l_degree(H, 1), exact_nu(H)[0]
 
-    for (n, k, m) in grid:
+    for point in grid:
+        if not (isinstance(point, Sized) and len(point) == 3):
+            raise InvalidQueryError(f"grid points must be (n, k, m), got {point!r}")
+        n, k, m = _integers(n=point[0], k=point[1], m=point[2])
         H, delta1, nu = measure(n, k, m)
         thr = vertex_degree_threshold(n, k, m)
         rec = {"n": n, "k": k, "m": m, "delta1": delta1, "threshold": thr, "nu": nu}

@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 from math import lcm
 from numbers import Rational
 from operator import add
@@ -289,20 +289,16 @@ def cyclic_windows(verts: Sequence[int], k: int) -> list[EdgeT]:
     return [tuple(sorted(verts[(i + j) % nn] for j in range(k))) for i in range(nn)]
 
 
-@lru_cache(maxsize=1)  # a pipeline run closes every item over the same n + r and k
-def _all_ksets(n: int, k: int) -> KGraph:
-    return KGraph._from_sorted(n, k, combinations(range(1, n + 1), k))
-
-
 def weight_closure(n_total: int, k: int, w: VertexWeights) -> KGraph:
     """All k-sets of 1..n_total whose weights sum to at least 1, exactly."""
     n_total, k = _check_shape(n_total, k)
     if w.n != n_total:
         raise InvalidQueryError(f"weights cover {w.n} vertices, expected {n_total}")
     den, nums = _common_denominator(w.weights)
-    ksets = _all_ksets(n_total, k)
-    heavy = map(den.__le__, _edge_sums(ksets, nums))
-    return KGraph._from_sorted(n_total, k, compress(ksets.edges, heavy))
+    # lexicographic: each (k-1)-head with the weight it still needs, then its last vertices
+    heads = ((h, den - sum(map(nums.__getitem__, h))) for h in combinations(range(1, n_total), k - 1))
+    heavy = [h + (v,) for h, need in heads for v in range(h[-1] + 1, n_total + 1) if nums[v] >= need]
+    return KGraph._from_sorted(n_total, k, heavy)
 
 
 def _weight_labels(w: VertexWeights) -> tuple[int, ...]:

@@ -33,6 +33,7 @@ from .core import (
     EdgeT,
     KGraph,
     Matching,
+    _check_shape,
     _integers,
     _unit_interval,
     independence_number,
@@ -75,6 +76,7 @@ class SamplerSettings:
         _unit_interval("keep_probability", self.keep_probability)
         if _integers(copy_count=self.copy_count)[0] < 0:
             raise InvalidQueryError("copy_count must be nonnegative")
+        object.__setattr__(self, "seed", _integers(seed=self.seed)[0])  # sub-seeds are its decimal text
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class PipelineConfig:
     """Knobs of the constructive route.
 
     eta is the padding fraction of the augmentation rule; rho the degree
-    slack; eps the containment scale.
+    slack; eps the containment scale; all rational, so the route compares exactly.
     """
 
     eta: Fraction = Fraction(1, 10)
@@ -90,12 +92,12 @@ class PipelineConfig:
     eps: Fraction = Fraction(1, 10)
 
     def __post_init__(self):
-        if not (isinstance(self.eta, Real) and self.eta > 0):
-            raise InvalidQueryError(f"eta must be positive, got {self.eta}")
-        if not (isinstance(self.eps, Real) and 0 < self.eps < 1):
-            raise InvalidQueryError(f"eps must be in (0,1), got {self.eps}")
-        if not (isinstance(self.rho, Real) and self.rho >= 0):
-            raise InvalidQueryError(f"rho must be nonnegative, got {self.rho}")
+        if not (isinstance(self.eta, Rational) and self.eta > 0):
+            raise InvalidQueryError(f"eta must be a positive rational number, got {self.eta!r}")
+        if not (isinstance(self.eps, Rational) and 0 < self.eps < 1):
+            raise InvalidQueryError(f"eps must be a rational number in (0,1), got {self.eps!r}")
+        if not (isinstance(self.rho, Rational) and self.rho >= 0):
+            raise InvalidQueryError(f"rho must be a nonnegative rational number, got {self.rho!r}")
 
 
 def padded_clique_size(n: int, k: int, m: int, eta) -> int:
@@ -107,7 +109,7 @@ def padded_clique_size(n: int, k: int, m: int, eta) -> int:
     hypothesis (r-k)(k-1) >= n-km never holds; the pipeline reports it as
     the precondition clique_ok.
     """
-    n, k, m = _integers(n=n, k=k, m=m)
+    (n, k), [m] = _check_shape(n, k), _integers(m=m)
     eta = _padding(eta)
     slack = Fraction(n - k * m) - eta * n
     if slack < 0:
@@ -119,7 +121,7 @@ def padded_clique_size(n: int, k: int, m: int, eta) -> int:
 
 def augmentation_residual(n: int, k: int, m: int, eta, r: int) -> Fraction:
     """How far the rounded clique size overshoots the exact padding rule."""
-    n, k, m, r = _integers(n=n, k=k, m=m, r=r)
+    (n, k), (m, r) = _check_shape(n, k), _integers(m=m, r=r)
     return r * (k - 1) - (Fraction(n - k * m) - _padding(eta) * n)
 
 
@@ -132,7 +134,7 @@ def _padding(eta) -> Fraction:
 
 def minimal_feasible_r(n: int, k: int, m: int) -> int:
     """Smallest r with (r-k)(k-1) >= n-km, the clique-completion hypothesis."""
-    n, k, m = _integers(n=n, k=k, m=m)
+    (n, k), [m] = _check_shape(n, k), _integers(m=m)
     return k + max(0, ceil(Fraction(n - k * m, k - 1)))
 
 
@@ -233,10 +235,6 @@ class PipelineTrace:
         return [head] + [st.record() for st in self.steps]
 
 
-def _complete_block_size(m: int, eps: Fraction, n: int) -> int:
-    return m + ceil(eps * n)
-
-
 def check_pipeline_preconditions(H: KGraph, m: int, r: int, cfg: PipelineConfig) -> dict:
     """Report (never enforce) the hypotheses of the constructive route.
 
@@ -248,7 +246,7 @@ def check_pipeline_preconditions(H: KGraph, m: int, r: int, cfg: PipelineConfig)
     degree_floor = vertex_degree_threshold(n, k, m) - cfg.rho * Fraction(n) ** (k - 1)
     delta1 = min_l_degree(H, 1)
     alpha = independence_number(H)
-    alpha_bound = n - _complete_block_size(m, cfg.eps, n)
+    alpha_bound = n - m - ceil(cfg.eps * n)
     return {
         "alpha": alpha,
         "alpha_bound": alpha_bound,
@@ -329,13 +327,12 @@ def fractional_pm_pipeline(
         trace.relabel_old_to_new = old_to_new
         st.details = {"old_to_new": old_to_new}
 
-    # weight closure and its core/link; it holds exactly the k-sets of w-weight
-    # >= 1, so it contains the relabeled H_aug exactly when w[label[.]] covers H_aug
+    # closure = k-sets of w-weight >= 1; the check below puts H_aug in it, so it is the clique join of its core
     with trace.step("closure") as st:
         if not VertexWeights(tuple(map(w.__getitem__, full_map))).is_cover_of(H_aug):
             st.contradict("augmented graph escapes its weight closure")
-        closure = weight_closure(n + r, k, w)
-        core_graph = KGraph._from_sorted(n, k, [e for e in closure.edges if e[-1] <= n])  # clique on top
+        core_graph = weight_closure(n, k, VertexWeights(w.weights[:n]))
+        closure = join_clique(core_graph, r)
         link_graph = link(core_graph, n)
         st.details = {
             "closure_edges": len(closure.edges),
@@ -348,7 +345,7 @@ def fractional_pm_pipeline(
         if not is_stable(link_graph):
             st.contradict("link of the closure is not stable")
 
-    block_top = _complete_block_size(m, cfg.eps, n)
+    block_top = n - pre["alpha_bound"]  # m + ceil(eps*n)
     with trace.step("complete_block") as st:
         block = combinations(range(1, min(block_top, n) + 1), k)
         missing = next((e for e in block if e not in core_graph.edge_set), None)

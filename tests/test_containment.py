@@ -220,8 +220,14 @@ class TestClassification:
         (lambda: eps_contains(complete(7, 3), 2, Fraction(1, 10), mode="bogus"), "unknown mode"),
         (lambda: deficiency(complete(7, 3), VertexPartition((1, 2, 3), (4, 5)), 2), "partition covers"),
         (lambda: deficiency(complete(5, 3), VertexPartition((1, 2, 3), (4, 5)), 0), "need 1 <= l"),
+        (lambda: deficiency(complete(5, 3), VertexPartition((1, 2, 3), (4, 5)), "2"), "got l='2'"),
+        (lambda: classify_good_bad(*build_Hknm(9, 3, 3), 2, "x"), "theta must be a finite real"),
+        (lambda: classify_good_bad(*build_Hknm(9, 3, 3), 2, float("nan")), "theta must be a finite real"),
     ],
-    ids=["eps-contains-mode", "deficiency-partition-size", "deficiency-l-0"],
+    ids=[
+        "eps-contains-mode", "deficiency-partition-size", "deficiency-l-0", "deficiency-l-str",
+        "classify-theta-str", "classify-theta-nan",
+    ],
 )
 def test_out_of_range_query_is_rejected(query, message):
     with pytest.raises(InvalidQueryError, match=message):

@@ -45,6 +45,13 @@ class TestTightness:
         rec = rep.instances[0]
         assert rec["threshold"] == 0 and rec["nu"] == 0
 
+    def test_numpy_grid_points_emit_the_int_bytes(self):
+        import numpy as np
+
+        rep = verify_tightness([(np.int64(7), np.int32(3), np.int64(2))])
+        assert emit_report(rep) == emit_report(verify_tightness([(7, 3, 2)]))
+        assert {type(v) for v in rep.instances[0].values()} == {int, bool}
+
     def test_grid_shape(self):
         grid = tightness_grid(ks=(3,), n_max=9)
         assert (9, 3, 3) in grid and (9, 3, 4) not in grid
@@ -230,12 +237,16 @@ class TestReports:
         (lambda: conjecture_search(9, 3, 2, trials=-5), "need trials >= 0, got -5"),
         (lambda: tightness_grid((3,), 5.5), "got n_max=5.5"),
         (lambda: tightness_grid((3.5,), 9), "got k=3.5"),
+        (lambda: verify_tightness([(7, 3)]), r"grid points must be \(n, k, m\), got \(7, 3\)"),
+        (lambda: verify_tightness([(7, 3, 2.5)]), "got n=7, k=3, m=2.5"),
+        (lambda: verify_tightness([7]), "grid points must be"),
     ],
     ids=[
         "emit-xml", "load-not-an-object", "load-unknown-record", "search-unknown-model",
         "search-unknown-model-no-trials", "search-conditioned-p-2-no-trials",
         "search-uniform-p-negative-no-trials", "search-planted-p-2-no-trials",
         "search-trials-2.5", "search-trials-negative", "grid-n-max-5.5", "grid-k-3.5",
+        "tightness-point-of-two", "tightness-m-2.5", "tightness-point-int",
     ],
 )
 def test_bad_query_is_rejected(query, message):

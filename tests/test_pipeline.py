@@ -378,23 +378,42 @@ class TestPipeline:
     @pytest.mark.parametrize("n, m", [(12, 2), (13, 3), (14, 4)])
     def test_closure_core_is_the_closure_induced_on_the_original_vertices(self, monkeypatch, n, m):
         seen = {}
-        real_closure, real_link = pipeline.weight_closure, pipeline.link
-
-        def closure(*args):
-            seen["closure"] = real_closure(*args)
-            return seen["closure"]
+        real_link = pipeline.link
 
         def link(G, v):
             seen["core"] = G
             return real_link(G, v)
 
-        monkeypatch.setattr(pipeline, "weight_closure", closure)
         monkeypatch.setattr(pipeline, "link", link)
         H = random_kgraph(n, 3, Fraction(7, 10), seed=n)
-        _, trace = fractional_pm_pipeline(H, m, minimal_feasible_r(n, 3, m), PipelineConfig())
+        assignment, trace = fractional_pm_pipeline(H, m, minimal_feasible_r(n, 3, m), PipelineConfig())
+        closure = assignment.host
         assert trace.steps[-1].name == "verify"
-        assert seen["core"] == induced(seen["closure"], range(1, n + 1))
-        assert seen["core"].n == n and seen["closure"].n > n
+        assert seen["core"] == induced(closure, range(1, n + 1))
+        assert seen["core"].n == n and closure.n > n
+
+    @pytest.mark.parametrize(
+        "host, m, r",
+        [
+            (lambda: random_kgraph(12, 3, Fraction(7, 10), seed=0), 2, 6),
+            (lambda: random_kgraph(13, 3, Fraction(7, 10), seed=1), 3, 5),
+            (lambda: random_kgraph(14, 3, Fraction(17, 20), seed=2), 4, 4),
+            (lambda: random_kgraph(12, 4, Fraction(7, 10), seed=3), 2, 6),
+            (lambda: random_kgraph(12, 3, Fraction(6, 10), seed=4), 3, 0),
+            (lambda: build_Hknm(9, 3, 2)[0], 1, 3),
+        ],
+        ids=["pool-12-2", "pool-13-3", "pool-14-4", "k4", "r0", "incomplete-closure"],
+    )
+    def test_closure_is_the_weight_closure_of_the_joined_cover(self, host, m, r):
+        # the reference prices every k-set of [n + r] under the relabeled cover
+        H = host()
+        n, k = H.n, H.k
+        assignment, trace = fractional_pm_pipeline(H, m, r, PipelineConfig())
+        _, cover = lp.min_fractional_cover(join_clique(H, r))
+        full_map = trace.relabel_old_to_new + tuple(range(n + 1, n + r + 1))
+        closure = assignment.host
+        assert closure == lp.weight_closure(n + r, k, lp.permute_weights(cover, full_map))
+        assert closure._top_split == ((r, induced(closure, range(1, n + 1))) if r else None)
 
     @pytest.mark.parametrize("m, r", [("3", 1), (3, 1.5)], ids=["m-str", "r-float"])
     def test_non_integer_m_or_r_is_rejected(self, m, r):
@@ -489,6 +508,13 @@ class TestSampler:
         a = first_round_sampler(H, SamplerSettings(0.5, np.int64(6), seed=5))
         assert a.copies == first_round_sampler(H, SamplerSettings(0.5, 6, seed=5)).copies
 
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint8(5)])
+    def test_integer_seed_is_stored_as_the_int(self, seed):
+        H = KGraph(30, 3, [])
+        settings = SamplerSettings(0.5, 6, seed=seed)
+        assert type(settings.seed) is int
+        assert first_round_sampler(H, settings).copies == first_round_sampler(H, SamplerSettings(0.5, 6, 5)).copies
+
 
 class TestChernoff:
     def test_band_inverts_tails(self):
@@ -542,10 +568,20 @@ class TestChernoff:
         (lambda: padded_clique_size(20, 3, 2, None), "eta"),
         (lambda: augmentation_residual(20, 3, 2, "3", 4), "eta"),
         (lambda: augmentation_residual(20, 3, 2, float("inf"), 4), "eta"),
+        (lambda: PipelineConfig(eps=0.1), "eps must be a rational number"),
+        (lambda: PipelineConfig(rho=0.001), "rho must be a nonnegative rational number"),
+        (lambda: PipelineConfig(eta=0.1), "eta must be a positive rational number"),
+        (lambda: minimal_feasible_r(5, 1, 1), "uniformity k must be >= 2"),
+        (lambda: padded_clique_size(5, 1, 1, Fraction(1, 10)), "uniformity k must be >= 2"),
+        (lambda: augmentation_residual(5, 1, 1, 0, 2), "uniformity k must be >= 2"),
+        (lambda: SamplerSettings(Fraction(1, 2), 2, seed=2.5), "seed=2.5"),
+        (lambda: SamplerSettings(Fraction(1, 2), 2, seed=None), "seed=None"),
     ],
     ids=[
         "eta-0", "eps-1", "rho-negative", "eta-x", "eps-x", "rho-x", "keep-2", "copies-negative",
         "pipeline-m-0", "padded-eta-negative", "padded-eta-none", "residual-eta-str", "residual-eta-inf",
+        "eps-float", "rho-float", "eta-float", "minimal-k-1", "padded-k-1", "residual-k-1",
+        "sampler-seed-2.5", "sampler-seed-none",
     ],
 )
 def test_out_of_range_query_is_rejected(query, message):
