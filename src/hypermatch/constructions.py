@@ -240,6 +240,7 @@ def random_kgraph_conditioned(
     threshold; a p given outside [0, 1] raises InvalidQueryError. Raises
     SamplingExhaustedError when tries run out.
     """
+    n, k = _check_shape(n, k)
     if _integers(tries=tries)[0] < 0:
         raise InvalidQueryError(f"need tries >= 0, got {tries}")
     floor = vertex_degree_threshold(n, k, m) + 1

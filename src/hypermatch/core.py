@@ -108,18 +108,18 @@ class KGraph:
 
     @classmethod
     def _from_sorted(cls, n: int, k: int, edges: Iterable[EdgeT]) -> "KGraph":
-        """Trusted constructor: edges must already be canonical (sorted, unique)."""
+        """Trusted constructor: (n, k) must already be checked (_check_shape) and
+        edges canonical (sorted, unique)."""
         return cls._trusted(n, k, "edges", tuple(edges))
 
     @classmethod
     def _from_array(cls, n: int, k: int, arr) -> "KGraph":
-        """Trusted constructor: arr must be a canonical (lexicographically
+        """Trusted constructor: (n, k) as for _from_sorted, arr a canonical (lexicographically
         sorted, unique rows) C-contiguous int32 (e, k) array of vertices."""
         return cls._trusted(n, k, "edge_array", arr)
 
     @classmethod
     def _trusted(cls, n: int, k: int, form: str, edges) -> "KGraph":
-        n, k = _check_shape(n, k)
         H = cls.__new__(cls)
         object.__setattr__(H, "n", n)
         object.__setattr__(H, "k", k)

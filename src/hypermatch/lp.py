@@ -301,11 +301,11 @@ def weight_closure(n_total: int, k: int, w: VertexWeights) -> KGraph:
     return KGraph._from_sorted(n_total, k, heavy)
 
 
-def _weight_labels(w: VertexWeights) -> tuple[int, ...]:
-    """p with p[old_vertex - 1] = new label, the labels sorted so that weights
-    are non-increasing; ties keep index order."""
-    order = sorted(range(w.n), key=lambda i: (-w.weights[i], i))  # order[new - 1] = old - 1
-    return tuple(1 + new for new in sorted(range(w.n), key=order.__getitem__))
+def _weight_labels(weights: Sequence[Fraction]) -> tuple[int, ...]:
+    """p with p[old_vertex - 1] = new label for the weights weights[old_vertex - 1],
+    the labels sorted so that weights are non-increasing; ties keep index order."""
+    order = sorted(range(len(weights)), key=lambda i: (-weights[i], i))  # order[new - 1] = old - 1
+    return tuple(1 + new for new in sorted(range(len(weights)), key=order.__getitem__))
 
 
 def relabel_by_weights(H: KGraph, w: VertexWeights) -> tuple[KGraph, tuple[int, ...]]:
@@ -317,14 +317,13 @@ def relabel_by_weights(H: KGraph, w: VertexWeights) -> tuple[KGraph, tuple[int, 
     """
     if w.n != H.n:
         raise InvalidQueryError(f"weights cover {w.n} vertices, expected {H.n}")
-    label = (0, *_weight_labels(w))
+    label = (0, *_weight_labels(w.weights))
     edges = [tuple(sorted(map(label.__getitem__, e))) for e in H.edges]
     return KGraph._from_sorted(H.n, H.k, sorted(edges)), label[1:]
 
 
 def permute_weights(w: VertexWeights, old_to_new: tuple[int, ...]) -> VertexWeights:
-    """Weights seen through a relabeling: new vertex p[v-1] gets v's weight."""
-    out = [ZERO] * len(old_to_new)
-    for old, new in enumerate(old_to_new, start=1):
-        out[new - 1] = w[old]
-    return VertexWeights(tuple(out))
+    """Weights seen through a relabeling p of 1..w.n: new vertex p[v-1] gets v's weight."""
+    if len(old_to_new) != w.n or set(old_to_new) != set(range(1, w.n + 1)):
+        raise InvalidQueryError(f"old_to_new must be a permutation of 1..{w.n}, got {old_to_new!r}")
+    return VertexWeights(tuple(x for _, x in sorted(zip(old_to_new, w.weights))))

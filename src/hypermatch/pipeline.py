@@ -55,7 +55,6 @@ from .lp import (
     _weight_labels,
     cyclic_windows,
     min_fractional_cover,
-    permute_weights,
     weight_closure,
 )
 from .matching import exact_nu, exact_nu_within
@@ -126,10 +125,10 @@ def augmentation_residual(n: int, k: int, m: int, eta, r: int) -> Fraction:
 
 
 def _padding(eta) -> Fraction:
-    """eta as a Fraction, once it is checked to be a finite real >= 0."""
-    if not (isinstance(eta, Real) and 0 <= eta < math.inf):
-        raise InvalidQueryError(f"eta must be a finite real number >= 0, got {eta!r}")
-    return Fraction(eta) if isinstance(eta, Rational) else Fraction(float(eta))
+    """eta as a Fraction, once it is checked to be a rational number >= 0."""
+    if not (isinstance(eta, Rational) and eta >= 0):
+        raise InvalidQueryError(f"eta must be a rational number >= 0, got {eta!r}")
+    return Fraction(eta)
 
 
 def minimal_feasible_r(n: int, k: int, m: int) -> int:
@@ -307,8 +306,7 @@ def fractional_pm_pipeline(
     # minimum fractional cover of the augmented graph
     target = Fraction(n + r, k)
     with trace.step("cover") as st:
-        H_aug = join_clique(H, r)
-        tau_value, cover = min_fractional_cover(H_aug)
+        tau_value, cover = min_fractional_cover(join_clique(H, r))
         st.details = {"tau": tau_value, "target": target}
     if tau_value < target:
         with trace.step("cover_certificate") as st:
@@ -318,20 +316,17 @@ def fractional_pm_pipeline(
                 target=target,
             )
 
-    # sort the original vertices by weight; weight 0 on the clique keeps its
-    # labels on top, since ties go by index
+    # sort the original vertices by weight (ties by index); the clique keeps n+1..n+r
     with trace.step("relabel") as st:
-        full_map = _weight_labels(VertexWeights(cover.weights[:n] + (Fraction(0),) * r))
-        old_to_new = full_map[:n]
-        w = permute_weights(cover, full_map)
+        old_to_new = _weight_labels(cover.weights[:n])
+        core_weights = VertexWeights(tuple(sorted(cover.weights[:n], reverse=True)))  # new-label order
         trace.relabel_old_to_new = old_to_new
         st.details = {"old_to_new": old_to_new}
 
-    # closure = k-sets of w-weight >= 1; the check below puts H_aug in it, so it is the clique join of its core
+    # closure = k-sets of weight >= 1; the certified cover gives every k-set meeting
+    # the clique weight >= 1, so the closure is the clique join of its core
     with trace.step("closure") as st:
-        if not VertexWeights(tuple(map(w.__getitem__, full_map))).is_cover_of(H_aug):
-            st.contradict("augmented graph escapes its weight closure")
-        core_graph = weight_closure(n, k, VertexWeights(w.weights[:n]))
+        core_graph = weight_closure(n, k, core_weights)
         closure = join_clique(core_graph, r)
         link_graph = link(core_graph, n)
         st.details = {

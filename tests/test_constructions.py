@@ -425,6 +425,11 @@ class TestRandomGraphs:
             random_kgraph_conditioned(9, 3, 2, tries=50, seed=5)
         )
 
+    def test_numpy_shape_gives_an_int_shape(self):
+        H = random_kgraph_conditioned(np.int64(9), np.int64(3), 2, seed=1)
+        assert (type(H.n), type(H.k)) == (int, int)
+        assert H.edges == random_kgraph_conditioned(9, 3, 2, seed=1).edges
+
     def test_conditioned_exhaustion_is_distinct(self):
         with pytest.raises(SamplingExhaustedError):
             random_kgraph_conditioned(9, 3, 2, tries=3, seed=0, p=0)

@@ -75,7 +75,6 @@ class TestKGraphBasics:
             (KGraph, (5.5, 3, [(1, 2, 3)])),
             (KGraph, (4.0, 3, [(1, 2, 3)])),
             (KGraph, (5, 3.0, [(1, 2, 3)])),
-            (KGraph._from_sorted, (5, "3", [(1, 2, 3)])),
             (build_Hknm, (9.0, 3, 2)),
             (space_barrier, (6, 3.0)),
             (parity_construction, (3.0, 4, 3)),
@@ -84,7 +83,7 @@ class TestKGraphBasics:
             (clique_window_matching, (7.5, 3)),
         ],
         ids=[
-            "n-5.5", "n-4.0", "k-3.0", "trusted-k-str", "hknm-n-9.0", "barrier-k-3.0", "parity-a-3.0",
+            "n-5.5", "n-4.0", "k-3.0", "hknm-n-9.0", "barrier-k-3.0", "parity-a-3.0",
             "complete-n-7.5", "random-n-7.5", "windows-n-7.5",
         ],
     )

@@ -413,7 +413,7 @@ class TestRelabel:
         vs = range(1, w.n + 1)
         # the new label of v is 1 + the number of vertices ranked before it
         rank = tuple(1 + sum(w[u] > w[v] or (w[u] == w[v] and u < v) for u in vs) for v in vs)
-        assert lp._weight_labels(w) == rank == relabel_by_weights(KGraph(w.n, 3, []), w)[1]
+        assert lp._weight_labels(w.weights) == rank == relabel_by_weights(KGraph(w.n, 3, []), w)[1]
 
     def test_closure_after_relabel_is_stable(self):
         rng = random.Random(7)
@@ -483,6 +483,7 @@ class TestAssignmentValidation:
 
 
 FOUR_HALVES = VertexWeights((Fraction(1, 2),) * 4)
+THREE_WEIGHTS = VertexWeights((Fraction(1, 2), Fraction(1, 3), Fraction(0)))
 
 
 @pytest.mark.parametrize(
@@ -500,6 +501,9 @@ FOUR_HALVES = VertexWeights((Fraction(1, 2),) * 4)
         (lambda: cyclic_windows([1, 2], 3), "need at least k=3 vertices for a window, got 2"),
         (lambda: cyclic_windows([1, 2, 3], 0), "window size k must be >= 1, got 0"),
         (lambda: cyclic_windows([1, 2, 3], 1.5), "sizes must be integers, got k=1.5"),
+        (lambda: permute_weights(THREE_WEIGHTS, (1, 2)), r"permutation of 1\.\.3, got \(1, 2\)"),
+        (lambda: permute_weights(THREE_WEIGHTS, (2, 2, 1)), r"permutation of 1\.\.3, got \(2, 2, 1\)"),
+        (lambda: permute_weights(THREE_WEIGHTS, (1, 1, 5)), r"permutation of 1\.\.3, got \(1, 1, 5\)"),
     ],
     ids=[
         "weight-above-1",
@@ -514,6 +518,9 @@ FOUR_HALVES = VertexWeights((Fraction(1, 2),) * 4)
         "windows-fewer-than-k",
         "windows-k-0",
         "windows-k-not-an-integer",
+        "permute-too-short",
+        "permute-repeated-label",
+        "permute-label-out-of-range",
     ],
 )
 def test_out_of_range_query_is_rejected(query, message):

@@ -274,20 +274,6 @@ class TestPipeline:
         assert (last.name, last.status) == ("link_stability", "failed")
         assert last.details == {"message": "link of the closure is not stable"}
 
-    def test_cover_broken_by_relabeling_is_caught_at_closure(self, monkeypatch):
-        real = pipeline.permute_weights
-
-        def zero_one_weight(w, old_to_new):
-            weights = list(real(w, old_to_new).weights)
-            weights[next(i for i, x in enumerate(weights) if x > 0)] = Fraction(0)
-            return lp.VertexWeights(tuple(weights))
-
-        monkeypatch.setattr(pipeline, "permute_weights", zero_one_weight)
-        with pytest.raises(InternalContradictionError) as exc:
-            fractional_pm_pipeline(complete(12, 3), 3, 1, PipelineConfig(eta=Fraction(1, 12)))
-        last = exc.value.trace.steps[-1]
-        assert (last.name, last.status) == ("closure", "failed")
-
     def test_completion_outside_the_closure_is_caught_by_the_witness(self, monkeypatch):
         closures = []
         real_closure = pipeline.weight_closure
@@ -564,7 +550,7 @@ class TestChernoff:
         (lambda: SamplerSettings(2, 1), "keep_probability"),
         (lambda: SamplerSettings(0.5, -1), "copy_count"),
         (lambda: fractional_pm_pipeline(complete(12, 3), 0, 3, PipelineConfig()), "m=0"),
-        (lambda: padded_clique_size(20, 3, 2, -5), "eta must be a finite real number >= 0, got -5"),
+        (lambda: padded_clique_size(20, 3, 2, -5), "eta must be a rational number >= 0, got -5"),
         (lambda: padded_clique_size(20, 3, 2, None), "eta"),
         (lambda: augmentation_residual(20, 3, 2, "3", 4), "eta"),
         (lambda: augmentation_residual(20, 3, 2, float("inf"), 4), "eta"),
@@ -576,12 +562,14 @@ class TestChernoff:
         (lambda: augmentation_residual(5, 1, 1, 0, 2), "uniformity k must be >= 2"),
         (lambda: SamplerSettings(Fraction(1, 2), 2, seed=2.5), "seed=2.5"),
         (lambda: SamplerSettings(Fraction(1, 2), 2, seed=None), "seed=None"),
+        (lambda: padded_clique_size(10, 3, 1, 0.3), "eta must be a rational number >= 0, got 0.3"),
+        (lambda: augmentation_residual(10, 3, 1, np.float64(0.3), 2), "eta must be a rational number"),
     ],
     ids=[
         "eta-0", "eps-1", "rho-negative", "eta-x", "eps-x", "rho-x", "keep-2", "copies-negative",
         "pipeline-m-0", "padded-eta-negative", "padded-eta-none", "residual-eta-str", "residual-eta-inf",
         "eps-float", "rho-float", "eta-float", "minimal-k-1", "padded-k-1", "residual-k-1",
-        "sampler-seed-2.5", "sampler-seed-none",
+        "sampler-seed-2.5", "sampler-seed-none", "padded-eta-float", "residual-eta-numpy-float",
     ],
 )
 def test_out_of_range_query_is_rejected(query, message):
