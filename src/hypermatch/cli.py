@@ -30,12 +30,12 @@ from .constructions import (
     space_barrier,
 )
 from .containment import classify_good_bad, eps_contains
-from .core import DEFAULT_NODE_BUDGET, NODE_BUDGET_ENV, format_graph, parse_graph
+from .core import DEFAULT_NODE_BUDGET, NODE_BUDGET_ENV, _plain, format_graph, parse_graph
 from .errors import BudgetExceededError, HypermatchError, InvalidQueryError
 from .harness import conjecture_search, emit_report, load_report, tightness_grid, verify_tightness
 from .lp import solve_fractional
 from .matching import NibbleConfig, exact_nu, nibble_matching_report
-from .pipeline import PipelineConfig, _plain, fractional_pm_pipeline, padded_clique_size
+from .pipeline import PipelineConfig, fractional_pm_pipeline, padded_clique_size
 
 
 def _frac(text: str) -> Fraction:
@@ -258,24 +258,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_contain)
 
     p = sub.add_parser("nibble", help="semi-random nibble matching")
-    p.add_argument("--bite", type=_frac, default=Fraction(1, 10))
-    p.add_argument("--rounds", type=int, default=40)
+    p.add_argument("--bite", type=_frac, default=NibbleConfig.bite_fraction)
+    p.add_argument("--rounds", type=int, default=NibbleConfig.max_rounds)
     p.add_argument(
         "--sigma",
         type=_frac,
         default=Fraction(1, 10),
         help="leftover fraction the run is reported against, 0 < sigma < 1",
     )
-    p.add_argument("--tau", type=_frac, default=Fraction(1, 20))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tau", type=_frac, default=NibbleConfig.tau_check)
+    p.add_argument("--seed", type=int, default=NibbleConfig.seed)
     common(p)
     p.set_defaults(func=_cmd_nibble)
 
     p = sub.add_parser("pipeline", help="constructive perfect fractional matching")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--eta", type=_frac, default=Fraction(1, 10))
-    p.add_argument("--rho", type=_frac, default=Fraction(1, 10000))
-    p.add_argument("--eps", type=_frac, default=Fraction(1, 10))
+    p.add_argument("--eta", type=_frac, default=PipelineConfig.eta)
+    p.add_argument("--rho", type=_frac, default=PipelineConfig.rho)
+    p.add_argument("--eps", type=_frac, default=PipelineConfig.eps)
     p.add_argument("--route", choices=["auto", "greedy"], default="auto")
     p.add_argument("--r", type=int, default=None, help="override the padded clique size")
     common(p)

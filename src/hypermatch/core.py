@@ -2,8 +2,8 @@
 
 Representation, vertex-set masks, degrees, links, induced subgraphs, exact
 independence number, the stability (downward-closure) test, the plain-text
-graph format used by the CLI, and the node budget that every exponential
-search obeys.
+graph format used by the CLI, the JSON-ready copy of records, and the node
+budget that every exponential search obeys.
 
 Vertices are the integers 1..n throughout. Edges are sorted k-tuples.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, combinations, compress
 from numbers import Real
@@ -60,6 +61,17 @@ def _check_shape(n: int, k: int) -> tuple[int, int]:
     if n < 0:
         raise InvalidQueryError(f"vertex count must be >= 0, got {n}")
     return n, k
+
+
+def _plain(v):
+    """JSON-ready copy: Fractions as "p/q", tuples as lists, dict keys sorted."""
+    if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in sorted(v.items())}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    return v
 
 
 class KGraph:
@@ -390,7 +402,10 @@ def independence_number(H: KGraph) -> int:
             walk(idx + 1, chosen + (idx,), f)
         walk(idx + 1, chosen, forbidden)
 
-    walk(1, (), 0)
+    try:
+        walk(1, (), 0)
+    finally:
+        del walk  # walk holds itself through its closure cell
     return best
 
 

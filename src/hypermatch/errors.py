@@ -2,10 +2,15 @@
 
 
 class HypermatchError(Exception):
-    """Base class for errors raised by this package. An error raised inside a
-    pipeline step carries the trace so far as `trace`."""
+    """Base class for errors raised by this package. Keyword details are kept
+    as `details`; a pipeline step that the error fails records them with the
+    message, and the error carries the trace so far as `trace`."""
 
     trace = None
+
+    def __init__(self, message: str, **details):
+        super().__init__(message)
+        self.details = details
 
 
 class InvalidQueryError(HypermatchError, ValueError):
@@ -18,11 +23,11 @@ class SamplingExhaustedError(HypermatchError, RuntimeError):
 
 
 class BudgetExceededError(HypermatchError, RuntimeError):
-    """A branch-and-bound search exceeded its node budget."""
+    """A branch-and-bound search exceeded its node budget (the detail `nodes`)."""
 
-    def __init__(self, message: str, nodes: int):
-        super().__init__(message)
-        self.nodes = nodes
+    @property
+    def nodes(self) -> int:
+        return self.details["nodes"]
 
 
 class StepFailureError(HypermatchError, RuntimeError):

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence, Sized
 
 from . import __version__
 from .constructions import build_Hknm, random_kgraph, random_kgraph_conditioned, vertex_degree_threshold
-from .core import KGraph, _integers, _unit_interval, format_graph, min_l_degree, parse_graph, verify_matching
+from .core import KGraph, _integers, _plain, _unit_interval, format_graph, min_l_degree, parse_graph, verify_matching
 from .errors import (
     BudgetExceededError,
     HypermatchError,
@@ -28,7 +28,6 @@ from .errors import (
     SamplingExhaustedError,
 )
 from .matching import exact_nu
-from .pipeline import _plain
 
 class TightnessFailure(HypermatchError, AssertionError):
     """An exact tightness assertion failed; carries the offending instance."""
@@ -150,9 +149,10 @@ def tightness_grid(ks: Sequence[int] = (3, 4), n_max: int = 14) -> list[tuple[in
     """Grid of (n, k, m) with k <= n <= n_max and 1 <= m <= n // k, once per
     distinct k in ks; k >= 2 and m >= 1 give k + m - 1 <= km <= n."""
     [n_max] = _integers(n_max=n_max)
+    if not isinstance(ks, Iterable):
+        raise InvalidQueryError(f"ks must be an iterable of integers, got {ks!r}")
     grid = []
-    for k in dict.fromkeys(ks):
-        [k] = _integers(k=k)
+    for k in dict.fromkeys(_integers(k=x)[0] for x in ks):
         if k < 2:
             raise InvalidQueryError(f"uniformity k must be >= 2, got {k}")
         for n in range(k, n_max + 1):

@@ -143,7 +143,10 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
                 chosen.pop()
         walk(live & ~star[v], free - 1, chosen)
 
-    walk((1 << len(edges)) - 1, n, [])
+    try:
+        walk((1 << len(edges)) - 1, n, [])
+    finally:
+        del walk  # walk holds itself through its closure cell
     return best, Matching.from_edges(best_edges)
 
 

@@ -22,11 +22,13 @@ import math
 import random
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, repeat
 from math import ceil
 from numbers import Rational, Real
+from typing import Iterator
 from .constructions import VertexPartition, join_clique, vertex_degree_threshold
 from .containment import deficiency, vertex_template_deficits
 from .core import (
@@ -35,6 +37,7 @@ from .core import (
     Matching,
     _check_shape,
     _integers,
+    _plain,
     _unit_interval,
     independence_number,
     is_stable,
@@ -137,66 +140,18 @@ def minimal_feasible_r(n: int, k: int, m: int) -> int:
     return k + max(0, ceil(Fraction(n - k * m, k - 1)))
 
 
+@dataclass
 class TraceStep:
-    """One pipeline step, timed from its creation; use as
-    ``with trace.step(name) as st:``.
+    """One timed pipeline step; status is "ok", "failed" or "indeterminate".
+    The step's block may set details."""
 
-    status is "ok", "failed" or "indeterminate". The block may set details.
-    The step is appended to its trace however the block ends: as the block
-    left it when no exception is raised; "indeterminate" with the message
-    and node count on a budget hit; and "failed" with the message for any
-    other exception that fail or contradict did not already mark. A
-    HypermatchError leaving the block carries the trace.
-    """
-
-    def __init__(self, trace: PipelineTrace, name: str):
-        self.trace = trace
-        self.name = name
-        self.status = "ok"
-        self.details: dict = {}
-        self.seconds = 0.0
-        self.t0 = time.perf_counter()
-
-    def __enter__(self) -> TraceStep:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if isinstance(exc, BudgetExceededError):
-            self.status = "indeterminate"
-            self.details = {"message": str(exc), "nodes": exc.nodes}
-        elif exc is not None and self.status != "failed":
-            self.status = "failed"
-            self.details = {"message": str(exc)}
-        self.seconds = time.perf_counter() - self.t0
-        self.trace.steps.append(self)
-        if isinstance(exc, HypermatchError) and exc.trace is None:
-            exc.trace = self.trace
-
-    def fail(self, message: str, **details):
-        """Mark the step failed, with the message and details; raise StepFailureError."""
-        self.status = "failed"
-        self.details = {"message": message, **details}
-        raise StepFailureError(message)
-
-    def contradict(self, message: str, **details):
-        """Mark the step failed like fail, and raise InternalContradictionError."""
-        self.status = "failed"
-        self.details = {"message": message, **details}
-        raise InternalContradictionError(message)
+    name: str
+    status: str = "ok"
+    details: dict = field(default_factory=dict)
+    seconds: float = 0.0
 
     def record(self) -> dict:
         return {"step": self.name, "status": self.status, **_plain(self.details)}
-
-
-def _plain(v):
-    """JSON-ready copy: Fractions as "p/q", tuples as lists, dict keys sorted."""
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, dict):
-        return {k: _plain(x) for k, x in sorted(v.items())}
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    return v
 
 
 @dataclass
@@ -213,9 +168,24 @@ class PipelineTrace:
     relabel_old_to_new: tuple[int, ...] = ()
     constants: dict = field(default_factory=dict)
 
-    def step(self, name: str) -> TraceStep:
-        """Start timing a step; use as ``with trace.step(name) as st:``."""
-        return TraceStep(self, name)
+    @contextmanager
+    def step(self, name: str) -> Iterator[TraceStep]:
+        """Append a step and time it; use as ``with trace.step(name) as st:``.
+        An exception marks it "indeterminate" (a budget hit) or "failed", with
+        the message and the error's details; a HypermatchError carries the trace."""
+        st = TraceStep(name)
+        self.steps.append(st)
+        t0 = time.perf_counter()
+        try:
+            yield st
+        except Exception as exc:
+            st.status = "indeterminate" if isinstance(exc, BudgetExceededError) else "failed"
+            st.details = {"message": str(exc), **getattr(exc, "details", {})}
+            if isinstance(exc, HypermatchError) and exc.trace is None:
+                exc.trace = self
+            raise
+        finally:
+            st.seconds = time.perf_counter() - t0
 
     def records(self) -> list[dict]:
         head = {
@@ -309,8 +279,8 @@ def fractional_pm_pipeline(
         tau_value, cover = min_fractional_cover(join_clique(H, r))
         st.details = {"tau": tau_value, "target": target}
     if tau_value < target:
-        with trace.step("cover_certificate") as st:
-            st.fail(
+        with trace.step("cover_certificate"):
+            raise StepFailureError(
                 "cover below (n+r)/k certifies that no perfect fractional matching exists",
                 tau=tau_value,
                 target=target,
@@ -336,9 +306,9 @@ def fractional_pm_pipeline(
         }
 
     # structural certificates
-    with trace.step("link_stability") as st:
+    with trace.step("link_stability"):
         if not is_stable(link_graph):
-            st.contradict("link of the closure is not stable")
+            raise InternalContradictionError("link of the closure is not stable")
 
     block_top = n - pre["alpha_bound"]  # m + ceil(eps*n)
     with trace.step("complete_block") as st:
@@ -346,11 +316,11 @@ def fractional_pm_pipeline(
         missing = next((e for e in block if e not in core_graph.edge_set), None)
         if missing is not None:
             if pre["alpha_ok"]:
-                st.contradict(
+                raise InternalContradictionError(
                     f"low-index block [{block_top}] is not complete despite the independence margin",
                     missing=missing,
                 )
-            st.fail(
+            raise StepFailureError(
                 f"low-index block [{block_top}] is not complete (independence precondition unmet)",
                 missing=missing,
             )
@@ -358,7 +328,7 @@ def fractional_pm_pipeline(
 
     # a link edge e transfers when all n - k + 1 sets e + {i} are core edges, so
     # only an e with fewer core edges through it is probed i by i, in order
-    with trace.step("neighborhood_transfer") as st:
+    with trace.step("neighborhood_transfer"):
         through = Counter(chain.from_iterable(map(combinations, core_graph.edges, repeat(k - 1))))
         for e in link_graph.edges:
             if through[e] == n - k + 1:
@@ -366,7 +336,7 @@ def fractional_pm_pipeline(
             ev = set(e)
             for i in range(1, n + 1):
                 if i not in ev and tuple(sorted(e + (i,))) not in core_graph.edge_set:
-                    st.contradict(
+                    raise InternalContradictionError(
                         "a link edge fails to transfer to a smaller-index vertex", witness=(e, i)
                     )
 
@@ -377,15 +347,17 @@ def fractional_pm_pipeline(
         with trace.step("find_matching") as st:
             nu_link, link_matching = exact_nu(link_graph)
             if nu_link < m:
-                st.fail(f"the link's matching number {nu_link} is below m = {m}", link_nu=nu_link)
+                raise StepFailureError(
+                    f"the link's matching number {nu_link} is below m = {m}", link_nu=nu_link
+                )
             picked = link_matching.edges[:m]
-            M = _transfer(st, picked, {v for e in picked for v in e}, n)
+            M = _transfer(picked, {v for e in picked for v in e}, n)
             st.details = {"route": "exact", "link_nu": nu_link, "size": m}
     trace.route_used = "greedy" if route == "greedy" else "exact"
 
     with trace.step("matching_verify") as st:
         if not (verify_matching(core_graph, Matching.from_edges(M)) and len(M) == m):
-            st.contradict("assembled matching is invalid")
+            raise InternalContradictionError("assembled matching is invalid")
         st.details = {"size": len(M)}
 
     # perfect matching of the closure minus residue-class vertices and V(M)
@@ -400,7 +372,7 @@ def fractional_pm_pipeline(
             if nu_live * k == len(leftover) + len(q_free):
                 completion = list(live_matching.edges)
         if completion is None:
-            st.fail(
+            raise StepFailureError(
                 "no perfect matching of the closure minus the residue class and V(M)",
                 leftover=len(leftover),
                 clique_free=len(q_free),
@@ -428,7 +400,7 @@ def fractional_pm_pipeline(
     # so equality here is also value == (n+r)/k
     with trace.step("verify") as st:
         if tau_value != value:
-            st.contradict(
+            raise InternalContradictionError(
                 "pipeline value disagrees with the exact fractional optimum",
                 lp_value=tau_value,
                 value=value,
@@ -474,7 +446,7 @@ def _block_route_matching(
         room = min(block_top, n) - m  # ceil(eps*n), cut off at n
         block = sorted(set(b_bad) | set(range(m, m + room + 1)))
         if (b + 1) * (k - 1) > room:
-            st.fail(
+            raise StepFailureError(
                 f"block room (b + 1)(k - 1) <= ceil(eps*n) fails: ({b} + 1)({k} - 1) > {room}",
                 block=len(block),
                 needed=(b + 1) * k,
@@ -494,18 +466,18 @@ def _block_route_matching(
             edges_at_x = (link_graph.edges[i] for i in link_graph.vertex_edges[x - 1])
             found = next((e for e in edges_at_x if blocked.isdisjoint(e)), None)
             if found is None:
-                st.fail(f"no available one-W-vertex link edge at vertex {x}", vertex=x)
+                raise StepFailureError(f"no available one-W-vertex link edge at vertex {x}", vertex=x)
             transversal.append(found)
             used |= set(found)
         st.details = {"size": len(transversal)}
 
     with trace.step("block_route_extend") as st:
-        extended = _transfer(st, transversal, removed | used, n)
+        extended = _transfer(transversal, removed | used, n)
         st.details = {"size": len(extended)}
     return block_matching + extended
 
 
-def _transfer(st: TraceStep, link_edges, blocked: set[int], n: int) -> list[EdgeT]:
+def _transfer(link_edges, blocked: set[int], n: int) -> list[EdgeT]:
     """Extend each link edge of vertex n by its own unblocked vertex of [n].
 
     Every such extension is a core edge: the neighborhood_transfer step has
@@ -513,7 +485,7 @@ def _transfer(st: TraceStep, link_edges, blocked: set[int], n: int) -> list[Edge
     """
     fresh = [v for v in range(1, n + 1) if v not in blocked][: len(link_edges)]
     if len(fresh) < len(link_edges):
-        st.fail("not enough fresh vertices")
+        raise StepFailureError("not enough fresh vertices")
     return [tuple(sorted(e + (v,))) for e, v in zip(link_edges, fresh)]
 
 

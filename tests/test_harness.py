@@ -237,6 +237,8 @@ class TestReports:
         (lambda: conjecture_search(9, 3, 2, trials=-5), "need trials >= 0, got -5"),
         (lambda: tightness_grid((3,), 5.5), "got n_max=5.5"),
         (lambda: tightness_grid((3.5,), 9), "got k=3.5"),
+        (lambda: tightness_grid(3), "ks must be an iterable of integers, got 3"),
+        (lambda: tightness_grid(None), "ks must be an iterable of integers, got None"),
         (lambda: verify_tightness([(7, 3)]), r"grid points must be \(n, k, m\), got \(7, 3\)"),
         (lambda: verify_tightness([(7, 3, 2.5)]), "got n=7, k=3, m=2.5"),
         (lambda: verify_tightness([7]), "grid points must be"),
@@ -246,6 +248,7 @@ class TestReports:
         "search-unknown-model-no-trials", "search-conditioned-p-2-no-trials",
         "search-uniform-p-negative-no-trials", "search-planted-p-2-no-trials",
         "search-trials-2.5", "search-trials-negative", "grid-n-max-5.5", "grid-k-3.5",
+        "grid-ks-int", "grid-ks-none",
         "tightness-point-of-two", "tightness-m-2.5", "tightness-point-int",
     ],
 )

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -15,8 +17,10 @@ from hypermatch import (
     build_Hknm,
     complete,
     degree,
+    independence_number,
     join_clique,
     lp,
+    parity_construction,
     pipeline,
     random_kgraph,
 )
@@ -237,6 +241,17 @@ class TestPipeline:
         last = exc.value.trace.steps[-1]
         assert (last.name, last.status) == ("clique_completion", "failed")
         assert last.details["leftover"] == 4 and last.details["clique_free"] == 0
+        assert last.details == {"message": str(exc.value), **exc.value.details}
+
+    def test_errors_keep_their_details(self):
+        err = InternalContradictionError("packing LP reported unbounded", check="lp-bounded")
+        assert (str(err), err.details, err.trace) == (
+            "packing LP reported unbounded",
+            {"check": "lp-bounded"},
+            None,
+        )
+        hit = pickle.loads(pickle.dumps(BudgetExceededError("exact_nu node budget exceeded", nodes=7)))
+        assert (str(hit), hit.details, hit.nodes) == ("exact_nu node budget exceeded", {"nodes": 7}, 7)
 
     def test_budget_hit_inside_a_step_is_indeterminate(self, monkeypatch):
         def out_of_budget(H):
@@ -575,3 +590,26 @@ class TestChernoff:
 def test_out_of_range_query_is_rejected(query, message):
     with pytest.raises(InvalidQueryError, match=message):
         query()
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector disabled; its state and gc.garbage restored afterwards."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    yield
+    gc.set_debug(flags)
+    gc.garbage.clear()
+    if enabled:
+        gc.enable()
+
+
+def test_pipeline_and_searches_free_everything_without_the_collector(collector_off):
+    gc.collect()  # frees what was left before the calls
+    gc.set_debug(gc.DEBUG_SAVEALL)  # from here, what only the collector frees is kept in gc.garbage
+    fractional_pm_pipeline(complete(12, 3), 3, 1, PipelineConfig(eta=Fraction(1, 12)))
+    H = parity_construction(7, 5, 3)
+    assert exact_nu(H)[0] < H.n // H.k  # no seed is perfect, so the walk runs
+    assert independence_number(build_Hknm(9, 3, 3)[0]) == 7
+    gc.collect()
+    assert not gc.garbage, sorted({getattr(x, "__qualname__", type(x).__name__) for x in gc.garbage})
