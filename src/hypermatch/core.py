@@ -337,35 +337,14 @@ def induced(H: KGraph, S: Iterable[int]) -> KGraph:
     return KGraph._from_sorted(len(ss), H.k, sorted(edges))
 
 
-def _greedy_block_cover_bound(H: KGraph, candidates: Sequence[int]) -> int:
-    """Upper bound on the independence number of H restricted to candidates.
-
-    Greedily partitions the candidates into blocks spanning complete
-    sub-k-graphs (ties broken by lowest vertex index); an independent set
-    meets a complete block on s >= k vertices in at most k-1 of them.
-    Candidates must ascend: each block then ascends, and v comes after
-    every member, so sub + (v,) is already a sorted edge.
-    """
-    k = H.k
-    es = H.edge_set
-    blocks: list[list[int]] = []
-    for v in candidates:
-        for blk in blocks:
-            if len(blk) < k - 1 or all(sub + (v,) in es for sub in combinations(blk, k - 1)):
-                blk.append(v)
-                break
-        else:
-            blocks.append([v])
-    return sum(min(len(blk), k - 1) for blk in blocks)
-
-
 def independence_number(H: KGraph) -> int:
     """Exact size of a largest independent set (no edge fully inside).
 
-    Branch and bound over vertices in ascending order, pruned by a greedy
-    complete-block cover bound precomputed for every suffix. Runtime is
-    exponential in the worst case; intended for n up to about 100 at k = 3.
-    Raises BudgetExceededError once the search passes node_budget() nodes.
+    Branch and bound over vertices in ascending order, pruned by the count
+    of live candidates: later vertices that no edge has forbidden yet.
+    Runtime is exponential in the worst case; intended for n up to about
+    150 at k = 3. Raises BudgetExceededError once the search passes
+    node_budget() nodes.
     """
     n = H.n
     budget = node_budget()
@@ -376,10 +355,7 @@ def independence_number(H: KGraph) -> int:
     tail: dict[EdgeT, int] = {}
     for e in H.edges:
         tail[e[:-1]] = tail.get(e[:-1], 0) | 1 << e[-1]
-    suffix_bound = [0] * (n + 2)
-    for start in range(n, 0, -1):
-        suffix_bound[start] = _greedy_block_cover_bound(H, range(start, n + 1))
-
+    vertices = (1 << n + 1) - 2
     best = 0
     nodes = 0
 
@@ -391,9 +367,8 @@ def independence_number(H: KGraph) -> int:
         count = len(chosen)
         if count > best:
             best = count
-        # the block bound never exceeds its candidate count, and
-        # suffix_bound[n + 1] == 0 ends the walk past the last vertex
-        if count + suffix_bound[idx] <= best:
+        # no vertex is live past n, so this also ends the walk there
+        if count + (vertices >> idx << idx & ~forbidden).bit_count() <= best:
             return
         if not forbidden >> idx & 1:
             f = forbidden

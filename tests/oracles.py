@@ -18,7 +18,7 @@ from itertools import combinations
 from math import comb
 
 from hypermatch.constructions import vertex_degree_threshold
-from hypermatch.core import EdgeT, KGraph, Matching, _greedy_block_cover_bound, node_budget
+from hypermatch.core import EdgeT, KGraph, Matching, node_budget
 from hypermatch.errors import (
     BudgetExceededError,
     InternalContradictionError,
@@ -536,9 +536,11 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
 
 # -- the independence search before forbidden-vertex masks -------------------
 #
-# Each node scans every edge whose top vertex is the next vertex, to see if
-# the chosen vertices hold the rest of it. The package search must return
-# the same alpha after the same number of nodes.
+# A vertex is live when no edge whose top vertex it is has the rest of its
+# vertices among the chosen ones. Each node rescans every later vertex's
+# edges to count the live ones, prunes when they cannot lift the count past
+# the best, and scans the next vertex's edges again before choosing it. The
+# package search must return the same alpha after the same number of nodes.
 
 
 def independence_search(H: KGraph) -> tuple[int, int]:
@@ -550,9 +552,9 @@ def independence_search(H: KGraph) -> tuple[int, int]:
     for e, m in zip(H.edges, H.edge_masks):
         top = e[-1]
         completing[top].append(m & ~(1 << top))
-    suffix_bound = [0] * (n + 2)
-    for start in range(n, 0, -1):
-        suffix_bound[start] = _greedy_block_cover_bound(H, range(start, n + 1))
+
+    def blocked(v: int, chosen_mask: int) -> bool:
+        return any(m & chosen_mask == m for m in completing[v])
 
     best = 0
     nodes = 0
@@ -562,12 +564,10 @@ def independence_search(H: KGraph) -> tuple[int, int]:
         nodes += 1
         if count > best:
             best = count
-        if idx > n:
+        live = sum(1 for v in range(idx, n + 1) if not blocked(v, chosen_mask))
+        if count + live <= best:
             return
-        if count + min(n - idx + 1, suffix_bound[idx]) <= best:
-            return
-        blocked = any(m & chosen_mask == m for m in completing[idx])
-        if not blocked:
+        if not blocked(idx, chosen_mask):
             walk(idx + 1, chosen_mask | (1 << idx), count + 1)
         walk(idx + 1, chosen_mask, count)
 

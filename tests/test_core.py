@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -290,6 +291,12 @@ class TestIndependence:
         monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "1")  # the search raises at node 2
         with pytest.raises(BudgetExceededError):
             independence_number(H)
+
+    def test_dense_random_graph_fits_a_small_budget(self, monkeypatch):
+        # the walk settles this alpha in 15,630 nodes; a bound blind to the
+        # vertices the chosen ones forbid needs 91,746
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "20000")
+        assert independence_number(random_kgraph(50, 3, Fraction(7, 10), seed=5)) == 5
 
     def test_budget_hit_caches_nothing(self, monkeypatch):
         H = h933()
