@@ -3,7 +3,7 @@
 Representation, vertex-set masks, degrees, links, induced subgraphs, exact
 independence number, the stability (downward-closure) test, the plain-text
 graph format used by the CLI, the JSON-ready copy of records, and the node
-budget that every exponential search obeys.
+budget that every exponential search obeys, which _depth_first applies.
 
 Vertices are the integers 1..n throughout. Edges are sorted k-tuples.
 """
@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import accumulate, chain, combinations, compress
 from numbers import Real
 from operator import index, ne
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InvalidQueryError
 
@@ -35,6 +35,24 @@ def node_budget() -> int:
     if not (raw.isdecimal() and int(raw) > 0):
         raise InvalidQueryError(f"{NODE_BUDGET_ENV} must be a positive integer, got {raw!r}")
     return int(raw)
+
+
+def _depth_first(stack: list, what: str) -> Iterator:
+    """An iterator that pops a depth-first search's states, last in first out,
+    until the stack is empty; the caller pushes each state's children. It reads
+    node_budget() at once, so a malformed budget fails even a search that returns
+    before it walks; the pop past the budget raises BudgetExceededError."""
+    budget = node_budget()
+
+    def pops():
+        nodes = 0
+        while stack:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"{what} node budget exceeded", nodes=nodes)
+            yield stack.pop()
+
+    return pops()
 
 
 def _integers(**sizes) -> list[int]:
@@ -340,14 +358,15 @@ def induced(H: KGraph, S: Iterable[int]) -> KGraph:
 def independence_number(H: KGraph) -> int:
     """Exact size of a largest independent set (no edge fully inside).
 
-    Branch and bound over vertices in ascending order, pruned by the count
-    of live candidates: later vertices that no edge has forbidden yet.
-    Runtime is exponential in the worst case; intended for n up to about
-    150 at k = 3. Raises BudgetExceededError once the search passes
-    node_budget() nodes.
+    Branch and bound over vertices in ascending order, pruned by the count of live
+    candidates: later vertices that no edge has forbidden yet. Runtime is exponential in
+    the worst case; intended for n up to about 150 at k = 3. The walk runs on an
+    explicit stack through _depth_first, so the recursion limit does not cap n, and
+    raises BudgetExceededError once it passes node_budget() nodes.
     """
     n = H.n
-    budget = node_budget()
+    stack = [(1, (), 0)]
+    walk = _depth_first(stack, "independence_number")
     if not H.edges:
         return n
     # tail[P]: mask of the top vertices of the edges whose other vertices are
@@ -357,30 +376,20 @@ def independence_number(H: KGraph) -> int:
         tail[e[:-1]] = tail.get(e[:-1], 0) | 1 << e[-1]
     vertices = (1 << n + 1) - 2
     best = 0
-    nodes = 0
-
-    def walk(idx: int, chosen: tuple[int, ...], forbidden: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError("independence_number node budget exceeded", nodes=nodes)
+    for idx, chosen, forbidden in walk:
         count = len(chosen)
         if count > best:
             best = count
         # no vertex is live past n, so this also ends the walk there
         if count + (vertices >> idx << idx & ~forbidden).bit_count() <= best:
-            return
+            continue
+        # the include child is pushed last, so it is walked first
+        stack.append((idx + 1, chosen, forbidden))
         if not forbidden >> idx & 1:
             f = forbidden
             for T in combinations(chosen, H.k - 2):
                 f |= tail.get(T + (idx,), 0)
-            walk(idx + 1, chosen + (idx,), f)
-        walk(idx + 1, chosen, forbidden)
-
-    try:
-        walk(1, (), 0)
-    finally:
-        del walk  # walk holds itself through its closure cell
+            stack.append((idx + 1, chosen + (idx,), f))
     return best
 
 

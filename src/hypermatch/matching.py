@@ -9,8 +9,8 @@ from fractions import Fraction
 from numbers import Real
 from typing import Iterable
 
-from .core import EdgeT, KGraph, Matching, _integers, induced, node_budget
-from .errors import BudgetExceededError, InvalidQueryError
+from .core import EdgeT, KGraph, Matching, _depth_first, _integers, induced
+from .errors import InvalidQueryError
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,14 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
     above, kept only when strictly larger. A seed with floor(n/k) edges is
     returned at once.
     Worst case is exponential; intended for n up to about 30 at k = 3.
-    Raises BudgetExceededError once the search passes node_budget() nodes.
+    The walk runs on an explicit stack through core._depth_first, so the
+    recursion limit does not cap n, and raises BudgetExceededError once it
+    passes node_budget() nodes.
     """
-    budget = node_budget()
     n, k = H.n, H.k
     edges = H.edges
+    stack = [((1 << len(edges)) - 1, n, ())]
+    walk = _depth_first(stack, "exact_nu")
 
     seed_matching = greedy_matching(H)
     best = len(seed_matching)
@@ -106,24 +109,17 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
         for v in edges[i]:
             by_vertex[v].append(i)
             star[v] |= bit
-    nodes = 0
-
-    def walk(live: int, free: int, chosen: list[EdgeT]) -> None:
-        nonlocal nodes, best, best_edges
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError("exact_nu node budget exceeded", nodes=nodes)
+    for live, free, chosen in walk:
         if len(chosen) > best:
-            best = len(chosen)
-            best_edges = list(chosen)
+            best, best_edges = len(chosen), chosen
         if not live:
-            return
+            continue
         # edges are in lexicographic order, so the lowest live edge starts
         # at the lowest vertex that any live edge covers
         v = edges[(live & -live).bit_length() - 1][0]
         slack = best - len(chosen)
         if free // k <= slack:
-            return
+            continue
         # a cover of the live edges bounds their matchings; the greedy one
         # only has to be known up to slack + 1 vertices
         rest, size = live, 0
@@ -132,21 +128,15 @@ def exact_nu(H: KGraph) -> tuple[int, Matching]:
             rest &= ~star[counts.index(max(counts))]
             size += 1
         if size <= slack:
-            return
-        for i in by_vertex[v]:
+            continue
+        # pushed in reverse: v's edges are walked first, in order, then v set aside
+        stack.append((live & ~star[v], free - 1, chosen))
+        for i in reversed(by_vertex[v]):
             if live >> i & 1:
                 hit = 0
                 for u in edges[i]:
                     hit |= star[u]
-                chosen.append(edges[i])
-                walk(live & ~hit, free - k, chosen)
-                chosen.pop()
-        walk(live & ~star[v], free - 1, chosen)
-
-    try:
-        walk((1 << len(edges)) - 1, n, [])
-    finally:
-        del walk  # walk holds itself through its closure cell
+                stack.append((live & ~hit, free - k, chosen + (edges[i],)))
     return best, Matching.from_edges(best_edges)
 
 

@@ -82,3 +82,18 @@ def test_bounds_come_from_the_benchmark_spec(pairs):
 def test_seed_ranges(pairs):
     assert pairs.parse_seeds("3101-3104") == [3101, 3102, 3103, 3104]
     assert pairs.parse_seeds("7") == [7]
+
+
+@pytest.mark.parametrize("pairs_arg", ["0", "-1"])
+def test_fewer_than_one_pair_is_rejected_before_git(pairs, monkeypatch, capsys, pairs_arg):
+    def no_git(*args, **kwargs):
+        raise AssertionError("git was called")
+
+    for name in ("check_output", "run", "Popen"):
+        monkeypatch.setattr(pairs.subprocess, name, no_git)
+    argv = ["--base", "HEAD", "--change", "HEAD", "--seeds", "1-10", "--pairs", pairs_arg, "--out", "unused.json"]
+    with pytest.raises(SystemExit) as info:
+        pairs.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "--pairs" in err.splitlines()[-1]

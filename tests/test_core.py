@@ -250,6 +250,10 @@ class TestIndependence:
     def test_edgeless(self):
         assert independence_number(KGraph(11, 3, [])) == 11
 
+    def test_deep_walk_is_not_bounded_by_the_recursion_limit(self):
+        # the walk goes one level per vertex, past Python's default limit of 1000
+        assert independence_number(KGraph(1000, 3, [(1, 2, 3)])) == 999
+
     def test_matches_bruteforce_on_random(self, rng):
         for _ in range(15):
             n = rng.randint(4, 8)
@@ -317,6 +321,13 @@ class TestNodeBudget:
     def test_reads_positive_integer(self, monkeypatch):
         monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "250")
         assert node_budget() == 250
+
+    def test_malformed_budget_fails_a_search_that_never_walks(self, monkeypatch):
+        # an edgeless host and a perfect greedy seed return before the walk starts
+        monkeypatch.setenv("HYPERMATCH_NODE_BUDGET", "abc")
+        for search, H in [(independence_number, KGraph(5, 3, [])), (exact_nu, complete(9, 3))]:
+            with pytest.raises(InvalidQueryError, match="HYPERMATCH_NODE_BUDGET"):
+                search(H)
 
 
 class TestStability:

@@ -107,6 +107,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=WORKLOADS + ("all",), default="all")
     ap.add_argument("--out", required=True, type=Path, help="the BENCH_*.json file to write")
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
     seeds = parse_seeds(args.seeds)[: args.pairs]
     if len(seeds) < args.pairs:
         ap.error(f"--seeds names {len(seeds)} seeds for {args.pairs} pairs")
